@@ -6,22 +6,19 @@ internal-model classification, and an adaptive resilient compensator.
 """
 
 from .attacks import (AttackSpec, ExogenousSignal, ImpClassification, attack_projection,
-                      attack_value, classify_imp, constant_signal, effective_attack,
-                      root_targeted, signal_series, sinusoid_signal)
-from .defense import (CompensatorState, PredictorState, baseline_control,
-                      compensator_step, consensus_error_threshold, dtilde_bound,
-                      predictor_step, resilient_control)
+                      classify_imp, constant_signal, effective_attack, root_targeted,
+                      signal_series, sinusoid_signal)
+from .defense import consensus_error_threshold, dtilde_bound
 from .design import (ControllerConfig, CouplingRange, DesignError, coupling_range,
                      design_controller, design_gain, joint_radius, solve_dare, theta_bound)
-from .dynamics import (ClosedLoopMatrix, ConsensusPrediction, DivergenceError, LtiModel,
-                       NetworkState, assemble_closed_loop, make_state,
-                       predict_consensus_value, step)
+from .dynamics import (ClosedLoopMatrix, ConsensusPrediction, LtiModel, assemble_closed_loop,
+                       predict_consensus_value)
 from .engine import LeaderSpec, simulate
 from .graph import (DirectedGraph, GraphError, GraphSpectrum, has_spanning_tree,
                     is_reachable, normalized_laplacian, reachable_set)
-from .metrics import (GrowthAnalysis, HinfBypassReport, MetricsFrame, Verdict,
-                      analyze_growth, destabilization_verdict, deviation_bound,
-                      global_performance, hinf_bypass_report, tracking_error)
+from .metrics import (GrowthAnalysis, HinfBypassReport, Verdict, analyze_growth,
+                      destabilization_verdict, deviation_bound, global_performance,
+                      hinf_bypass_report, tracking_error)
 from .scenarios import (BUNDLED_SCENARIOS, ConfigError, ScenarioConfig, list_scenarios,
                         load_config, run, validate)
 from .trace import SimulationTrace, write_csv, write_plot_data, write_summary

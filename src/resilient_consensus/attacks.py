@@ -50,10 +50,6 @@ class ExogenousSignal:
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvals(self.W)
 
-    def value_at(self, j: int) -> np.ndarray:
-        v = np.linalg.matrix_power(self.W, j) @ self.f0
-        return v if self.output is None else self.output @ v
-
 
 def constant_signal(value) -> ExogenousSignal:
     v = np.atleast_1d(np.asarray(value, dtype=float))
@@ -92,15 +88,12 @@ class AttackSpec:
             raise ValueError("start_step must be nonnegative")
 
 
-def attack_value(spec: AttackSpec, k: int) -> np.ndarray:
-    """Signal injected at step k: zero before start_step, generator output after."""
-    if k < spec.start_step:
-        return np.zeros(spec.signal.dim)
-    return spec.signal.value_at(k - spec.start_step)
-
-
 def signal_series(spec: AttackSpec, length: int) -> np.ndarray:
-    """Vectorized attack_value for k = 0..length-1, iterating the generator once."""
+    """Signal injected at k = 0..length-1, iterating the generator once.
+
+    Rows before ``start_step`` are zero; row k >= start_step is the generator
+    readout output @ W^(k - start_step) f0.
+    """
     out = np.zeros((length, spec.signal.dim))
     if spec.start_step >= length:
         return out
@@ -146,37 +139,49 @@ def classify_imp(spec: AttackSpec, model: LtiModel, tol: float = IMP_TOL) -> Imp
     )
 
 
-def stack_injections(specs, n_agents: int, state_dim: int, input_dim: int, k: int):
-    """Per-agent sensor (N, n) and actuator (N, m) injections at step k."""
-    sens = np.zeros((n_agents, state_dim))
-    act = np.zeros((n_agents, input_dim))
+def effective_injection(sensor, actuator, norm_lap: np.ndarray, c: float,
+                        K: np.ndarray):
+    """Per-agent injection f = c (-Lhat s) K' + a over stacked series.
+
+    ``sensor`` is (T, N, n) and ``actuator`` (T, N, m); either is None when
+    that channel is unused. The sensor corruption propagates through the
+    corrupted tracking error, the actuator signal enters directly. With no
+    sensor series the actuator array itself is returned, uncopied, and with
+    neither the result is None.
+    """
+    if sensor is None:
+        return actuator
+    f = c * np.einsum("ij,kjd->kid", -norm_lap, sensor) @ K.T
+    if actuator is not None:
+        f += actuator
+    return f
+
+
+def _injection_series(specs, model: LtiModel, spectrum: GraphSpectrum, ctrl,
+                      length: int) -> np.ndarray:
+    """``effective_injection`` of the attacks' ``signal_series`` for k < length."""
+    n_agents = spectrum.normalized_laplacian.shape[0]
+    series = {"sensor": np.zeros((length, n_agents, model.state_dim)),
+              "actuator": np.zeros((length, n_agents, model.input_dim))}
     for spec in specs:
-        v = attack_value(spec, k)
-        if spec.channel == "sensor":
-            if v.size != state_dim:
-                raise ValueError(f"sensor attack on agent {spec.agent} has dimension "
-                                 f"{v.size}, expected {state_dim}")
-            sens[spec.agent] += v
-        else:
-            if v.size != input_dim:
-                raise ValueError(f"actuator attack on agent {spec.agent} has dimension "
-                                 f"{v.size}, expected {input_dim}")
-            act[spec.agent] += v
-    return sens, act
+        out = series[spec.channel]
+        if spec.signal.dim != out.shape[2]:
+            raise ValueError(f"{spec.channel} attack on agent {spec.agent} has dimension "
+                             f"{spec.signal.dim}, expected {out.shape[2]}")
+        out[:, spec.agent] += signal_series(spec, length)
+    return effective_injection(series["sensor"], series["actuator"],
+                               spectrum.normalized_laplacian, ctrl.c, ctrl.K)
 
 
 def effective_attack(specs, model: LtiModel, spectrum: GraphSpectrum, ctrl,
                      k: int) -> np.ndarray:
     """Overall per-agent injection f_i(k) entering through the input matrix.
 
-    f_i = c (1+h_i)^-1 K sum_j a_ij (sensor_j - sensor_i) + actuator_i: the
-    sensor corruption propagates through the corrupted tracking error, the
-    actuator signal enters directly.
+    f_i = c (1+h_i)^-1 K sum_j a_ij (sensor_j - sensor_i) + actuator_i, with
+    the signals read through ``signal_series`` and mapped by
+    ``effective_injection``, as the engine does.
     """
-    n_agents = spectrum.normalized_laplacian.shape[0]
-    sens, act = stack_injections(specs, n_agents, model.state_dim, model.input_dim, k)
-    eps_from_sensors = -spectrum.normalized_laplacian @ sens
-    return ctrl.c * eps_from_sensors @ ctrl.K.T + act
+    return _injection_series(specs, model, spectrum, ctrl, k + 1)[k]
 
 
 def attack_projection(f_agents: np.ndarray, spectrum: GraphSpectrum) -> np.ndarray:
@@ -194,8 +199,6 @@ def root_targeted(specs, model: LtiModel, spectrum: GraphSpectrum, ctrl,
     if not specs:
         return False
     first_live = max(s.start_step for s in specs)
-    for k in range(first_live, first_live + probe_steps):
-        s = attack_projection(effective_attack(specs, model, spectrum, ctrl, k), spectrum)
-        if np.linalg.norm(s) > tol:
-            return True
-    return False
+    window = _injection_series(specs, model, spectrum, ctrl, first_live + probe_steps)
+    s = attack_projection(window[first_live:], spectrum)  # (probe_steps, m)
+    return bool((np.linalg.norm(s, axis=1) > tol).any())

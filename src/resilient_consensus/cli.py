@@ -14,7 +14,6 @@ import sys
 import numpy as np
 
 from .design import DesignError
-from .dynamics import DivergenceError
 from .graph import GraphError
 from .scenarios import (BUNDLED_SCENARIOS, ConfigError, ScenarioConfig, list_scenarios,
                         load_config, run, validate)
@@ -164,7 +163,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DesignError, DivergenceError, GraphError, np.linalg.LinAlgError) as exc:
+    except (DesignError, GraphError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -1,70 +1,18 @@
-"""Expected-state predictor, adaptive attack compensator, and the resilient law.
+"""Analytic bounds for the resilient controller.
 
-The predictor replicates the nominal consensus dynamics on its own state and
-never reads the plant after initialization, so attacks cannot touch it. The
-compensator estimates the injected attack from the gap between the predictor's
-tracking error and the measured (possibly corrupted) one, and the resilient
-control law subtracts that estimate from the baseline consensus input.
+The predictor, the compensator and the resilient law themselves run inside
+``engine.simulate``. This module holds the bounds that go with them: the
+ultimate bound on the attack-rejection error d - f, and the consensus-error
+threshold that bound implies.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .design import ControllerConfig, compensator_lambda_min
 from .dynamics import LtiModel
 from .graph import GraphSpectrum
-from .metrics import tracking_error
-
-
-@dataclass(frozen=True)
-class PredictorState:
-    """Global expected-state vector; evolves by the nominal closed loop only."""
-
-    x_hat: np.ndarray
-
-
-@dataclass(frozen=True)
-class CompensatorState:
-    """Per-agent attack estimates d_i, stacked (N, m); d(0) = 0 unless configured."""
-
-    d: np.ndarray
-
-
-def baseline_control(x_c, spectrum: GraphSpectrum, ctrl: ControllerConfig) -> np.ndarray:
-    """u_i = c K eps_bar_i computed on the corrupted measurements, stacked (N, m)."""
-    eps_bar = tracking_error(x_c, spectrum)
-    return ctrl.c * eps_bar @ ctrl.K.T
-
-
-def resilient_control(x_c, comp: CompensatorState, spectrum: GraphSpectrum,
-                      ctrl: ControllerConfig) -> np.ndarray:
-    """u_i = c K eps_bar_i - d_i."""
-    return baseline_control(x_c, spectrum, ctrl) - comp.d
-
-
-def predictor_step(pred: PredictorState, model: LtiModel, spectrum: GraphSpectrum,
-                   ctrl: ControllerConfig) -> PredictorState:
-    """x_hat(k+1) = A x_hat + c BK (1+h_i)^-1 sum a_ij (x_hat_j - x_hat_i).
-
-    Deliberately computed through the same control/step expressions as the
-    plant so that an attack-free plant and a matched predictor stay
-    bit-identical.
-    """
-    n = model.state_dim
-    X = pred.x_hat.reshape(-1, n)
-    U = baseline_control(X, spectrum, ctrl)
-    x_next = (X @ model.A.T + U @ model.B.T).ravel()
-    return PredictorState(x_hat=x_next)
-
-
-def compensator_step(comp: CompensatorState, eps_hat: np.ndarray, eps_bar: np.ndarray,
-                     ctrl: ControllerConfig) -> CompensatorState:
-    """d(k+1) = theta c K (eps_hat - eps_bar) + theta d(k), per agent."""
-    d_next = ctrl.theta * ctrl.c * (eps_hat - eps_bar) @ ctrl.K.T + ctrl.theta * comp.d
-    return CompensatorState(d=d_next)
 
 
 def dtilde_bound(ctrl: ControllerConfig, spectrum: GraphSpectrum, attack_bound: float,

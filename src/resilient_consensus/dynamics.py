@@ -1,4 +1,4 @@
-"""Agent dynamics x(k+1) = A x(k) + B u(k), closed-loop assembly and stepping."""
+"""Agent dynamics x(k+1) = A x(k) + B u(k), closed-loop assembly and prediction."""
 
 from __future__ import annotations
 
@@ -10,10 +10,6 @@ import numpy as np
 from .graph import GraphError, GraphSpectrum
 
 MARGINAL_TOL = 1e-9
-
-
-class DivergenceError(RuntimeError):
-    """A state update produced non-finite values."""
 
 
 @dataclass(frozen=True)
@@ -62,25 +58,6 @@ class LtiModel:
 
 
 @dataclass(frozen=True)
-class NetworkState:
-    """Global stacked state at step k; x_c carries the sensor-corrupted copy."""
-
-    k: int
-    x: np.ndarray
-    x_c: np.ndarray
-
-
-def make_state(k: int, x, x_c=None) -> NetworkState:
-    x = np.asarray(x, dtype=float).ravel().copy()
-    xc = x.copy() if x_c is None else np.asarray(x_c, dtype=float).ravel().copy()
-    if xc.shape != x.shape:
-        raise ValueError("x and x_c must have identical shapes")
-    x.setflags(write=False)
-    xc.setflags(write=False)
-    return NetworkState(k=k, x=x, x_c=xc)
-
-
-@dataclass(frozen=True)
 class ClosedLoopMatrix:
     """A_c = I_N (x) A - c Lhat (x) BK with its spectrum and the gain-design flag."""
 
@@ -102,31 +79,6 @@ def assemble_closed_loop(model: LtiModel, spectrum: GraphSpectrum, ctrl) -> Clos
         for lam in spectrum.nonzero_eigenvalues()
     )
     return ClosedLoopMatrix(matrix=a_c, eigenvalues=eigs, coupling_schur=schur)
-
-
-def step(model: LtiModel, state: NetworkState, controls: np.ndarray,
-         actuator_injection: np.ndarray | None = None,
-         sensor_injection_next: np.ndarray | None = None) -> NetworkState:
-    """Advance the plant one step.
-
-    ``controls`` is the per-agent input matrix (N, m); the actuator injection
-    is added to it before it reaches the plant, and the sensor injection is
-    overlaid on the next true state to form x_c.
-    """
-    n, m = model.state_dim, model.input_dim
-    N = state.x.size // n
-    U = np.asarray(controls, dtype=float).reshape(N, m)
-    if actuator_injection is not None:
-        U = U + np.asarray(actuator_injection, dtype=float).reshape(N, m)
-    X = state.x.reshape(N, n)
-    x_next = (X @ model.A.T + U @ model.B.T).ravel()
-    if not np.isfinite(x_next).all():
-        raise DivergenceError(f"non-finite state at step {state.k + 1}")
-    if sensor_injection_next is not None:
-        xc_next = x_next + np.asarray(sensor_injection_next, dtype=float).ravel()
-    else:
-        xc_next = x_next
-    return make_state(state.k + 1, x_next, xc_next)
 
 
 @dataclass(frozen=True)

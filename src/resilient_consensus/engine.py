@@ -1,5 +1,8 @@
 """The per-step simulation loop composing plant, attacks, predictor, compensator.
 
+The loop is the only copy of the plant step, the law u = c K eps_bar - d, the
+predictor and the compensator d(k+1) = theta c K (eps_hat - eps_bar) + theta d(k).
+
 Tick ordering at step k: read sensors (x_c), form the tracking errors, compute
 the control law, add the actuator injection, advance the plant, update the
 compensator from the same-tick errors, advance the predictor. All quantities
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attacks import signal_series
+from .attacks import effective_injection, signal_series
 from .design import ControllerConfig
 from .dynamics import LtiModel
 from .graph import DirectedGraph, GraphSpectrum
@@ -65,7 +68,8 @@ def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
 
     The run truncates early (with the divergence flag) if the state goes
     non-finite or crosses the magnitude threshold; the growth detector is
-    applied to the inf-norm series afterwards either way.
+    applied to the inf-norm series afterwards either way. A non-finite ``x0``
+    or ``predictor_init`` raises ValueError.
     """
     if controller not in ("baseline", "resilient"):
         raise ValueError(f"unknown controller {controller!r}")
@@ -87,10 +91,14 @@ def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
     resilient = controller == "resilient"
 
     x = np.asarray(x0, dtype=float).reshape(N, n).copy()
+    if not np.isfinite(x).all():
+        raise ValueError("x0 must be finite")
     if predictor_init is None:
         x_hat = x.copy()
     else:
         x_hat = np.asarray(predictor_init, dtype=float).reshape(N, n).copy()
+        if not np.isfinite(x_hat).all():
+            raise ValueError("predictor_init must be finite")
     d = np.zeros((N, m))
 
     # sensor corruption also applies to the final state, hence horizon + 1
@@ -111,7 +119,6 @@ def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
     store_xhat = np.empty((S, N, n))
     store_u = np.empty((S, N, m))
     store_d = np.empty((S, N, m))
-    store_f = np.empty((S, N, m))
     store_eps = np.empty((S, N, n))
     store_eps_bar = np.empty((S, N, n))
     store_gamma = np.empty(S)
@@ -140,17 +147,11 @@ def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
             U_hat[1:] += ff_weights[1:] * u0_hat[None, :]
 
         if k % store_stride == 0:
-            f_eff = np.zeros((N, m))
-            if sens_series is not None:
-                f_eff += c * (-norm_lap @ sens_series[k]) @ K_T
-            if act_series is not None:
-                f_eff += act_series[k]
             store_x[si] = x
             store_xc[si] = xc
             store_xhat[si] = x_hat
             store_u[si] = U
             store_d[si] = d
-            store_f[si] = f_eff
             store_eps[si] = -norm_lap @ x
             store_eps_bar[si] = eps_bar
             store_gamma[si] = global_performance(x, graph)
@@ -177,23 +178,19 @@ def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
     crossing = first_crossing if first_crossing is not None else growth.first_crossing
     prediction = destabilization_verdict(attacks, model, spectrum)
 
-    # effective-injection support and peak over the full (unstrided) series
-    per_agent_peak = np.zeros(N)
-    f_norm_sq = np.zeros(steps_run)
-    if act_series is not None:
-        seg = act_series[:steps_run]
-        per_agent_peak = np.maximum(per_agent_peak, np.abs(seg).max(axis=(0, 2), initial=0.0))
-        f_norm_sq += (seg.reshape(steps_run, -1) ** 2).sum(axis=1)
-    if sens_series is not None:
-        eff = c * np.einsum("ij,kjd->kid", -norm_lap, sens_series[:steps_run]) @ K_T
-        per_agent_peak = np.maximum(per_agent_peak, np.abs(eff).max(axis=(0, 2), initial=0.0))
-        if act_series is not None:
-            total = eff + act_series[:steps_run]
-            f_norm_sq = (total.reshape(steps_run, -1) ** 2).sum(axis=1)
-        else:
-            f_norm_sq = (eff.reshape(steps_run, -1) ** 2).sum(axis=1)
-    intact = tuple(int(i) for i in range(N) if per_agent_peak[i] <= 1e-12)
-    attack_bound = float(np.sqrt(f_norm_sq.max(initial=0.0)))
+    # effective injection over the full (unstrided) run, computed once
+    f = effective_injection(None if sens_series is None else sens_series[:steps_run],
+                            None if act_series is None else act_series[:steps_run],
+                            norm_lap, c, ctrl.K)
+    if f is None:
+        store_f = np.zeros((si, N, m))
+        intact = tuple(range(N))
+        attack_bound = 0.0
+    else:
+        store_f = f[stored_ks]
+        per_agent_peak = np.abs(f).max(axis=(0, 2), initial=0.0)
+        intact = tuple(int(i) for i in range(N) if per_agent_peak[i] <= 1e-12)
+        attack_bound = float(np.sqrt((f.reshape(steps_run, -1) ** 2).sum(axis=1).max()))
 
     return SimulationTrace(
         name=name,
@@ -210,7 +207,7 @@ def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
         x_hat=store_xhat[:si],
         u=store_u[:si],
         d=store_d[:si],
-        f=store_f[:si],
+        f=store_f,
         eps=store_eps[:si],
         eps_bar=store_eps_bar[:si],
         gamma=store_gamma[:si],

@@ -37,18 +37,6 @@ def global_performance(x, graph: DirectedGraph) -> float:
     return float(sq[graph.adjacency > 0].sum())
 
 
-@dataclass(frozen=True)
-class MetricsFrame:
-    """Per-step diagnostics recorded into the trace."""
-
-    k: int
-    eps: np.ndarray
-    eps_bar: np.ndarray
-    gamma: float
-    consensus_err: np.ndarray  # per-agent inf-norm of x_i - x_hat_i
-    divergence_flag: bool
-
-
 def deviation_bound(model: LtiModel, spectrum: GraphSpectrum, ctrl,
                     n_attacked: int, attack_bound: float) -> float | None:
     """Attack-induced deviation term N_f ||B|| b_f / |lambda_min(A_c)|.
@@ -164,12 +152,12 @@ class HinfBypassReport:
 def hinf_bypass_report(trace, eps_floor: float = 1e-6, gamma_floor: float = 0.1) -> HinfBypassReport:
     """Energies and tail levels from a completed trace.
 
-    Intact agents are those whose effective injection f_i stayed identically
-    zero over the run.
+    Intact agents are the trace's ``intact_agents``: those whose effective
+    injection f_i stayed identically zero over every step of the run, stored
+    or not.
     """
     f = trace.f  # (S, N, m)
-    intact = tuple(int(i) for i in range(f.shape[1])
-                   if np.abs(f[:, i, :]).max(initial=0.0) <= 1e-12)
+    intact = trace.intact_agents
     eps = trace.eps  # (S, N, n)
     energy_total = float((eps ** 2).sum())
     energy_intact = float((eps[:, list(intact), :] ** 2).sum()) if intact else 0.0

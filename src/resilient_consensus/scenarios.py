@@ -216,6 +216,8 @@ class ScenarioConfig:
             x0 = np.asarray(x0_raw, dtype=float).ravel()
             if x0.size != n_total:
                 raise ConfigError(f"x0: expected {n_total} values, got {x0.size}")
+        if not np.isfinite(x0).all():
+            raise ConfigError("x0: every value must be finite")
 
         attacks = []
         for idx, araw in enumerate(raw.get("attacks", [])):
@@ -258,6 +260,8 @@ class ScenarioConfig:
             predictor_init = np.asarray(pred_raw, dtype=float).ravel()
             if predictor_init.size != n_total:
                 raise ConfigError(f"predictor_init: expected {n_total} values")
+            if not np.isfinite(predictor_init).all():
+                raise ConfigError("predictor_init: every value must be finite")
 
         return cls(
             name=raw["name"],
@@ -298,8 +302,13 @@ def load_config(source) -> ScenarioConfig:
 
 
 def run(config: ScenarioConfig) -> SimulationTrace:
-    """Design gains for the scenario and simulate it."""
+    """Design gains for the scenario and simulate it.
+
+    A graph with no spanning tree is rejected: consensus results do not apply.
+    """
     spectrum = normalized_laplacian(config.graph)
+    if not spectrum.has_simple_zero:
+        raise ConfigError("graph: no spanning tree (the zero eigenvalue is not simple)")
     ctrl = design_controller(config.model, spectrum, Q1=config.q1, R1=config.r1,
                              c=config.c, theta=config.theta)
     return engine.simulate(

@@ -110,21 +110,6 @@ class SimulationTrace:
         start = int(np.searchsorted(self.ks, cutoff))
         return slice(min(start, max(len(self.ks) - 1, 0)), None)
 
-    def frames(self):
-        """Stored per-step diagnostics as MetricsFrame records."""
-        from .metrics import MetricsFrame
-
-        crossed = self.first_crossing
-        for i, k in enumerate(self.ks):
-            yield MetricsFrame(
-                k=int(k),
-                eps=self.eps[i],
-                eps_bar=self.eps_bar[i],
-                gamma=float(self.gamma[i]),
-                consensus_err=self.consensus_err[i],
-                divergence_flag=bool(crossed is not None and k >= crossed),
-            )
-
     @property
     def prediction_matches_divergence(self) -> bool:
         return (self.prediction == "DESTABILIZE") == bool(self.diverged)

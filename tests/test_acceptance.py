@@ -213,8 +213,8 @@ def test_criterion_6_resilient_mitigation():
 
     This fails, and no fault has been shown in either the program or the test:
     ``PAPER.md`` holds only the abstract, which claims secure consensus and
-    recovery but gives no ratio and no compensator formula to compare with
-    ``defense.compensator_step``. The cause in each case, at the bundled gains:
+    recovery but gives no ratio and no compensator formula to compare with the
+    compensator update in ``engine.simulate``. The cause in each case, at the bundled gains:
 
     - ``auv_const_attack_agent2``: ratio 1.55 = 1/(1 - theta) at theta = 0.3536.
       The compensator's leaky pole theta < 1/sqrt(2) caps the ratio below 3.42.

@@ -1,23 +1,26 @@
 import numpy as np
 import pytest
 
-from resilient_consensus import (AttackSpec, ExogenousSignal, attack_projection, attack_value,
-                                 classify_imp, constant_signal, effective_attack, root_targeted,
-                                 signal_series, sinusoid_signal)
+from resilient_consensus import (AttackSpec, ExogenousSignal, attack_projection, classify_imp,
+                                 constant_signal, effective_attack, root_targeted, signal_series,
+                                 sinusoid_signal)
 
 
-def test_constant_attack_values():
+def test_constant_signal_values():
     spec = AttackSpec(agent=0, channel="actuator", signal=constant_signal([1.0]))
-    np.testing.assert_allclose(attack_value(spec, 100), [1.0])
-    np.testing.assert_allclose(attack_value(spec, 0), [1.0])
+    series = signal_series(spec, 101)
+    np.testing.assert_allclose(series[100], [1.0])
+    np.testing.assert_allclose(series[0], [1.0])
 
 
 def test_zero_before_start():
     spec = AttackSpec(agent=1, channel="sensor",
                       signal=sinusoid_signal([2.0, 3.0], 0.7), start_step=50)
+    series = signal_series(spec, 61)
     for k in (0, 10, 49):
-        assert np.abs(attack_value(spec, k)).max() == 0.0
-    assert np.abs(attack_value(spec, 60)).max() > 0.0
+        assert np.abs(series[k]).max() == 0.0
+    assert np.abs(series[60]).max() > 0.0
+    assert np.abs(signal_series(spec, 50)).max() == 0.0  # ends before the start
 
 
 def test_rotation_generator_matches_sine():
@@ -26,10 +29,11 @@ def test_rotation_generator_matches_sine():
     W = np.array([[np.cos(omega), np.sin(omega)], [-np.sin(omega), np.cos(omega)]])
     spec = AttackSpec(agent=0, channel="actuator",
                       signal=ExogenousSignal(W=W, f0=[0.0, a]))
+    series = signal_series(spec, 194)
     for k in (0, 1, 7, 40, 193):
         expected = np.linalg.matrix_power(W, k) @ np.array([0.0, a])
-        np.testing.assert_allclose(attack_value(spec, k), expected, atol=1e-10)
-        assert abs(attack_value(spec, k)[0] - a * np.sin(omega * k)) < 1e-9
+        np.testing.assert_allclose(series[k], expected, atol=1e-10)
+        assert abs(series[k][0] - a * np.sin(omega * k)) < 1e-9
 
 
 def test_sinusoid_signal_closed_form():

@@ -1,61 +1,78 @@
 import numpy as np
 import pytest
 
-from resilient_consensus import (AttackSpec, CompensatorState, PredictorState, baseline_control,
-                                 compensator_step, consensus_error_threshold, constant_signal,
-                                 design_controller, dtilde_bound, normalized_laplacian,
-                                 predictor_step, resilient_control, simulate, sinusoid_signal,
-                                 theta_bound)
+from resilient_consensus import (AttackSpec, consensus_error_threshold, constant_signal,
+                                 design_controller, dtilde_bound, effective_attack, load_config,
+                                 normalized_laplacian, run, simulate, sinusoid_signal,
+                                 theta_bound, tracking_error)
 
 from test_dynamics import unit_gain_ctrl
 
+X0_HAND = [1.0, 3.0, 0.0, 0.0]
 
-def test_baseline_control_hand_values(integrator, example1_spectrum):
+
+def one_step(model, graph, spectrum, ctrl, x0, **kwargs):
+    return simulate(model, graph, spectrum, ctrl, horizon=1, x0=x0, **kwargs)
+
+
+def test_baseline_law_hand_values(integrator, example1_graph, example1_spectrum):
     ctrl = unit_gain_ctrl(integrator, K=[[1.0]], c=1.0)
-    u = baseline_control(np.array([1.0, 3.0, 0.0, 0.0]), example1_spectrum, ctrl)
-    np.testing.assert_allclose(u[:, 0], [1.0, -1.0, 1.5, 0.5], atol=1e-15)
+    trace = one_step(integrator, example1_graph, example1_spectrum, ctrl, X0_HAND)
+    np.testing.assert_allclose(trace.u[0, :, 0], [1.0, -1.0, 1.5, 0.5], atol=1e-15)
 
-    consensus = baseline_control(np.full(4, 2.5), example1_spectrum, ctrl)
-    assert np.abs(consensus).max() == 0.0
+    consensus = one_step(integrator, example1_graph, example1_spectrum, ctrl, np.full(4, 2.5))
+    assert np.abs(consensus.u).max() == 0.0
 
 
-def test_compensator_arithmetic(integrator, example1_spectrum):
+def test_compensator_arithmetic(integrator, example1_graph, example1_spectrum):
+    # theta = 0.5, c = K = 1; a sensor value 2 on agent 1 makes eps_bar differ
+    # from the predictor's eps_hat = [1, -1, 1.5, 0.5] by [1, -1, 1, 0] at k = 0
     ctrl = unit_gain_ctrl(integrator, K=[[1.0]], c=1.0)
-    object.__setattr__(ctrl, "theta", 0.5)
-    comp = CompensatorState(d=np.array([[4.0]]))
-    eps_hat = np.array([[2.0]])
-    eps_bar = np.array([[0.0]])
-    out = compensator_step(comp, eps_hat, eps_bar, ctrl)
-    np.testing.assert_allclose(out.d, [[3.0]])  # 0.5*2 + 0.5*4
+    attack = AttackSpec(agent=1, channel="sensor", signal=constant_signal([2.0]))
+    trace = simulate(integrator, example1_graph, example1_spectrum, ctrl, horizon=30,
+                     x0=X0_HAND, attacks=[attack], controller="resilient")
+    assert np.abs(trace.d[0]).max() == 0.0
+    np.testing.assert_allclose(trace.d[1, :, 0], [-0.5, 0.5, -0.5, 0.0], atol=1e-15)
 
-    fixed = compensator_step(CompensatorState(d=np.zeros((1, 1))),
-                             np.zeros((1, 1)), np.zeros((1, 1)), ctrl)
-    assert np.abs(fixed.d).max() == 0.0
+    # every later step obeys d(k+1) = theta c K (eps_hat - eps_bar) + theta d(k)
+    eps_hat = np.stack([tracking_error(xh, example1_spectrum) for xh in trace.x_hat])
+    expected = 0.5 * (eps_hat - trace.eps_bar)[:-1] + 0.5 * trace.d[:-1]
+    np.testing.assert_allclose(trace.d[1:], expected, rtol=1e-12, atol=1e-15)
+
+    # zero error and zero estimate give a zero update
+    clean = simulate(integrator, example1_graph, example1_spectrum, ctrl, horizon=30,
+                     x0=X0_HAND, controller="resilient")
+    assert np.abs(clean.d).max() == 0.0
 
 
-def test_sensor_corruption_shifts_match_effective_attack(integrator, example1_spectrum,
-                                                         example1_ctrl):
+def test_sensor_corruption_shifts_match_effective_attack(integrator, example1_graph,
+                                                         example1_spectrum, example1_ctrl):
     # the control shift caused by corrupted measurements is exactly the
     # sensor part of the effective injection
-    from resilient_consensus import AttackSpec, constant_signal, effective_attack
-
     spec = AttackSpec(agent=1, channel="sensor", signal=constant_signal([2.0]))
-    x = np.array([1.0, 3.0, 0.0, 0.0])
-    corrupted = x + np.array([0.0, 2.0, 0.0, 0.0])
-    shift = (baseline_control(corrupted, example1_spectrum, example1_ctrl)
-             - baseline_control(x, example1_spectrum, example1_ctrl))
+    clean = one_step(integrator, example1_graph, example1_spectrum, example1_ctrl, X0_HAND)
+    attacked = one_step(integrator, example1_graph, example1_spectrum, example1_ctrl, X0_HAND,
+                        attacks=[spec])
+    np.testing.assert_array_equal(attacked.x_c[0, :, 0], [1.0, 5.0, 0.0, 0.0])
+    shift = attacked.u[0] - clean.u[0]
     f = effective_attack([spec], integrator, example1_spectrum, example1_ctrl, 0)
     np.testing.assert_allclose(shift, f, atol=1e-14)
+    np.testing.assert_allclose(attacked.f[0], f, atol=1e-14)
     assert np.abs(shift[3]).max() == 0.0  # agent 3 has no edge from agent 1
 
 
-def test_resilient_reduces_to_baseline_without_estimate(integrator, example1_spectrum,
-                                                        example1_ctrl):
-    x = np.array([1.0, 3.0, 0.0, 0.0])
-    comp = CompensatorState(d=np.zeros((4, 1)))
-    np.testing.assert_array_equal(
-        resilient_control(x, comp, example1_spectrum, example1_ctrl),
-        baseline_control(x, example1_spectrum, example1_ctrl))
+def test_resilient_reduces_to_baseline_without_estimate(integrator, example1_graph,
+                                                        example1_spectrum, example1_ctrl):
+    # a compensator that never starts leaves d = 0, and the law is the baseline
+    attacks = [AttackSpec(agent=2, channel="actuator", signal=constant_signal([1.0])),
+               AttackSpec(agent=1, channel="sensor", signal=sinusoid_signal([0.5], 0.3))]
+    kwargs = dict(horizon=200, x0=X0_HAND, attacks=attacks)
+    base = simulate(integrator, example1_graph, example1_spectrum, example1_ctrl, **kwargs)
+    idle = simulate(integrator, example1_graph, example1_spectrum, example1_ctrl,
+                    controller="resilient", compensator_start=200, **kwargs)
+    assert np.abs(idle.d).max() == 0.0
+    assert base.u.tobytes() == idle.u.tobytes()
+    assert base.x.tobytes() == idle.x.tobytes()
 
 
 def test_predictor_tracks_plant_exactly_without_attack(integrator, example1_graph,
@@ -64,23 +81,30 @@ def test_predictor_tracks_plant_exactly_without_attack(integrator, example1_grap
                      horizon=150, x0=[2.0, 4.0, 9.0, -3.0])
     assert trace.x.tobytes() == trace.x_hat.tobytes()  # bit-identical dynamics
 
+    # with a trusted leader the predictor applies the leader's u0 and the
+    # followers' feed-forward terms exactly as the plant does
+    leader = run(load_config("auv_healthy"))
+    assert leader.x.tobytes() == leader.x_hat.tobytes()
+
 
 def test_predictor_reaches_consensus_value(integrator, example1_graph, example1_spectrum,
                                            example1_ctrl):
-    pred = PredictorState(x_hat=np.array([2.0, 4.0, 9.0, -3.0]))
-    for _ in range(250):
-        pred = predictor_step(pred, integrator, example1_spectrum, example1_ctrl)
-    np.testing.assert_allclose(pred.x_hat, 3.0, atol=1e-9)
+    # the plant is attacked; the predictor still settles on the attack-free value
+    attack = AttackSpec(agent=2, channel="actuator", signal=constant_signal([1.0]))
+    trace = simulate(integrator, example1_graph, example1_spectrum, example1_ctrl,
+                     horizon=250, x0=[2.0, 4.0, 9.0, -3.0], attacks=[attack],
+                     controller="resilient")
+    np.testing.assert_allclose(trace.final_x_hat, 3.0, atol=1e-9)
 
 
 def test_predictor_pairwise_gaps_close(rotation2d, chain5_graph):
     spectrum = normalized_laplacian(chain5_graph)
     ctrl = design_controller(rotation2d, spectrum)
     rng = np.random.default_rng(2)
-    pred = PredictorState(x_hat=rng.normal(size=10))
-    for _ in range(400):
-        pred = predictor_step(pred, rotation2d, spectrum, ctrl)
-    X = pred.x_hat.reshape(5, 2)
+    trace = simulate(rotation2d, chain5_graph, spectrum, ctrl, horizon=400,
+                     x0=np.zeros(10), predictor_init=rng.normal(size=10),
+                     controller="resilient")
+    X = trace.final_x_hat.reshape(5, 2)
     gaps = np.abs(X[:, None, :] - X[None, :, :]).max()
     assert gaps < 1e-6
 

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from resilient_consensus import (ControllerConfig, DirectedGraph, DivergenceError, GraphError,
-                                 LtiModel, assemble_closed_loop, design_controller, make_state,
-                                 normalized_laplacian, predict_consensus_value, simulate, step)
+from resilient_consensus import (ControllerConfig, DirectedGraph, GraphError, LtiModel,
+                                 assemble_closed_loop, design_controller, normalized_laplacian,
+                                 predict_consensus_value, simulate)
 
 from conftest import random_spanning_tree_digraph
 
@@ -60,34 +60,44 @@ def test_auv_designed_gain_is_schur(auv_model):
     assert closed.coupling_schur
 
 
-def test_step_examples(integrator, example1_spectrum):
+def test_step_examples(integrator, example1_graph, example1_spectrum):
     ctrl = unit_gain_ctrl(integrator, K=[[1.0]], c=1.0)
-    state = make_state(0, [1.0, 3.0, 0.0, 0.0])
-    eps = -example1_spectrum.normalized_laplacian @ state.x.reshape(4, 1)
-    controls = ctrl.c * eps @ ctrl.K.T
-    nxt = step(integrator, state, controls)
-    np.testing.assert_allclose(nxt.x, [2.0, 2.0, 1.5, 0.5], atol=1e-15)
-    np.testing.assert_allclose(nxt.x_c, nxt.x)
-    assert nxt.k == 1
+    trace = simulate(integrator, example1_graph, example1_spectrum, ctrl, horizon=1,
+                     x0=[1.0, 3.0, 0.0, 0.0])
+    np.testing.assert_allclose(trace.final_x, [2.0, 2.0, 1.5, 0.5], atol=1e-15)
+    np.testing.assert_array_equal(trace.x_c, trace.x)
+    assert trace.steps_run == 1 and list(trace.ks) == [0]
 
-    zero = make_state(0, np.zeros(4))
-    out = step(integrator, zero, np.zeros((4, 1)))
-    assert np.abs(out.x).max() == 0.0
+    zero = simulate(integrator, example1_graph, example1_spectrum, ctrl, horizon=1,
+                    x0=np.zeros(4))
+    assert np.abs(zero.final_x).max() == 0.0
 
 
-def test_step_rejects_non_finite(integrator):
-    state = make_state(0, [1.0, 1.0])
-    with pytest.raises(DivergenceError):
-        step(integrator, state, np.array([[np.inf], [0.0]]))
+def test_step_rejects_non_finite(integrator, example1_graph, example1_spectrum, example1_ctrl):
+    args = (integrator, example1_graph, example1_spectrum, example1_ctrl)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="x0"):
+            simulate(*args, horizon=10, x0=[1.0, bad, 0.0, 0.0])
+        with pytest.raises(ValueError, match="predictor_init"):
+            simulate(*args, horizon=10, x0=np.zeros(4), predictor_init=[bad, 0.0, 0.0, 0.0],
+                     controller="resilient")
 
 
-def test_step_determinism(integrator, example1_spectrum):
+def test_step_determinism(integrator, example1_graph, example1_spectrum, example1_ctrl):
+    from resilient_consensus import AttackSpec, sinusoid_signal
+
     rng = np.random.default_rng(3)
-    state = make_state(0, rng.normal(size=4))
-    controls = rng.normal(size=(4, 1))
-    a = step(integrator, state, controls)
-    b = step(integrator, state, controls)
+    x0 = rng.normal(size=4)
+    attacks = [AttackSpec(agent=1, channel="sensor", signal=sinusoid_signal([0.4], 0.7)),
+               AttackSpec(agent=3, channel="actuator", signal=sinusoid_signal([0.9], 0.2))]
+
+    def once():
+        return simulate(integrator, example1_graph, example1_spectrum, example1_ctrl,
+                        horizon=50, x0=x0, attacks=attacks, controller="resilient")
+
+    a, b = once(), once()
     assert a.x.tobytes() == b.x.tobytes()
+    assert a.final_x.tobytes() == b.final_x.tobytes()
 
 
 def test_constant_root_attack_ramps(integrator, example1_graph, example1_spectrum, example1_ctrl):

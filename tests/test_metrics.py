@@ -2,9 +2,9 @@ import numpy as np
 
 from resilient_consensus import (AttackSpec, DirectedGraph, Verdict, analyze_growth,
                                  constant_signal, design_controller, destabilization_verdict,
-                                 deviation_bound, global_performance, hinf_bypass_report,
-                                 normalized_laplacian, simulate, sinusoid_signal,
-                                 tracking_error)
+                                 deviation_bound, effective_attack, global_performance,
+                                 hinf_bypass_report, normalized_laplacian, simulate,
+                                 sinusoid_signal, tracking_error)
 
 
 def test_tracking_error_examples(example1_spectrum):
@@ -128,3 +128,38 @@ def test_hinf_bypass_report_cases(integrator, chain5_graph):
                            attacks=[attack])
     rep3 = hinf_bypass_report(mitigated)
     assert rep3.tail_gamma < rep2.tail_gamma
+
+
+def test_hinf_bypass_intact_set_counts_unstored_steps(integrator, chain5_graph):
+    # the attack starts at step 995, after the last stored step 990: only the
+    # full-run injection shows that agent 2 is attacked
+    spectrum = normalized_laplacian(chain5_graph)
+    ctrl = design_controller(integrator, spectrum)
+    attack = AttackSpec(agent=2, channel="actuator", signal=constant_signal([1.0]),
+                        start_step=995)
+    trace = simulate(integrator, chain5_graph, spectrum, ctrl, horizon=1000,
+                     x0=[2.0, 4.0, 9.0, -3.0, 5.0], attacks=[attack], store_stride=10)
+    assert trace.ks[-1] == 990 and np.abs(trace.f).max() == 0.0
+    assert hinf_bypass_report(trace).intact_agents == trace.intact_agents == (0, 1, 3, 4)
+    assert trace.attack_bound == 1.0
+
+
+def test_stored_injection_matches_effective_attack(rotation2d, chain5_graph):
+    spectrum = normalized_laplacian(chain5_graph)
+    ctrl = design_controller(rotation2d, spectrum)
+    attacks = [AttackSpec(agent=3, channel="sensor", signal=sinusoid_signal([0.8, -0.5], 0.4),
+                          start_step=17),
+               AttackSpec(agent=2, channel="actuator", signal=sinusoid_signal([1.5], 1.1),
+                          start_step=5),
+               AttackSpec(agent=3, channel="actuator", signal=constant_signal([0.3]))]
+    trace = simulate(rotation2d, chain5_graph, spectrum, ctrl, horizon=300,
+                     x0=np.linspace(-1.0, 1.0, 10), attacks=attacks, store_stride=7,
+                     controller="resilient")
+    assert len(trace.ks) == 43
+    scale = np.abs(trace.f).max()
+    assert scale > 0.5
+    for i, k in enumerate(trace.ks):
+        expected = effective_attack(attacks, rotation2d, spectrum, ctrl, int(k))
+        assert np.abs(trace.f[i] - expected).max() <= 1e-12 * scale, int(k)
+    # the sensor attack reaches agents 3 and 4 only; agents 0 and 1 stay intact
+    assert trace.intact_agents == (0, 1)

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from jsonschema import Draft202012Validator
 
-from resilient_consensus import (BUNDLED_SCENARIOS, ConfigError, ScenarioConfig, list_scenarios,
-                                 load_config, run, validate, write_csv, write_summary)
+from resilient_consensus import (BUNDLED_SCENARIOS, ConfigError, ScenarioConfig,
+                                 global_performance, list_scenarios, load_config, run, validate,
+                                 write_csv, write_summary)
 from resilient_consensus.cli import main
 from resilient_consensus.trace import SUMMARY_SCHEMA
 
@@ -34,13 +35,13 @@ def test_bundled_catalog_covers_both_campaigns():
         ScenarioConfig.from_dict(BUNDLED_SCENARIOS[name])  # all parse
 
 
-def test_trace_frames_iterate_metrics():
-    trace = run(ScenarioConfig.from_dict(small_config(horizon=40)))
-    frames = list(trace.frames())
-    assert len(frames) == 40
-    assert frames[0].k == 0 and frames[-1].k == 39
-    assert frames[0].gamma == trace.gamma[0]
-    assert not frames[-1].divergence_flag
+def test_trace_stores_every_step_metrics():
+    config = ScenarioConfig.from_dict(small_config(horizon=40))
+    trace = run(config)
+    assert len(trace.ks) == 40 and trace.eps.shape[0] == trace.gamma.shape[0] == 40
+    assert trace.ks[0] == 0 and trace.ks[-1] == 39
+    assert trace.gamma[0] == global_performance(trace.x[0], config.graph)
+    assert not trace.diverged and trace.first_crossing is None
 
 
 def test_signal_schema_conditionals():
@@ -74,6 +75,37 @@ def test_validation_rejects_bad_configs():
                       "signal": {"type": "constant", "value": [1.0]}}]))
 
 
+def test_non_finite_initial_states_rejected(tmp_path, capsys):
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ConfigError, match="x0"):
+            ScenarioConfig.from_dict(small_config(x0=[2.0, bad, 9.0, -3.0]))
+        with pytest.raises(ConfigError, match="x0"):
+            ScenarioConfig.from_dict(small_config(x0={"scale": bad}))
+        with pytest.raises(ConfigError, match="predictor_init"):
+            ScenarioConfig.from_dict(small_config(controller="resilient",
+                                                  predictor_init=[0.0, bad, 0.0, 0.0]))
+    # Python's json module reads and writes NaN, so such a file can reach the CLI
+    for field in ("x0", "predictor_init"):
+        cfg = tmp_path / f"nan_{field}.json"
+        cfg.write_text(json.dumps(small_config(**{field: [2.0, float("nan"), 9.0, -3.0]})))
+        assert main(["run", str(cfg), "--out", str(tmp_path)]) == 2
+        assert field in capsys.readouterr().err
+
+
+TWO_CYCLES = {"n_agents": 4, "edges": [[0, 1, 1.0], [1, 0, 1.0], [2, 3, 1.0], [3, 2, 1.0]]}
+
+
+def test_run_rejects_graph_without_spanning_tree(tmp_path, capsys):
+    config = ScenarioConfig.from_dict(small_config(graph=TWO_CYCLES))
+    with pytest.raises(ConfigError, match="spanning tree"):
+        run(config)
+    cfg = tmp_path / "two_cycles.json"
+    cfg.write_text(json.dumps(small_config(name="two_cycles", graph=TWO_CYCLES)))
+    assert main(["run", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "spanning tree" in capsys.readouterr().err
+    assert not (tmp_path / "two_cycles.summary.json").exists()
+
+
 def test_validate_reports_coupling_fallback():
     config = ScenarioConfig.from_dict(small_config())
     diags = validate(config)
@@ -83,8 +115,7 @@ def test_validate_reports_coupling_fallback():
 
 
 def test_validate_flags_missing_spanning_tree():
-    config = ScenarioConfig.from_dict(small_config(
-        graph={"n_agents": 4, "edges": [[0, 1, 1.0], [1, 0, 1.0], [2, 3, 1.0], [3, 2, 1.0]]}))
+    config = ScenarioConfig.from_dict(small_config(graph=TWO_CYCLES))
     diags = validate(config)
     assert any(d["level"] == "error" and "spanning tree" in d["message"] for d in diags)
 
