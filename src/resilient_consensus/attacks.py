@@ -47,9 +47,6 @@ class ExogenousSignal:
     def dim(self) -> int:
         return self.f0.size if self.output is None else self.output.shape[0]
 
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvals(self.W)
-
 
 def constant_signal(value) -> ExogenousSignal:
     v = np.atleast_1d(np.asarray(value, dtype=float))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .design import ControllerConfig, compensator_lambda_min
+from .design import ControllerConfig, compensator_lambda_min, theta_bound
 from .dynamics import LtiModel
 from .graph import GraphSpectrum
 
@@ -43,7 +43,7 @@ def dtilde_bound(ctrl: ControllerConfig, spectrum: GraphSpectrum, attack_bound: 
     if denom <= 0:
         raise ValueError(
             f"bound denominator {denom:.3g} is not positive; choose theta below "
-            f"{1.0 / np.sqrt(2.0 + lam_min):.6g}"
+            f"{theta_bound(spectrum, ctrl):.6g}"
         )
     direct = 1.0 if channel == "actuator" else 2.0
     return 4.0 * attack_bound * abs(direct - zeta / ctrl.theta) / denom

@@ -7,11 +7,11 @@ what the gain formula K = (R + B'PB)^-1 B'PA requires.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dynamics import LtiModel
+from .dynamics import LtiModel, baseline_radius
 from .graph import GraphSpectrum
 
 DARE_TOL = 1e-12
@@ -153,9 +153,11 @@ class CouplingRange:
 def coupling_range(spectrum: GraphSpectrum, ctrl) -> CouplingRange:
     """The interval 2/lam_m < c < 1/(lam_m sqrt(2 lam_min(T Q1^-1))).
 
-    lam_m is the smallest real part among nonzero Laplacian eigenvalues. The
-    interval is frequently empty for ordinary designs; callers fall back to a
-    stabilizing line search in that case.
+    lam_m is the smallest real part among nonzero Laplacian eigenvalues. When
+    T = K'B'P1BK is rank-deficient (fewer inputs than states), lam_min is 0
+    and the interval is unbounded above. The interval is frequently empty for
+    ordinary designs; callers fall back to a stabilizing line search in that
+    case.
     """
     nz = spectrum.nonzero_eigenvalues()
     if nz.size == 0:
@@ -163,8 +165,10 @@ def coupling_range(spectrum: GraphSpectrum, ctrl) -> CouplingRange:
     lam_m = float(nz.real.min())
     if lam_m <= 1e-12:
         raise DesignError("minimum nonzero Laplacian eigenvalue is not positive")
-    tq = np.linalg.eigvals(ctrl.T @ np.linalg.inv(ctrl.Q1))
-    lam_min_tq = float(tq.real.min())
+    if np.linalg.matrix_rank(ctrl.T) < ctrl.T.shape[0]:
+        lam_min_tq = 0.0  # eig returns the exact zero of a singular T Q1^-1 as rounding noise
+    else:
+        lam_min_tq = float(np.linalg.eigvals(ctrl.T @ np.linalg.inv(ctrl.Q1)).real.min())
     lo = 2.0 / lam_m
     hi = np.inf if lam_min_tq <= 0 else 1.0 / (lam_m * np.sqrt(2.0 * lam_min_tq))
     return CouplingRange(c_lo=lo, c_hi=hi)
@@ -173,33 +177,14 @@ def coupling_range(spectrum: GraphSpectrum, ctrl) -> CouplingRange:
 def compensator_lambda_min(spectrum: GraphSpectrum, ctrl) -> float:
     """Min real part of eig(c Lhat (x) B'P1B R1_bar^-1), via the eigenvalue products."""
     btpb = ctrl.R1_bar - ctrl.R1  # equals B'P1B
-    return _lambda_min_raw(spectrum, ctrl.c, btpb, ctrl.R1_bar)
+    block = np.linalg.eigvals(btpb @ np.linalg.inv(ctrl.R1_bar))
+    products = (ctrl.c * spectrum.eigenvalues[:, None] * block[None, :]).ravel()
+    return float(products.real.min())
 
 
 def theta_bound(spectrum: GraphSpectrum, ctrl) -> float:
     """Upper limit 1/sqrt(2 + lam_min(c Lhat (x) B'P1B R1_bar^-1)) for theta."""
     return 1.0 / np.sqrt(2.0 + compensator_lambda_min(spectrum, ctrl))
-
-
-def _lambda_min_raw(spectrum: GraphSpectrum, c: float, btpb: np.ndarray,
-                    R1_bar: np.ndarray) -> float:
-    block = np.linalg.eigvals(btpb @ np.linalg.inv(R1_bar))
-    products = (c * spectrum.eigenvalues[:, None] * block[None, :]).ravel()
-    return float(products.real.min())
-
-
-def _theta_bound_raw(spectrum: GraphSpectrum, c: float, btpb: np.ndarray,
-                     R1_bar: np.ndarray) -> float:
-    return 1.0 / np.sqrt(2.0 + _lambda_min_raw(spectrum, c, btpb, R1_bar))
-
-
-def baseline_radius(model: LtiModel, spectrum: GraphSpectrum, K, c: float) -> float:
-    """Worst spectral radius of A - c lam_i BK over nonzero Laplacian eigenvalues."""
-    BK = model.B @ K
-    return max(
-        float(np.abs(np.linalg.eigvals(model.A - c * lam * BK)).max())
-        for lam in spectrum.nonzero_eigenvalues()
-    )
 
 
 def joint_radius(model: LtiModel, spectrum: GraphSpectrum, K, c: float, theta: float) -> float:
@@ -234,15 +219,12 @@ def design_controller(model: LtiModel, spectrum: GraphSpectrum, Q1=None, R1=None
     R1 = _as_weight(R1, model.input_dim, "R1")
     K, P1, R1_bar = design_gain(model, Q1, R1)
     T = K.T @ model.B.T @ P1 @ model.B @ K
-    btpb = model.B.T @ P1 @ model.B
+    base = ControllerConfig(K=K, c=1.0, P1=P1, Q1=Q1, R1=R1, R1_bar=R1_bar, theta=0.5, T=T)
     notes = []
-
-    tmp_ctrl = ControllerConfig(K=K, c=1.0, P1=P1, Q1=Q1, R1=R1, R1_bar=R1_bar,
-                                theta=0.5, T=T)
-    rng_analytic = coupling_range(spectrum, tmp_ctrl)
+    rng_analytic = coupling_range(spectrum, base)
 
     def theta_for(c_val: float, frac: float) -> float:
-        return frac * _theta_bound_raw(spectrum, c_val, btpb, R1_bar)
+        return frac * theta_bound(spectrum, replace(base, c=c_val))
 
     if c is not None and theta is not None:
         chosen_c, chosen_theta = float(c), float(theta)
@@ -301,5 +283,4 @@ def design_controller(model: LtiModel, spectrum: GraphSpectrum, Q1=None, R1=None
         if chosen_c is None:
             raise DesignError("no stabilizing coupling found")
 
-    return ControllerConfig(K=K, c=float(chosen_c), P1=P1, Q1=Q1, R1=R1, R1_bar=R1_bar,
-                            theta=float(chosen_theta), T=T, notes=tuple(notes))
+    return replace(base, c=float(chosen_c), theta=float(chosen_theta), notes=tuple(notes))

@@ -74,11 +74,18 @@ def assemble_closed_loop(model: LtiModel, spectrum: GraphSpectrum, ctrl) -> Clos
         raise ValueError(f"gain K has incompatible shape {ctrl.K.shape}")
     a_c = np.kron(np.eye(n_agents), model.A) - ctrl.c * np.kron(spectrum.normalized_laplacian, BK)
     eigs = np.linalg.eigvals(a_c)
-    schur = all(
-        np.abs(np.linalg.eigvals(model.A - ctrl.c * lam * BK)).max() < 1.0
-        for lam in spectrum.nonzero_eigenvalues()
-    )
+    schur = baseline_radius(model, spectrum, ctrl.K, ctrl.c) < 1.0
     return ClosedLoopMatrix(matrix=a_c, eigenvalues=eigs, coupling_schur=schur)
+
+
+def baseline_radius(model: LtiModel, spectrum: GraphSpectrum, K, c: float) -> float:
+    """Worst spectral radius of A - c lam_i BK over nonzero Laplacian eigenvalues (0 if none)."""
+    BK = model.B @ K
+    return max(
+        (float(np.abs(np.linalg.eigvals(model.A - c * lam * BK)).max())
+         for lam in spectrum.nonzero_eigenvalues()),
+        default=0.0,
+    )
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,8 @@ The convention throughout: ``adjacency[i, j] > 0`` means agent ``i`` receives
 information from agent ``j`` (an edge j -> i). The weighted in-degree of agent
 ``i`` is the row sum ``h_i``, and the normalized Laplacian is
 ``(I + H)^-1 (H - A)`` with ``H = diag(h)``.
+Reachability, reachable sets and the spanning-tree test all read one boolean
+reachability closure.
 """
 
 from __future__ import annotations
@@ -62,10 +64,6 @@ class DirectedGraph:
     def in_degrees(self) -> np.ndarray:
         """Weighted in-degrees h_i."""
         return self.adjacency.sum(axis=1)
-
-    def successors(self, agent: int) -> np.ndarray:
-        """Agents that receive information from ``agent``."""
-        return np.nonzero(self.adjacency[:, agent] > 0)[0]
 
 
 @dataclass(frozen=True)
@@ -144,46 +142,36 @@ def normalized_laplacian(g: DirectedGraph) -> GraphSpectrum:
     )
 
 
+def _reach(g: DirectedGraph) -> np.ndarray:
+    """Boolean closure: ``R[i, j]`` is True iff a path of length >= 1 leads from i to j.
+
+    Repeated squaring, R <- R | R R, doubles the covered path length per
+    product, so ceil(log2 N) products cover every simple path and cycle.
+    """
+    r = g.adjacency.T > 0
+    for _ in range((g.n_agents - 1).bit_length()):
+        f = r.astype(float)
+        r = r | (f @ f > 0)
+    return r
+
+
+def _check_agents(g: DirectedGraph, *agents: int) -> None:
+    if not all(0 <= a < g.n_agents for a in agents):
+        raise GraphError(f"agent index out of range for {g.n_agents} agents")
+
+
 def is_reachable(g: DirectedGraph, from_agent: int, to_agent: int) -> bool:
     """True iff a directed information path exists from ``from_agent`` to ``to_agent``."""
-    n = g.n_agents
-    if not (0 <= from_agent < n and 0 <= to_agent < n):
-        raise GraphError(f"agent index out of range for {n} agents")
-    if from_agent == to_agent:
-        return True
-    seen = np.zeros(n, dtype=bool)
-    seen[from_agent] = True
-    stack = [from_agent]
-    while stack:
-        u = stack.pop()
-        for v in g.successors(u):
-            if not seen[v]:
-                if v == to_agent:
-                    return True
-                seen[v] = True
-                stack.append(int(v))
-    return False
+    _check_agents(g, from_agent, to_agent)
+    return from_agent == to_agent or bool(_reach(g)[from_agent, to_agent])
 
 
 def reachable_set(g: DirectedGraph, from_agent: int) -> frozenset:
     """All agents reachable from ``from_agent`` (excluding itself unless on a cycle)."""
-    seen = np.zeros(g.n_agents, dtype=bool)
-    stack = [from_agent]
-    out = set()
-    while stack:
-        u = stack.pop()
-        for v in g.successors(u):
-            if not seen[v]:
-                seen[v] = True
-                out.add(int(v))
-                stack.append(int(v))
-    return frozenset(out)
+    _check_agents(g, from_agent)
+    return frozenset(np.nonzero(_reach(g)[from_agent])[0].tolist())
 
 
 def has_spanning_tree(g: DirectedGraph) -> bool:
     """True iff some agent reaches every other agent through directed paths."""
-    n = g.n_agents
-    for root in range(n):
-        if len(reachable_set(g, root) | {root}) == n:
-            return True
-    return False
+    return bool((_reach(g) | np.eye(g.n_agents, dtype=bool)).all(axis=1).any())

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attacks import AttackSpec, classify_imp, signal_series
-from .dynamics import LtiModel
+from .dynamics import LtiModel, assemble_closed_loop
 from .graph import DirectedGraph, GraphSpectrum
 
 GROWTH_WINDOW_FRACTION = 0.2
@@ -46,8 +46,6 @@ def deviation_bound(model: LtiModel, spectrum: GraphSpectrum, ctrl,
     """
     if n_attacked == 0:
         return 0.0
-    from .dynamics import assemble_closed_loop
-
     closed = assemble_closed_loop(model, spectrum, ctrl)
     lam_min = float(np.abs(closed.eigenvalues).min())
     if lam_min < 1e-9:
@@ -162,12 +160,8 @@ def hinf_bypass_report(trace, eps_floor: float = 1e-6, gamma_floor: float = 0.1)
     energy_total = float((eps ** 2).sum())
     energy_intact = float((eps[:, list(intact), :] ** 2).sum()) if intact else 0.0
     attack_energy = float((f ** 2).sum())
-    tail = trace.tail_slice()
-    if intact:
-        tail_eps = float(np.abs(eps[tail][:, list(intact), :]).max(initial=0.0))
-    else:
-        tail_eps = 0.0
-    tail_gamma = float(trace.gamma[tail].max(initial=0.0))
+    tail_eps = trace.tail_eps_intact()
+    tail_gamma = trace.tail_gamma()
     return HinfBypassReport(
         intact_agents=intact,
         eps_energy_intact=energy_intact,

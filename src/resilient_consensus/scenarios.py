@@ -11,9 +11,9 @@ from jsonschema import Draft202012Validator
 
 from . import engine
 from .attacks import AttackSpec, constant_signal, sinusoid_signal, ExogenousSignal
-from .design import DesignError, design_controller
+from .design import DesignError, coupling_range, design_controller, theta_bound
 from .dynamics import LtiModel
-from .graph import DirectedGraph, GraphError, has_spanning_tree, normalized_laplacian
+from .graph import DirectedGraph, GraphError, normalized_laplacian
 from .trace import SimulationTrace
 
 
@@ -301,6 +301,9 @@ def load_config(source) -> ScenarioConfig:
     return ScenarioConfig.from_dict(raw)
 
 
+_NO_SPANNING_TREE = "no spanning tree (the zero eigenvalue is not simple)"
+
+
 def run(config: ScenarioConfig) -> SimulationTrace:
     """Design gains for the scenario and simulate it.
 
@@ -308,7 +311,7 @@ def run(config: ScenarioConfig) -> SimulationTrace:
     """
     spectrum = normalized_laplacian(config.graph)
     if not spectrum.has_simple_zero:
-        raise ConfigError("graph: no spanning tree (the zero eigenvalue is not simple)")
+        raise ConfigError(f"graph: {_NO_SPANNING_TREE}")
     ctrl = design_controller(config.model, spectrum, Q1=config.q1, R1=config.r1,
                              c=config.c, theta=config.theta)
     return engine.simulate(
@@ -332,14 +335,11 @@ def run(config: ScenarioConfig) -> SimulationTrace:
 
 def validate(config: ScenarioConfig) -> list:
     """Static diagnostics without running: graph, gain design, parameter ranges."""
-    from .design import coupling_range, theta_bound
-
     diags = []
-    if not has_spanning_tree(config.graph):
-        diags.append({"level": "error", "field": "graph",
-                      "message": "graph has no spanning tree; consensus results do not apply"})
     try:
         spectrum = normalized_laplacian(config.graph)
+        if not spectrum.has_simple_zero:
+            diags.append({"level": "error", "field": "graph", "message": _NO_SPANNING_TREE})
         ctrl = design_controller(config.model, spectrum, Q1=config.q1, R1=config.r1,
                                  c=config.c, theta=config.theta)
     except (DesignError, GraphError, ValueError) as exc:

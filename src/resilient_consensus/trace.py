@@ -184,17 +184,16 @@ def _atomic_write(path: str, data: bytes) -> None:
         raise
 
 
+def _rows(ks: np.ndarray, blocks) -> list:
+    """One CSV line per step k: k, then each block's row flattened, as repr floats."""
+    table = np.concatenate([b.reshape(len(ks), -1) for b in blocks], axis=1)
+    return [",".join([str(k), *map(repr, row.tolist())]) for k, row in zip(ks.tolist(), table)]
+
+
 def write_csv(trace: SimulationTrace, path: str) -> None:
     """One row per stored step, stable column order, shortest-roundtrip floats."""
-    lines = [",".join(_csv_header(trace))]
-    S = len(trace.ks)
-    for i in range(S):
-        row = [str(int(trace.ks[i]))]
-        for arr in (trace.x, trace.x_hat, trace.u, trace.d, trace.eps):
-            row.extend(repr(float(v)) for v in arr[i].ravel())
-        row.append(repr(float(trace.gamma[i])))
-        lines.append(",".join(row))
-    _atomic_write(path, ("\n".join(lines) + "\n").encode())
+    rows = _rows(trace.ks, (trace.x, trace.x_hat, trace.u, trace.d, trace.eps, trace.gamma))
+    _atomic_write(path, ("\n".join([",".join(_csv_header(trace)), *rows]) + "\n").encode())
 
 
 def write_summary(trace: SimulationTrace, path: str) -> None:
@@ -204,14 +203,7 @@ def write_summary(trace: SimulationTrace, path: str) -> None:
 
 def write_plot_data(trace: SimulationTrace, path: str, max_rows: int = 500) -> None:
     """Downsampled per-agent state magnitudes for external plotting."""
-    S = len(trace.ks)
-    step = max(1, S // max_rows)
-    idx = range(0, S, step)
+    idx = slice(None, None, max(1, len(trace.ks) // max_rows))
     header = ["k"] + [f"x_a{a}_norm" for a in range(trace.n_agents)] + ["gamma"]
-    lines = [",".join(header)]
-    for i in idx:
-        norms = np.abs(trace.x[i]).max(axis=1)
-        row = [str(int(trace.ks[i]))] + [repr(float(v)) for v in norms]
-        row.append(repr(float(trace.gamma[i])))
-        lines.append(",".join(row))
-    _atomic_write(path, ("\n".join(lines) + "\n").encode())
+    rows = _rows(trace.ks[idx], (np.abs(trace.x[idx]).max(axis=2), trace.gamma[idx]))
+    _atomic_write(path, ("\n".join([",".join(header), *rows]) + "\n").encode())

@@ -65,6 +65,21 @@ def random_spanning_tree_digraph(n, rng, extra_edge_factor=0.3, weighted=False):
     return DirectedGraph(a)
 
 
+def random_forest_digraph(n, rng, extra_edge_factor=0.3):
+    """Random digraph cut into two blocks with no edge between them: no spanning tree."""
+    a = random_spanning_tree_digraph(n, rng, extra_edge_factor).adjacency.copy()
+    k = int(rng.integers(1, n))
+    a[:k, k:] = 0.0
+    a[k:, :k] = 0.0
+    return DirectedGraph(a)
+
+
+def chain_digraphs(n):
+    """The n-agent chain 0 -> 1 -> ... -> n-1 and its reverse."""
+    return (DirectedGraph.from_edges(n, [[i, i + 1] for i in range(n - 1)]),
+            DirectedGraph.from_edges(n, [[i + 1, i] for i in range(n - 1)]))
+
+
 def random_balanced_digraph(n, rng, degree, weight=1.0):
     """Random Hamiltonian cycle plus ``degree - 1`` edge-disjoint derangements.
 

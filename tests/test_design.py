@@ -4,7 +4,8 @@ import scipy.linalg
 
 from resilient_consensus import (ControllerConfig, DesignError, DirectedGraph, LtiModel,
                                  coupling_range, design_controller, design_gain, joint_radius,
-                                 normalized_laplacian, solve_dare, theta_bound)
+                                 list_scenarios, load_config, normalized_laplacian, solve_dare,
+                                 theta_bound)
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -170,3 +171,41 @@ def test_coupling_range_rejects_degenerate_spectrum(integrator, example1_spectru
     edgeless = normalized_laplacian(DirectedGraph(np.zeros((3, 3))))
     with pytest.raises(DesignError):
         coupling_range(edgeless, example1_ctrl)
+
+
+def test_coupling_range_unbounded_for_rank_deficient_t():
+    # AUV: m = 2 < n = 4, so T = K'B'P1BK has rank 2 and lam_min(T Q1^-1) is exactly 0
+    config = load_config("auv_healthy")
+    spectrum = normalized_laplacian(config.graph)
+    ctrl = design_controller(config.model, spectrum)
+    assert np.linalg.matrix_rank(ctrl.T) == 2
+    assert coupling_range(spectrum, ctrl).c_hi == np.inf
+    assert ctrl.notes[0] == "analytic coupling interval unbounded; grid fallback used"
+
+
+# (c, theta) chosen for every bundled scenario, pinned bit for bit
+BUNDLED_GAINS = {
+    "auv_const_attack_agent2": (1.9000000000000001, 0.35355339059327373),
+    "auv_const_attack_agent2_resilient": (1.9000000000000001, 0.35355339059327373),
+    "auv_healthy": (1.9000000000000001, 0.35355339059327373),
+    "auv_sin_attack_agent3": (1.9000000000000001, 0.35355339059327373),
+    "auv_sin_attack_agent3_resilient": (1.9000000000000001, 0.35355339059327373),
+    "chain5_nonroot_attack": (3.24, 0.6363961030678927),
+    "example1_consensus": (2.16, 0.6363961030678927),
+    "example1_nonroot_attack": (2.16, 0.6363961030678927),
+    "example1_root_attack": (2.16, 0.6363961030678927),
+    "rotation2d_imp_nonroot": (1.86, 0.6363961030678927),
+    "rotation2d_imp_nonroot_resilient": (1.86, 0.6363961030678927),
+    "rotation2d_imp_root": (1.86, 0.6363961030678927),
+    "rotation2d_imp_root_resilient": (1.86, 0.6363961030678927),
+    "rotation2d_nonimp_root": (1.86, 0.6363961030678927),
+}
+
+
+def test_bundled_scenario_gains_pinned():
+    assert sorted(BUNDLED_GAINS) == list_scenarios()
+    for name, (c, theta) in BUNDLED_GAINS.items():
+        config = load_config(name)
+        ctrl = design_controller(config.model, normalized_laplacian(config.graph),
+                                 Q1=config.q1, R1=config.r1, c=config.c, theta=config.theta)
+        assert (ctrl.c, ctrl.theta) == (c, theta), name

@@ -4,6 +4,7 @@ import pytest
 from resilient_consensus import (ControllerConfig, DirectedGraph, GraphError, LtiModel,
                                  assemble_closed_loop, design_controller, normalized_laplacian,
                                  predict_consensus_value, simulate)
+from resilient_consensus.design import baseline_radius
 
 from conftest import random_spanning_tree_digraph
 
@@ -50,6 +51,9 @@ def test_closed_loop_no_coupling(integrator, example1_spectrum):
     closed = assemble_closed_loop(integrator, example1_spectrum, ctrl)
     np.testing.assert_allclose(closed.matrix, np.eye(4), atol=1e-15)
     assert not closed.coupling_schur
+    # no nonzero Laplacian eigenvalue leaves no block to fail
+    edgeless = normalized_laplacian(DirectedGraph(np.zeros((3, 3))))
+    assert assemble_closed_loop(integrator, edgeless, ctrl).coupling_schur
 
 
 def test_auv_designed_gain_is_schur(auv_model):
@@ -58,6 +62,9 @@ def test_auv_designed_gain_is_schur(auv_model):
     ctrl = design_controller(auv_model, spectrum)
     closed = assemble_closed_loop(auv_model, spectrum, ctrl)
     assert closed.coupling_schur
+    for c in (ctrl.c, 0.5 * ctrl.c, 2.0 * ctrl.c, 4.0 * ctrl.c):
+        trial = assemble_closed_loop(auv_model, spectrum, unit_gain_ctrl(auv_model, ctrl.K, c))
+        assert trial.coupling_schur == (baseline_radius(auv_model, spectrum, ctrl.K, c) < 1.0)
 
 
 def test_step_examples(integrator, example1_graph, example1_spectrum):

@@ -5,7 +5,8 @@ import scipy.linalg
 from resilient_consensus import (DirectedGraph, GraphError, has_spanning_tree, is_reachable,
                                  normalized_laplacian, reachable_set)
 
-from conftest import bfs_reachable, bfs_roots, random_spanning_tree_digraph
+from conftest import (bfs_reachable, bfs_roots, chain_digraphs, random_forest_digraph,
+                      random_spanning_tree_digraph)
 
 EXAMPLE1_LHAT = np.array([
     [0.5, -0.5, 0.0, 0.0],
@@ -93,25 +94,36 @@ def test_reachability_examples(example1_graph):
     assert not is_reachable(example1_graph, 2, 0)  # agent 3 has no outgoing edges
     for i in range(4):
         assert is_reachable(example1_graph, i, i)
-    with pytest.raises(GraphError):
-        is_reachable(example1_graph, 0, 9)
+    for bad in (-1, 4, 9):
+        with pytest.raises(GraphError):
+            is_reachable(example1_graph, 0, bad)
+        with pytest.raises(GraphError):
+            reachable_set(example1_graph, bad)
 
 
 def test_reachability_matches_bfs_oracle():
     rng = np.random.default_rng(17)
+    cases = []
     for _ in range(100):
         n = int(rng.integers(2, 10))
         g = random_spanning_tree_digraph(n, rng, extra_edge_factor=rng.uniform(0, 0.4),
                                          weighted=bool(rng.integers(0, 2)))
-        src = int(rng.integers(0, n))
-        oracle = bfs_reachable(g.adjacency, src)
-        assert reachable_set(g, src) | {src} == oracle
-        for dst in range(n):
-            assert is_reachable(g, src, dst) == (dst in oracle)
+        cases.append((g, [int(rng.integers(0, n))]))
+    for _ in range(50):
+        g = random_forest_digraph(int(rng.integers(2, 10)), rng, rng.uniform(0, 0.4))
+        cases.append((g, range(g.n_agents)))
+    cases.extend((g, (0, 29, 59)) for g in chain_digraphs(60))
+    for g, sources in cases:
+        for src in sources:
+            oracle = bfs_reachable(g.adjacency, src)
+            assert reachable_set(g, src) | {src} == oracle
+            for dst in range(g.n_agents):
+                assert is_reachable(g, src, dst) == (dst in oracle)
 
 
 def test_root_set_and_spanning_tree_properties():
     rng = np.random.default_rng(23)
+    graphs = []
     for trial in range(500):
         n = int(rng.integers(2, 13))
         if trial % 5 == 0:
@@ -120,10 +132,14 @@ def test_root_set_and_spanning_tree_properties():
             if n > 2:
                 a[0, :] = 0.0
                 a[:, 0] = 0.0
-            g = DirectedGraph(a)
+            graphs.append(DirectedGraph(a))
         else:
-            g = random_spanning_tree_digraph(n, rng, extra_edge_factor=rng.uniform(0, 0.4),
-                                             weighted=bool(rng.integers(0, 2)))
+            graphs.append(random_spanning_tree_digraph(
+                n, rng, extra_edge_factor=rng.uniform(0, 0.4), weighted=bool(rng.integers(0, 2))))
+    graphs.extend(random_forest_digraph(int(rng.integers(2, 13)), rng, rng.uniform(0, 0.4))
+                  for _ in range(100))
+    graphs.extend(chain_digraphs(60))
+    for g in graphs:
         sp = normalized_laplacian(g)
         tree = has_spanning_tree(g)
         assert (len(sp.root_set) > 0) == tree

@@ -8,7 +8,7 @@ from jsonschema import Draft202012Validator
 
 from resilient_consensus import (BUNDLED_SCENARIOS, ConfigError, ScenarioConfig,
                                  global_performance, list_scenarios, load_config, run, validate,
-                                 write_csv, write_summary)
+                                 write_csv, write_plot_data, write_summary)
 from resilient_consensus.cli import main
 from resilient_consensus.trace import SUMMARY_SCHEMA
 
@@ -114,10 +114,22 @@ def test_validate_reports_coupling_fallback():
     assert any("fallback" in d["message"] and "c = " in d["message"] for d in warnings)
 
 
-def test_validate_flags_missing_spanning_tree():
-    config = ScenarioConfig.from_dict(small_config(graph=TWO_CYCLES))
-    diags = validate(config)
-    assert any(d["level"] == "error" and "spanning tree" in d["message"] for d in diags)
+# joined by an edge too weak for the spectrum to resolve: the zero eigenvalue is double
+WEAK_BRIDGE = {"n_agents": 4, "edges": [[0, 1, 1.0], [1, 0, 1.0], [2, 3, 1.0], [3, 2, 1.0],
+                                        [1, 2, 1e-9]]}
+
+
+def test_validate_flags_missing_spanning_tree(tmp_path, capsys):
+    for name, graph in (("two_cycles", TWO_CYCLES), ("weak_bridge", WEAK_BRIDGE)):
+        config = ScenarioConfig.from_dict(small_config(name=name, graph=graph))
+        diags = validate(config)
+        assert any(d["level"] == "error" and "spanning tree" in d["message"] for d in diags)
+        with pytest.raises(ConfigError, match="spanning tree"):
+            run(config)
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps(small_config(name=name, graph=graph)))
+        assert main(["validate", str(cfg)]) == 2
+        assert "spanning tree" in capsys.readouterr().out
 
 
 def test_run_is_deterministic_and_files_byte_identical(tmp_path):
@@ -145,6 +157,30 @@ def test_csv_shape_contract(tmp_path):
     assert len(header) == 22
     assert header[0] == "k" and header[-1] == "gamma"
     assert header[1] == "x_a0_0" and header[5] == "xhat_a0_0"
+
+
+def test_csv_float_format_pinned(tmp_path):
+    trace = run(ScenarioConfig.from_dict(small_config(horizon=3)))
+    specials = [-0.0, 5e-324, 1e300, 3.0, -2.0, 0.1, -1e-300, 1.0]
+    trace.x[:] = np.resize(specials, trace.x.shape)
+    trace.gamma[:] = [1e300, -0.0, 2.0]
+    write_csv(trace, str(tmp_path / "t.csv"))
+    write_plot_data(trace, str(tmp_path / "t.plot.csv"))
+    rows = (tmp_path / "t.csv").read_text().split("\n")[1:-1]
+    plot_rows = (tmp_path / "t.plot.csv").read_text().split("\n")[1:-1]
+    assert rows[0].split(",")[:5] == ["0", "-0.0", "5e-324", "1e+300", "3.0"]
+    assert rows[1].split(",")[:5] == ["1", "-2.0", "0.1", "-1e-300", "1.0"]
+    assert [r.split(",")[-1] for r in rows] == ["1e+300", "-0.0", "2.0"]
+    assert plot_rows[0] == "0,0.0,5e-324,1e+300,3.0,1e+300"
+    for i, k in enumerate(trace.ks):
+        row = [str(int(k))]
+        for arr in (trace.x, trace.x_hat, trace.u, trace.d, trace.eps):
+            row.extend(repr(float(v)) for v in arr[i].ravel())
+        row.append(repr(float(trace.gamma[i])))
+        assert rows[i] == ",".join(row)
+        norms = np.abs(trace.x[i]).max(axis=1)
+        plot = [str(int(k))] + [repr(float(v)) for v in norms] + [repr(float(trace.gamma[i]))]
+        assert plot_rows[i] == ",".join(plot)
 
 
 def test_shipped_example_scenario_runs():

@@ -3,9 +3,11 @@ that removes or renames one of them would crash every traced benchmark run."""
 
 import ast
 import inspect
+from collections import Counter
 from pathlib import Path
 
 import resilient_consensus
+from resilient_consensus import design
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -35,3 +37,15 @@ def test_traced_paths_resolve_against_package():
         found = owner.__dict__.get(attr) if inspect.isclass(owner) else getattr(owner, attr, None)
         assert found is not None, path
         assert callable(found) or isinstance(found, classmethod), path
+
+
+def test_design_counters_see_radius_calls(monkeypatch, integrator, example1_spectrum):
+    """The tracer counts these calls through ``design``'s globals, as patched here."""
+    counts = Counter()
+    for name in ("baseline_radius", "joint_radius"):
+        def counted(*args, _name=name, _fn=getattr(design, name), **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(design, name, counted)
+    resilient_consensus.design_controller(integrator, example1_spectrum)
+    assert counts["baseline_radius"] > 0 and counts["joint_radius"] > 0
