@@ -13,6 +13,7 @@ from .graph import DirectedGraph, GraphSpectrum
 
 GROWTH_WINDOW_FRACTION = 0.2
 GROWTH_REL_TOL = 0.05
+GROWTH_CHUNK = 1 << 16
 
 
 def tracking_error(x, spectrum: GraphSpectrum) -> np.ndarray:
@@ -26,15 +27,19 @@ def tracking_error(x, spectrum: GraphSpectrum) -> np.ndarray:
     return -spectrum.normalized_laplacian @ X
 
 
-def global_performance(x, graph: DirectedGraph) -> float:
+def global_performance(x, graph: DirectedGraph) -> float | np.ndarray:
     """Gamma = sum_i sum_{j in N_i} ||x_i - x_j||^2 over ordered neighbor pairs.
 
     Bidirectional edges contribute twice, matching the double sum convention.
+    A single state (flat or (N, n)) gives a float; a stack (S, N, n) gives
+    one Gamma per state, shape (S,).
     """
-    X = np.asarray(x, dtype=float).reshape(graph.n_agents, -1)
-    diffs = X[:, None, :] - X[None, :, :]
-    sq = (diffs ** 2).sum(axis=2)
-    return float(sq[graph.adjacency > 0].sum())
+    x = np.asarray(x, dtype=float)
+    X = x if x.ndim == 3 else x.reshape(1, graph.n_agents, -1)
+    i, j = np.nonzero(graph.adjacency > 0)
+    diffs = X[:, i] - X[:, j]
+    gamma = (diffs ** 2).sum(axis=2).sum(axis=1)
+    return gamma if x.ndim == 3 else float(gamma[0])
 
 
 def deviation_bound(model: LtiModel, spectrum: GraphSpectrum, ctrl,
@@ -99,13 +104,19 @@ def analyze_growth(inf_norms: np.ndarray, magnitude_threshold: float = 1e9) -> G
     A run is divergent when the state norm crosses the magnitude threshold
     (or went non-finite upstream), or when the last two 20% windows show a
     sustained relative increase: a linear ramp keeps growing window over
-    window, while converging or steadily oscillating runs do not.
+    window, while converging or steadily oscillating runs do not. The tail
+    slope is the least-squares slope of the finite entries of the last half.
+    Long series are scanned in chunks of GROWTH_CHUNK entries, so that no
+    temporary grows with the series.
     """
     s = np.asarray(inf_norms, dtype=float)
     crossing = None
-    over = np.nonzero(~np.isfinite(s) | (s > magnitude_threshold))[0]
-    if over.size:
-        crossing = int(over[0])
+    for lo in range(0, s.size, GROWTH_CHUNK):
+        seg = s[lo:lo + GROWTH_CHUNK]
+        within = np.isfinite(seg) & (seg <= magnitude_threshold)
+        if not within.all():
+            crossing = lo + int(within.argmin())
+            break
     growth = False
     slope = 0.0
     T = s.size
@@ -113,20 +124,38 @@ def analyze_growth(inf_norms: np.ndarray, magnitude_threshold: float = 1e9) -> G
     if T >= 10:
         w1 = s[T - 2 * w:T - w]
         w2 = s[T - w:]
-        m1 = float(w1[np.isfinite(w1)].max(initial=0.0))
-        m2 = float(w2[np.isfinite(w2)].max(initial=0.0))
+        m1 = float(np.max(w1, where=np.isfinite(w1), initial=0.0))
+        m2 = float(np.max(w2, where=np.isfinite(w2), initial=0.0))
         growth = (m2 - m1) > GROWTH_REL_TOL * max(m1, 1.0)
-        ks = np.arange(T - T // 2, T, dtype=float)
-        tail = s[T - T // 2:]
-        finite = np.isfinite(tail)
-        if finite.sum() >= 2:
-            slope = float(np.polyfit(ks[finite], tail[finite], 1)[0])
+        slope = _slope(s[T - T // 2:])
     return GrowthAnalysis(
         diverged=bool(crossing is not None or growth),
         first_crossing=crossing,
         growth_detected=growth,
         tail_slope=slope,
     )
+
+
+def _slope(y: np.ndarray) -> float:
+    """Least-squares slope of the finite entries of ``y`` against their index
+    (0.0 with fewer than two), from running sums over chunks. The index is
+    centred on the middle of ``y``, which keeps the sums small."""
+    count = sj = sy = sjj = sjy = 0.0
+    mid = 0.5 * (y.size - 1)
+    for lo in range(0, y.size, GROWTH_CHUNK):
+        seg = y[lo:lo + GROWTH_CHUNK]
+        j = np.arange(lo, lo + seg.size, dtype=float) - mid
+        finite = np.isfinite(seg)
+        if not finite.all():
+            j, seg = j[finite], seg[finite]
+        count += j.size
+        sj += j.sum()
+        sy += seg.sum()
+        sjj += (j * j).sum()
+        sjy += (j * seg).sum()
+    if count < 2:
+        return 0.0
+    return float((count * sjy - sj * sy) / (count * sjj - sj * sj))
 
 
 @dataclass(frozen=True)

@@ -82,13 +82,11 @@ class SimulationTrace:
     stride: int
     ks: np.ndarray
     x: np.ndarray
-    x_c: np.ndarray
     x_hat: np.ndarray
     u: np.ndarray
     d: np.ndarray
     f: np.ndarray
     eps: np.ndarray
-    eps_bar: np.ndarray
     gamma: np.ndarray
     consensus_err: np.ndarray
     inf_norms: np.ndarray

@@ -3,8 +3,8 @@ import pytest
 
 from resilient_consensus import (AttackSpec, consensus_error_threshold, constant_signal,
                                  design_controller, dtilde_bound, effective_attack, load_config,
-                                 normalized_laplacian, run, simulate, sinusoid_signal,
-                                 theta_bound, tracking_error)
+                                 normalized_laplacian, run, signal_series, simulate,
+                                 sinusoid_signal, theta_bound, tracking_error)
 
 from test_dynamics import unit_gain_ctrl
 
@@ -34,9 +34,13 @@ def test_compensator_arithmetic(integrator, example1_graph, example1_spectrum):
     assert np.abs(trace.d[0]).max() == 0.0
     np.testing.assert_allclose(trace.d[1, :, 0], [-0.5, 0.5, -0.5, 0.0], atol=1e-15)
 
-    # every later step obeys d(k+1) = theta c K (eps_hat - eps_bar) + theta d(k)
+    # every later step obeys d(k+1) = theta c K (eps_hat - eps_bar) + theta d(k),
+    # with eps_bar = -Lhat (x + s) read from the sensors
+    s = np.zeros((30, 4, 1))
+    s[:, 1] = signal_series(attack, 30)
     eps_hat = np.stack([tracking_error(xh, example1_spectrum) for xh in trace.x_hat])
-    expected = 0.5 * (eps_hat - trace.eps_bar)[:-1] + 0.5 * trace.d[:-1]
+    eps_bar = np.stack([tracking_error(xs, example1_spectrum) for xs in trace.x + s])
+    expected = 0.5 * (eps_hat - eps_bar)[:-1] + 0.5 * trace.d[:-1]
     np.testing.assert_allclose(trace.d[1:], expected, rtol=1e-12, atol=1e-15)
 
     # zero error and zero estimate give a zero update
@@ -53,7 +57,9 @@ def test_sensor_corruption_shifts_match_effective_attack(integrator, example1_gr
     clean = one_step(integrator, example1_graph, example1_spectrum, example1_ctrl, X0_HAND)
     attacked = one_step(integrator, example1_graph, example1_spectrum, example1_ctrl, X0_HAND,
                         attacks=[spec])
-    np.testing.assert_array_equal(attacked.x_c[0, :, 0], [1.0, 5.0, 0.0, 0.0])
+    s = np.zeros((4, 1))
+    s[1] = signal_series(spec, 1)[0]
+    np.testing.assert_array_equal((attacked.x[0] + s)[:, 0], [1.0, 5.0, 0.0, 0.0])
     shift = attacked.u[0] - clean.u[0]
     f = effective_attack([spec], integrator, example1_spectrum, example1_ctrl, 0)
     np.testing.assert_allclose(shift, f, atol=1e-14)

@@ -72,7 +72,10 @@ def test_step_examples(integrator, example1_graph, example1_spectrum):
     trace = simulate(integrator, example1_graph, example1_spectrum, ctrl, horizon=1,
                      x0=[1.0, 3.0, 0.0, 0.0])
     np.testing.assert_allclose(trace.final_x, [2.0, 2.0, 1.5, 0.5], atol=1e-15)
-    np.testing.assert_array_equal(trace.x_c, trace.x)
+    # no attack, so s = 0 and the law reads the plant: u = c K eps_bar = -Lhat (x + s)
+    s = np.zeros((4, 1))
+    np.testing.assert_array_equal(trace.u[0], -example1_spectrum.normalized_laplacian
+                                  @ (trace.x[0] + s))
     assert trace.steps_run == 1 and list(trace.ks) == [0]
 
     zero = simulate(integrator, example1_graph, example1_spectrum, ctrl, horizon=1,

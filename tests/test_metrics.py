@@ -5,6 +5,9 @@ from resilient_consensus import (AttackSpec, DirectedGraph, Verdict, analyze_gro
                                  deviation_bound, effective_attack, global_performance,
                                  hinf_bypass_report, normalized_laplacian, simulate,
                                  sinusoid_signal, tracking_error)
+from resilient_consensus.metrics import GROWTH_CHUNK
+
+from conftest import random_spanning_tree_digraph
 
 
 def test_tracking_error_examples(example1_spectrum):
@@ -17,6 +20,20 @@ def test_global_performance_examples(example1_graph):
     assert global_performance(np.full(4, 3.0), example1_graph) == 0.0
     # edges 1->0, 0->1, 1->2, 0->3: (1-3)^2 + (3-1)^2 + (0-3)^2 + (0-1)^2 = 18
     assert abs(global_performance(np.array([1.0, 3.0, 0.0, 0.0]), example1_graph) - 18.0) < 1e-12
+
+
+def test_global_performance_stacked_matches_single_states():
+    # a random digraph with every edge made bidirectional, and 2-d agent states
+    rng = np.random.default_rng(31)
+    a = random_spanning_tree_digraph(9, rng, extra_edge_factor=0.2).adjacency
+    graph = DirectedGraph(np.maximum(a, a.T))
+    assert (graph.adjacency == graph.adjacency.T).all() and (graph.adjacency > 0).sum() >= 16
+    states = rng.normal(size=(40, 9, 2)) * 10.0 ** rng.uniform(-3, 3, size=(40, 1, 1))
+    stacked = global_performance(states, graph)
+    assert stacked.shape == (40,)
+    single = np.array([global_performance(s, graph) for s in states])
+    assert all(isinstance(global_performance(s.ravel(), graph), float) for s in states[:3])
+    np.testing.assert_allclose(stacked, single, rtol=1e-12, atol=0.0)
 
 
 def test_deviation_bound_cases(integrator, example1_spectrum, example1_ctrl):
@@ -73,6 +90,28 @@ def test_growth_analysis_shapes():
 
     crossing = np.array([1.0, 2.0, 3.0, 2e9, 2e9])
     assert analyze_growth(crossing).first_crossing == 3
+
+
+def test_growth_analysis_of_long_series_matches_full_length_references():
+    # series longer than one scan chunk, with the events beyond the first chunk
+    rng = np.random.default_rng(5)
+    T = 3 * GROWTH_CHUNK + 123
+    k = np.arange(T, dtype=float)
+    for series in (0.5 * k + rng.normal(size=T),
+                   3.0 + np.sin(0.01 * k) + 1e-3 * rng.normal(size=T),
+                   np.where(k % 97 == 0, np.nan, 1e-4 * k + 2.0),
+                   np.where(k == T - 1, np.inf, 7.0 - 1e-5 * k)):
+        g = analyze_growth(series)
+        tail_k, tail = k[T - T // 2:], series[T - T // 2:]
+        finite = np.isfinite(tail)
+        slope = np.polyfit(tail_k[finite], tail[finite], 1)[0]
+        assert abs(g.tail_slope - slope) <= 1e-9 * max(abs(slope), 1e-6)
+        over = np.nonzero(~np.isfinite(series) | (series > 1e9))[0]
+        assert g.first_crossing == (int(over[0]) if over.size else None)
+    for at in (GROWTH_CHUNK - 1, GROWTH_CHUNK, 2 * GROWTH_CHUNK + 5):
+        series = np.ones(T)
+        series[at:] = 2e9
+        assert analyze_growth(series).first_crossing == at
 
 
 def run_chain5(integrator, chain5_graph, controller="baseline", attacks=(), horizon=2500):
