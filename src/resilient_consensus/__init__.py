@@ -9,10 +9,9 @@ from .attacks import (AttackSpec, ExogenousSignal, ImpClassification, attack_pro
                       classify_imp, constant_signal, effective_attack, root_targeted,
                       signal_series, sinusoid_signal)
 from .defense import consensus_error_threshold, dtilde_bound
-from .design import (ControllerConfig, CouplingRange, DesignError, coupling_range,
-                     design_controller, design_gain, joint_radius, solve_dare, theta_bound)
-from .dynamics import (ClosedLoopMatrix, ConsensusPrediction, LtiModel, assemble_closed_loop,
-                       predict_consensus_value)
+from .design import (THETA_BOUND, ControllerConfig, CouplingRange, DesignError, coupling_range,
+                     design_controller, design_gain, joint_radius, solve_dare)
+from .dynamics import ConsensusPrediction, LtiModel, predict_consensus_value
 from .engine import LeaderSpec, simulate
 from .graph import (DirectedGraph, GraphError, GraphSpectrum, has_spanning_tree,
                     is_reachable, normalized_laplacian, reachable_set)

@@ -138,17 +138,19 @@ def classify_imp(spec: AttackSpec, model: LtiModel, tol: float = IMP_TOL) -> Imp
 
 def effective_injection(sensor, actuator, norm_lap: np.ndarray, c: float,
                         K: np.ndarray):
-    """Per-agent injection f = c (-Lhat s) K' + a over stacked series.
+    """Per-agent injection f = (Lhat s)(-c K') + a over stacked series.
 
     ``sensor`` is (T, N, n) and ``actuator`` (T, N, m); either is None when
     that channel is unused. The sensor corruption propagates through the
     corrupted tracking error, the actuator signal enters directly. With no
     sensor series the actuator array itself is returned, uncopied, and with
-    neither the result is None.
+    neither the result is None. The sensor term is the control law's
+    c K eps = c K (-Lhat x) applied to s; ``engine._Law.gain`` evaluates the
+    law through this function, so the product is written only here.
     """
     if sensor is None:
         return actuator
-    f = c * np.einsum("ij,kjd->kid", -norm_lap, sensor) @ K.T
+    f = (norm_lap @ sensor) @ (-c * K.T)
     if actuator is not None:
         f += actuator
     return f

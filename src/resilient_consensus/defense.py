@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .design import ControllerConfig, compensator_lambda_min, theta_bound
+from .design import THETA_BOUND, ControllerConfig
 from .dynamics import LtiModel
 from .graph import GraphSpectrum
 
@@ -21,8 +21,10 @@ def dtilde_bound(ctrl: ControllerConfig, spectrum: GraphSpectrum, attack_bound: 
 
     ``attack_bound`` bounds ||f(k)||. For actuator attacks the forcing term is
     ||f - zeta f / theta|| = |1 - zeta/theta| ||f||; a pure sensor attack
-    doubles the direct term, giving |2 - zeta/theta|. The denominator is
-    positive exactly when theta is below theta_bound.
+    doubles the direct term, giving |2 - zeta/theta|; any other ``channel``
+    is a ValueError. The denominator theta^-2 - 2 - 2 lam_min is theta^-2 - 2,
+    as lam_min = 0 (see ``design``), so ``spectrum`` is not read; it is
+    positive exactly when theta is below THETA_BOUND.
 
     The forcing term assumes the attack evolves as f(k+1) = zeta f(k), so
     zeta = 1 fits a constant attack and no single zeta fits a sinusoid.
@@ -38,12 +40,13 @@ def dtilde_bound(ctrl: ControllerConfig, spectrum: GraphSpectrum, attack_bound: 
     """
     if attack_bound < 0:
         raise ValueError("attack_bound must be nonnegative")
-    lam_min = compensator_lambda_min(spectrum, ctrl)
-    denom = ctrl.theta ** -2 - 2.0 - 2.0 * lam_min
+    if channel not in ("actuator", "sensor"):
+        raise ValueError(f"unknown attack channel {channel!r}")
+    denom = ctrl.theta ** -2 - 2.0
     if denom <= 0:
         raise ValueError(
             f"bound denominator {denom:.3g} is not positive; choose theta below "
-            f"{theta_bound(spectrum, ctrl):.6g}"
+            f"{THETA_BOUND:.6g}"
         )
     direct = 1.0 if channel == "actuator" else 2.0
     return 4.0 * attack_bound * abs(direct - zeta / ctrl.theta) / denom
@@ -60,6 +63,8 @@ def consensus_error_threshold(model: LtiModel, spectrum: GraphSpectrum,
     bounded by the l1 impulse-response gain, summed here until the geometric
     tail is negligible. Along the marginal modes themselves no bound exists;
     root-directed attacks drive those modes regardless of the compensator.
+    A series that has not converged after ``max_terms`` terms would
+    underestimate the bound, so it raises ValueError instead.
     """
     if spectrum.left_eigvec_zero is None:
         raise ValueError("threshold needs a spanning-tree graph")
@@ -93,4 +98,7 @@ def consensus_error_threshold(model: LtiModel, spectrum: GraphSpectrum,
         # re-project every step: float leakage into the removed non-Schur
         # modes would otherwise grow and corrupt the tail of the series
         term = proj @ (a_c @ term)
+    else:
+        raise ValueError(f"impulse-response series did not converge in {max_terms} terms; "
+                         "the closed loop is too close to marginal stability")
     return float(gain * d_bound)

@@ -3,6 +3,17 @@
 The standard DARE is solved (A'PA - P - A'PB(R + B'PB)^-1 B'PA + Q = 0); its
 stabilizing solution P is positive definite for positive definite Q, which is
 what the gain formula K = (R + B'PB)^-1 B'PA requires.
+
+The compensator parameter theta must stay below 1/sqrt(2 + lam_min), lam_min
+the smallest real part in the spectrum of c Lhat (x) B'P1B R1_bar^-1: the
+products c lam_i mu_j of the eigenvalues of Lhat and of B'P1B R1_bar^-1. That
+minimum is exactly 0, so the bound is the constant THETA_BOUND = 1/sqrt(2):
+- lam_1 = 0, since Lhat 1 = 0;
+- Re lam_i >= 0 by Gershgorin: row i of Lhat = (I+H)^-1 L has centre and
+  radius h_i/(1+h_i);
+- the mu_j are real and >= 0: B'P1B R1_bar^-1 is similar to
+  R1_bar^-1/2 B'P1B R1_bar^-1/2, positive semidefinite for symmetric weights;
+- c > 0, which ``design_controller`` enforces.
 """
 
 from __future__ import annotations
@@ -18,6 +29,8 @@ DARE_TOL = 1e-12
 DARE_MAX_ITER = 10_000
 JOINT_RADIUS_LIMIT = 0.98
 THETA_FRACTIONS = (0.9, 0.7, 0.5, 0.35, 0.2)
+# theta < THETA_BOUND keeps the compensator stable; derived in the module docstring
+THETA_BOUND = 1.0 / np.sqrt(2.0)
 COUPLING_GRID = np.linspace(0.02, 4.0, 200)
 
 
@@ -174,19 +187,6 @@ def coupling_range(spectrum: GraphSpectrum, ctrl) -> CouplingRange:
     return CouplingRange(c_lo=lo, c_hi=hi)
 
 
-def compensator_lambda_min(spectrum: GraphSpectrum, ctrl) -> float:
-    """Min real part of eig(c Lhat (x) B'P1B R1_bar^-1), via the eigenvalue products."""
-    btpb = ctrl.R1_bar - ctrl.R1  # equals B'P1B
-    block = np.linalg.eigvals(btpb @ np.linalg.inv(ctrl.R1_bar))
-    products = (ctrl.c * spectrum.eigenvalues[:, None] * block[None, :]).ravel()
-    return float(products.real.min())
-
-
-def theta_bound(spectrum: GraphSpectrum, ctrl) -> float:
-    """Upper limit 1/sqrt(2 + lam_min(c Lhat (x) B'P1B R1_bar^-1)) for theta."""
-    return 1.0 / np.sqrt(2.0 + compensator_lambda_min(spectrum, ctrl))
-
-
 def joint_radius(model: LtiModel, spectrum: GraphSpectrum, K, c: float, theta: float) -> float:
     """Worst spectral radius of the plant+compensator error blocks.
 
@@ -212,9 +212,12 @@ def design_controller(model: LtiModel, spectrum: GraphSpectrum, Q1=None, R1=None
     Coupling default: the analytic-interval midpoint when that interval is
     nonempty and stabilizing, otherwise a grid search. Candidate couplings are
     ranked by the baseline spectral radius, and the pair (c, theta) must also
-    keep the plant+compensator error blocks Schur; theta starts at 0.9 of its
-    admissible bound and backs off when the joint blocks demand it.
+    keep the plant+compensator error blocks Schur; theta starts at 0.9 of
+    THETA_BOUND and backs off when the joint blocks demand it. A supplied
+    c <= 0 is a ValueError.
     """
+    if c is not None and not c > 0:
+        raise ValueError(f"coupling c must be positive, got {c!r}")
     Q1 = _as_weight(Q1, model.state_dim, "Q1")
     R1 = _as_weight(R1, model.input_dim, "R1")
     K, P1, R1_bar = design_gain(model, Q1, R1)
@@ -222,9 +225,6 @@ def design_controller(model: LtiModel, spectrum: GraphSpectrum, Q1=None, R1=None
     base = ControllerConfig(K=K, c=1.0, P1=P1, Q1=Q1, R1=R1, R1_bar=R1_bar, theta=0.5, T=T)
     notes = []
     rng_analytic = coupling_range(spectrum, base)
-
-    def theta_for(c_val: float, frac: float) -> float:
-        return frac * theta_bound(spectrum, replace(base, c=c_val))
 
     if c is not None and theta is not None:
         chosen_c, chosen_theta = float(c), float(theta)
@@ -267,8 +267,8 @@ def design_controller(model: LtiModel, spectrum: GraphSpectrum, Q1=None, R1=None
                     break
         else:
             for frac in THETA_FRACTIONS:
+                th = frac * THETA_BOUND
                 for radius, cv in candidates:
-                    th = theta_for(cv, frac)
                     if joint_radius(model, spectrum, K, cv, th) <= JOINT_RADIUS_LIMIT:
                         chosen_c, chosen_theta = cv, th
                         notes.append(f"theta = {frac:g} * theta_bound keeps compensator blocks Schur")
@@ -278,7 +278,7 @@ def design_controller(model: LtiModel, spectrum: GraphSpectrum, Q1=None, R1=None
             if chosen_c is None:
                 # last resort: best baseline coupling with the most conservative theta
                 radius, cv = candidates[0]
-                chosen_c, chosen_theta = cv, theta_for(cv, THETA_FRACTIONS[-1])
+                chosen_c, chosen_theta = cv, THETA_FRACTIONS[-1] * THETA_BOUND
                 notes.append("warning: no (c, theta) pair met the joint Schur margin")
         if chosen_c is None:
             raise DesignError("no stabilizing coupling found")

@@ -1,4 +1,4 @@
-"""Agent dynamics x(k+1) = A x(k) + B u(k), closed-loop assembly and prediction."""
+"""Agent dynamics x(k+1) = A x(k) + B u(k), closed-loop block spectra and prediction."""
 
 from __future__ import annotations
 
@@ -57,33 +57,22 @@ class LtiModel:
         return self.B.shape[1]
 
 
-@dataclass(frozen=True)
-class ClosedLoopMatrix:
-    """A_c = I_N (x) A - c Lhat (x) BK with its spectrum and the gain-design flag."""
+def block_eigenvalues(model: LtiModel, eigenvalues, K, c: float):
+    """eig(A - c lam BK) for each Laplacian eigenvalue lam, one array per lam.
 
-    matrix: np.ndarray
-    eigenvalues: np.ndarray
-    coupling_schur: bool
-
-
-def assemble_closed_loop(model: LtiModel, spectrum: GraphSpectrum, ctrl) -> ClosedLoopMatrix:
-    """Build the global closed-loop matrix and check A - c*lam_i*BK Schur for i >= 2."""
-    n_agents = spectrum.normalized_laplacian.shape[0]
-    BK = model.B @ ctrl.K
-    if BK.shape != (model.state_dim, model.state_dim):
-        raise ValueError(f"gain K has incompatible shape {ctrl.K.shape}")
-    a_c = np.kron(np.eye(n_agents), model.A) - ctrl.c * np.kron(spectrum.normalized_laplacian, BK)
-    eigs = np.linalg.eigvals(a_c)
-    schur = baseline_radius(model, spectrum, ctrl.K, ctrl.c) < 1.0
-    return ClosedLoopMatrix(matrix=a_c, eigenvalues=eigs, coupling_schur=schur)
+    A Schur triangularisation of Lhat makes I (x) A - c Lhat (x) BK block
+    triangular with these blocks, so over every lam they are its spectrum.
+    """
+    BK = model.B @ K
+    for lam in eigenvalues:
+        yield np.linalg.eigvals(model.A - c * lam * BK)
 
 
 def baseline_radius(model: LtiModel, spectrum: GraphSpectrum, K, c: float) -> float:
     """Worst spectral radius of A - c lam_i BK over nonzero Laplacian eigenvalues (0 if none)."""
-    BK = model.B @ K
     return max(
-        (float(np.abs(np.linalg.eigvals(model.A - c * lam * BK)).max())
-         for lam in spectrum.nonzero_eigenvalues()),
+        (float(np.abs(eigs).max())
+         for eigs in block_eigenvalues(model, spectrum.nonzero_eigenvalues(), K, c)),
         default=0.0,
     )
 
@@ -97,15 +86,6 @@ class ConsensusPrediction:
 
     def value(self, k: int) -> np.ndarray:
         return np.linalg.matrix_power(self.model.A, k) @ self.weighted_initial
-
-    def trajectory(self, horizon: int) -> np.ndarray:
-        out = np.empty((horizon + 1, self.model.state_dim))
-        v = self.weighted_initial.copy()
-        out[0] = v
-        for k in range(horizon):
-            v = self.model.A @ v
-            out[k + 1] = v
-        return out
 
 
 def predict_consensus_value(model: LtiModel, spectrum: GraphSpectrum, x0) -> ConsensusPrediction:

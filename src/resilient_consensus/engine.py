@@ -11,7 +11,9 @@ into two systems that do not feed each other:
 - the error system q = [e; d; g]: the plant's deviation e = x - x_hat from
   the predictor, the compensator state d and the stacked attack generator
   states g. The reference cancels in e, so q stays zero in an attack-free
-  run whose predictor starts at x0.
+  run whose predictor starts at x0. A run whose compensator never starts
+  inside the horizon (every baseline run) has d = 0 throughout, and q
+  leaves it out.
 
 The law u = c K eps_bar - d with eps_bar = -Lhat (x + s) (s the sensor
 corruption), the leader's u_0 = r(k) - K0 x_0, the followers' feed-forward
@@ -101,14 +103,13 @@ class _Law:
     def __init__(self, graph: DirectedGraph, norm_lap: np.ndarray, ctrl: ControllerConfig,
                  leader: LeaderSpec | None):
         self.lap = norm_lap
-        self.neg_cK_T = -ctrl.c * ctrl.K.T
-        self.theta = ctrl.theta
+        self.ctrl = ctrl
         self.leader = leader
         self.ff = (graph.adjacency[1:, 0] / (1.0 + graph.in_degrees[1:]))[:, None]
 
     def gain(self, x):
-        """c K eps = c K (-Lhat x) for measured states x."""
-        return (self.lap @ x) @ self.neg_cK_T
+        """c K eps = c K (-Lhat x) for measured states x, as for a sensor attack."""
+        return effective_injection(x, None, self.lap, self.ctrl.c, self.ctrl.K)
 
     def __call__(self, x, s, d, phase):
         U = self.gain(x + s) - d
@@ -121,7 +122,7 @@ class _Law:
     def compensate(self, d, e_plus_s):
         """d(j+1) = theta c K (eps_hat - eps_bar) + theta d(j), where
         eps_hat - eps_bar = Lhat (x + s - x_hat) = Lhat (e + s)."""
-        return self.theta * (d - self.gain(e_plus_s))
+        return self.ctrl.theta * (d - self.gain(e_plus_s))
 
 
 def _stacked_powers(step, dim: int, limit: int) -> np.ndarray:
@@ -189,7 +190,9 @@ def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
     n, m = model.state_dim, model.input_dim
     Nn, Nm = N * n, N * m
     norm_lap = spectrum.normalized_laplacian
-    resilient = controller == "resilient"
+    # d stays zero unless the compensator starts inside the horizon
+    compensating = controller == "resilient" and compensator_start < horizon
+    Nd = Nm if compensating else 0
     _check_attacks(attacks, N, n, m, leader)
 
     x = np.asarray(x0, dtype=float).reshape(N, n)
@@ -219,7 +222,7 @@ def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
         return out
 
     # error system q = [e; d; g], one generator slice of g per attack
-    gen, dq = [], Nn + Nm
+    gen, dq = [], Nn + Nd
     for spec in attacks:
         gen.append(slice(dq, dq + spec.signal.f0.size))
         dq += spec.signal.f0.size
@@ -244,7 +247,8 @@ def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
         """q -> its value one step later, in the regime of step t: an attack
         injects from its start_step on, and before that its generator is held;
         the compensator updates d from compensator_start on."""
-        e, d = q[:, :Nn].reshape(-1, N, n), q[:, Nn:Nn + Nm].reshape(-1, N, m)
+        e = q[:, :Nn].reshape(-1, N, n)
+        d = q[:, Nn:Nn + Nd].reshape(-1, N, m) if compensating else 0.0
         ks = np.full(len(q), t)
         s = signals(q, ks, "sensor", n)
         a = signals(q, ks, "actuator", m)
@@ -252,9 +256,10 @@ def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
         U = law(e, s, d, np.zeros((len(q), 2)))  # U - U_hat: the reference cancels
         out = np.empty_like(q)
         out[:, :Nn] = (e @ A_T + (U if a is None else U + a) @ B_T).reshape(-1, Nn)
-        if resilient and compensator_start <= t:
-            d = law.compensate(d, e + s)
-        out[:, Nn:Nn + Nm] = d.reshape(-1, Nm)
+        if compensating:
+            if compensator_start <= t:
+                d = law.compensate(d, e + s)
+            out[:, Nn:Nn + Nd] = d.reshape(-1, Nd)
         for spec, sl in zip(attacks, gen):
             out[:, sl] = q[:, sl] @ spec.signal.W.T if spec.start_step <= t else q[:, sl]
         return out
@@ -269,7 +274,7 @@ def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
         q[sl] = spec.signal.f0
     switches = {0, horizon}
     switches.update(s.start_step for s in attacks if s.start_step < horizon)
-    if resilient and compensator_start < horizon:
+    if compensating:
         switches.add(compensator_start)
     switches = sorted(switches)
     # each regime: (its end step, its stacked powers, its block length)
@@ -341,7 +346,7 @@ def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
         if len(rows):
             sl = slice(si, si + len(rows))
             x_rows = Xt[:, rows].T.reshape(-1, N, n)
-            d_rows = Q[rows, Nn:Nn + Nm].reshape(-1, N, m)
+            d_rows = Q[rows, Nn:Nn + Nd].reshape(-1, N, m) if compensating else 0.0
             store_x[sl] = x_rows
             store_xhat[sl] = P[rows, :Nn].reshape(-1, N, n)
             store_u[sl] = law(x_rows, 0.0 if sens is None else sens[rows], d_rows,

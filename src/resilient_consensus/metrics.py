@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attacks import AttackSpec, classify_imp, signal_series
-from .dynamics import LtiModel, assemble_closed_loop
+from .dynamics import LtiModel, block_eigenvalues
 from .graph import DirectedGraph, GraphSpectrum
 
 GROWTH_WINDOW_FRACTION = 0.2
@@ -46,13 +46,15 @@ def deviation_bound(model: LtiModel, spectrum: GraphSpectrum, ctrl,
                     n_attacked: int, attack_bound: float) -> float | None:
     """Attack-induced deviation term N_f ||B|| b_f / |lambda_min(A_c)|.
 
-    Returns None (undefined) when A_c has a near-zero eigenvalue, and 0.0 when
-    no agent is attacked.
+    A_c = I (x) A - c Lhat (x) BK; its smallest eigenvalue modulus is taken
+    over the blocks A - c lam BK of every Laplacian eigenvalue lam, zero
+    included. Returns None (undefined) when A_c has a near-zero eigenvalue,
+    and 0.0 when no agent is attacked.
     """
     if n_attacked == 0:
         return 0.0
-    closed = assemble_closed_loop(model, spectrum, ctrl)
-    lam_min = float(np.abs(closed.eigenvalues).min())
+    lam_min = min(float(np.abs(eigs).min()) for eigs in
+                  block_eigenvalues(model, spectrum.eigenvalues, ctrl.K, ctrl.c))
     if lam_min < 1e-9:
         return None
     b_norm = float(np.linalg.norm(model.B, ord=2))

@@ -11,7 +11,7 @@ from jsonschema import Draft202012Validator
 
 from . import engine
 from .attacks import AttackSpec, constant_signal, sinusoid_signal, ExogenousSignal
-from .design import DesignError, coupling_range, design_controller, theta_bound
+from .design import THETA_BOUND, DesignError, coupling_range, design_controller
 from .dynamics import LtiModel
 from .graph import DirectedGraph, GraphError, normalized_laplacian
 from .trace import SimulationTrace
@@ -353,10 +353,9 @@ def validate(config: ScenarioConfig) -> list:
             "message": (f"analytic coupling interval ({rng.c_lo:.4g}, {rng.c_hi:.4g}) is "
                         f"empty; grid-search fallback selected c = {ctrl.c:.4g}"),
         })
-    bound = theta_bound(spectrum, ctrl)
-    if not (0 < ctrl.theta < bound):
+    if not (0 < ctrl.theta < THETA_BOUND):
         diags.append({"level": "error", "field": "theta",
-                      "message": f"theta = {ctrl.theta:.4g} outside (0, {bound:.4g})"})
+                      "message": f"theta = {ctrl.theta:.4g} outside (0, {THETA_BOUND:.4g})"})
     for note in ctrl.notes:
         if note.startswith("warning"):
             diags.append({"level": "warning", "field": "design", "message": note})

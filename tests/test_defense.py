@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from resilient_consensus import (AttackSpec, consensus_error_threshold, constant_signal,
-                                 design_controller, dtilde_bound, effective_attack, load_config,
-                                 normalized_laplacian, run, signal_series, simulate,
-                                 sinusoid_signal, theta_bound, tracking_error)
+from resilient_consensus import (THETA_BOUND, AttackSpec, consensus_error_threshold,
+                                 constant_signal, design_controller, dtilde_bound,
+                                 effective_attack, load_config, normalized_laplacian, run,
+                                 signal_series, simulate, sinusoid_signal, tracking_error)
+from resilient_consensus.design import baseline_radius
 
 from test_dynamics import unit_gain_ctrl
 
@@ -161,8 +162,17 @@ def test_dtilde_bound_formula(example1_spectrum, example1_ctrl):
     two = dtilde_bound(example1_ctrl, example1_spectrum, 2.0)
     assert abs(two - 2.0 * one) < 1e-12
 
+    # hand values: 4 |direct - 1/theta| / (theta^-2 - 2), direct 1 or 2 by channel
+    theta = example1_ctrl.theta
+    for channel, direct in (("actuator", 1.0), ("sensor", 2.0)):
+        expected = 4.0 * abs(direct - 1.0 / theta) / (theta ** -2 - 2.0)
+        assert abs(dtilde_bound(example1_ctrl, example1_spectrum, 1.0, channel=channel)
+                   - expected) <= 1e-12 * expected
+    with pytest.raises(ValueError, match="unknown attack channel 'actuatr'"):
+        dtilde_bound(example1_ctrl, example1_spectrum, 1.0, channel="actuatr")
+
     # blows up as theta approaches its admissible bound from below
-    bound = theta_bound(example1_spectrum, example1_ctrl)
+    bound = THETA_BOUND
     import dataclasses
     close = dataclasses.replace(example1_ctrl, theta=bound * (1 - 1e-9))
     far = dataclasses.replace(example1_ctrl, theta=bound * 0.5)
@@ -182,6 +192,18 @@ def test_consensus_error_stays_under_derived_threshold(integrator, example1_grap
     dbound = dtilde_bound(example1_ctrl, example1_spectrum, trace.attack_bound)
     threshold = consensus_error_threshold(integrator, example1_spectrum, example1_ctrl, dbound)
     assert trace.tail_consensus_error() < threshold
+
+
+def test_consensus_error_threshold_rejects_unconverged_series(integrator, example1_spectrum,
+                                                             example1_ctrl):
+    # a coupling that leaves the slowest block at radius 0.9999 needs far more
+    # than max_terms impulse-response terms; a truncated sum would underestimate
+    lam_m = example1_spectrum.nonzero_eigenvalues().real.min()
+    c = 1e-4 / (lam_m * example1_ctrl.K[0, 0])
+    ctrl = design_controller(integrator, example1_spectrum, c=c, theta=0.5)
+    assert abs(baseline_radius(integrator, example1_spectrum, ctrl.K, ctrl.c) - 0.9999) < 1e-12
+    with pytest.raises(ValueError, match="did not converge in 20000 terms"):
+        consensus_error_threshold(integrator, example1_spectrum, ctrl, 1.0)
 
 
 def test_consensus_error_shrinks_as_theta_grows(integrator, example1_graph, example1_spectrum):

@@ -2,10 +2,17 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from resilient_consensus import (ControllerConfig, DesignError, DirectedGraph, LtiModel,
-                                 coupling_range, design_controller, design_gain, joint_radius,
-                                 list_scenarios, load_config, normalized_laplacian, solve_dare,
-                                 theta_bound)
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from resilient_consensus import (THETA_BOUND, ControllerConfig, DesignError, DirectedGraph,
+                                 LtiModel, coupling_range, design_controller, design_gain,
+                                 joint_radius, list_scenarios, load_config, normalized_laplacian,
+                                 solve_dare)
+from resilient_consensus.design import COUPLING_GRID
+from resilient_consensus.scenarios import MODEL_PRESETS
+
+from conftest import random_forest_digraph, random_spanning_tree_digraph
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -109,33 +116,38 @@ def test_coupling_range_empty_for_standard_scalar_design(integrator, example1_sp
     assert any("fallback" in note for note in example1_ctrl.notes)
 
 
-def test_theta_bound_formula_cases(example1_spectrum):
-    # lam_min term hits zero through the Laplacian's zero eigenvalue
-    ctrl = _ctrl_with([[1.0]], 1.0, 1.0, 1.0)
-    object.__setattr__(ctrl, "R1_bar", np.array([[2.0]]))
-    object.__setattr__(ctrl, "R1", np.array([[2.0]]))  # B'P1B = 0 -> bound 1/sqrt(2)
-    assert abs(theta_bound(example1_spectrum, ctrl) - 1.0 / np.sqrt(2.0)) < 1e-12
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_agents=st.integers(2, 7),
+       forest=st.booleans(), model=st.sampled_from(sorted(MODEL_PRESETS)),
+       c=st.sampled_from(list(COUPLING_GRID)))
+def test_theta_bound_lambda_min_is_zero(seed, n_agents, forest, model, c):
+    """lam_min(c Lhat (x) B'P1B R1_bar^-1) = 0 for every graph, model and c > 0,
+    which is what makes THETA_BOUND = 1/sqrt(2 + lam_min) the constant 1/sqrt(2)."""
+    rng = np.random.default_rng(seed)
+    make = random_forest_digraph if forest else random_spanning_tree_digraph
+    spectrum = normalized_laplacian(make(n_agents, rng))
+    L = spectrum.normalized_laplacian
+    assert np.abs(L @ np.ones(n_agents)).max() == 0.0
+    assert spectrum.zero_multiplicity >= 1
+    preset = MODEL_PRESETS[model]
+    lti = LtiModel(A=preset["A"], B=preset["B"])
+    _K, P1, R1_bar = design_gain(lti)
+    block = lti.B.T @ P1 @ lti.B @ np.linalg.inv(R1_bar)
+    lam_min = np.linalg.eigvals(c * np.kron(L, block)).real.min()
+    assert abs(lam_min) <= 1e-12
 
 
 def test_theta_bound_default_fraction(integrator, example1_spectrum, example1_ctrl):
-    bound = theta_bound(example1_spectrum, example1_ctrl)
-    assert abs(bound - 1.0 / np.sqrt(2.0)) < 1e-12
-    assert abs(example1_ctrl.theta - 0.9 * bound) < 1e-12
+    assert abs(THETA_BOUND - 1.0 / np.sqrt(2.0)) < 1e-12
+    assert abs(example1_ctrl.theta - 0.9 * THETA_BOUND) < 1e-12
 
 
-def test_theta_bound_nonzero_lambda_min():
-    # synthetic spectrum whose eigenvalue products give lam_min = 2 -> bound 0.5
-    from resilient_consensus import GraphSpectrum
-
-    spectrum = GraphSpectrum(
-        laplacian=np.eye(2), normalized_laplacian=np.eye(2),
-        eigenvalues=np.array([1.0 + 0j]), left_eigvec_zero=None,
-        root_set=frozenset(), zero_multiplicity=0)
-    ctrl = _ctrl_with([[1.0]], 1.0, 1.0, 1.0)
-    object.__setattr__(ctrl, "R1", np.array([[1.0]]))
-    object.__setattr__(ctrl, "R1_bar", np.array([[3.0]]))  # B'P1B R1_bar^-1 = 2/3
-    object.__setattr__(ctrl, "c", 3.0)                     # products: 3 * 1 * 2/3 = 2
-    assert abs(theta_bound(spectrum, ctrl) - 0.5) < 1e-12
+def test_design_controller_rejects_nonpositive_coupling(integrator, example1_spectrum):
+    for c in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="coupling c must be positive"):
+            design_controller(integrator, example1_spectrum, c=c)
+        with pytest.raises(ValueError, match="coupling c must be positive"):
+            design_controller(integrator, example1_spectrum, c=c, theta=0.5)
 
 
 def test_schur_inside_nonempty_coupling_interval():
@@ -159,7 +171,7 @@ def test_design_controller_joint_blocks_schur(rotation2d, auv_model, chain5_grap
         spectrum = normalized_laplacian(graph)
         ctrl = design_controller(model, spectrum)
         assert joint_radius(model, spectrum, ctrl.K, ctrl.c, ctrl.theta) < 1.0
-        assert 0 < ctrl.theta < theta_bound(spectrum, ctrl)
+        assert 0 < ctrl.theta < THETA_BOUND
         # the gain identity K = R1_bar^-1 B'P1A
         lhs = ctrl.R1_bar @ ctrl.K
         rhs = model.B.T @ ctrl.P1 @ model.A

@@ -2,11 +2,34 @@ import numpy as np
 import pytest
 
 from resilient_consensus import (ControllerConfig, DirectedGraph, GraphError, LtiModel,
-                                 assemble_closed_loop, design_controller, normalized_laplacian,
+                                 design_controller, normalized_laplacian,
                                  predict_consensus_value, simulate)
 from resilient_consensus.design import baseline_radius
+from resilient_consensus.dynamics import block_eigenvalues
 
 from conftest import random_spanning_tree_digraph
+
+
+def kron_closed_loop(model, spectrum, ctrl):
+    """I_N (x) A - c Lhat (x) BK, assembled densely."""
+    n_agents = spectrum.normalized_laplacian.shape[0]
+    return (np.kron(np.eye(n_agents), model.A)
+            - ctrl.c * np.kron(spectrum.normalized_laplacian, model.B @ ctrl.K))
+
+
+def block_union(model, spectrum, ctrl):
+    """eig(A - c lam BK) over every Laplacian eigenvalue lam, zero included."""
+    return np.concatenate(list(block_eigenvalues(model, spectrum.eigenvalues, ctrl.K, ctrl.c)))
+
+
+def assert_same_spectrum(actual, expected, atol):
+    """Equal multisets of eigenvalues: each expected one pairs with the nearest
+    unpaired actual one."""
+    assert len(actual) == len(expected)
+    left = list(actual)
+    for lam in expected:
+        i = int(np.argmin(np.abs(np.array(left) - lam)))
+        assert abs(left.pop(i) - lam) <= atol, lam
 
 
 def unit_gain_ctrl(model, K=None, c=1.0):
@@ -37,34 +60,46 @@ def test_unstabilizable_model_warns():
 
 def test_closed_loop_example1(integrator, example1_spectrum):
     ctrl = unit_gain_ctrl(integrator, K=[[1.0]], c=1.0)
-    closed = assemble_closed_loop(integrator, example1_spectrum, ctrl)
+    closed = kron_closed_loop(integrator, example1_spectrum, ctrl)
     expected = np.eye(4) - example1_spectrum.normalized_laplacian
-    np.testing.assert_allclose(closed.matrix, expected, atol=1e-15)
-    np.testing.assert_allclose(
-        np.sort(closed.eigenvalues.real), [0.0, 0.5, 0.5, 1.0], atol=1e-12)
+    np.testing.assert_allclose(closed, expected, atol=1e-15)
+    blocks = block_union(integrator, example1_spectrum, ctrl)
+    np.testing.assert_allclose(np.sort(blocks.real), [0.0, 0.5, 0.5, 1.0], atol=1e-12)
+    assert_same_spectrum(np.linalg.eigvals(closed), blocks, atol=1e-12)
     # A - c*lam*BK = 1 - lam is Schur for both nonzero eigenvalues {0.5, 1}
-    assert closed.coupling_schur
+    assert baseline_radius(integrator, example1_spectrum, ctrl.K, ctrl.c) < 1.0
 
 
 def test_closed_loop_no_coupling(integrator, example1_spectrum):
     ctrl = unit_gain_ctrl(integrator, K=[[0.0]], c=1.0)
-    closed = assemble_closed_loop(integrator, example1_spectrum, ctrl)
-    np.testing.assert_allclose(closed.matrix, np.eye(4), atol=1e-15)
-    assert not closed.coupling_schur
+    closed = kron_closed_loop(integrator, example1_spectrum, ctrl)
+    np.testing.assert_allclose(closed, np.eye(4), atol=1e-15)
+    assert_same_spectrum(np.linalg.eigvals(closed),
+                         block_union(integrator, example1_spectrum, ctrl), atol=1e-15)
+    assert not baseline_radius(integrator, example1_spectrum, ctrl.K, ctrl.c) < 1.0
     # no nonzero Laplacian eigenvalue leaves no block to fail
     edgeless = normalized_laplacian(DirectedGraph(np.zeros((3, 3))))
-    assert assemble_closed_loop(integrator, edgeless, ctrl).coupling_schur
+    assert baseline_radius(integrator, edgeless, ctrl.K, ctrl.c) < 1.0
 
 
 def test_auv_designed_gain_is_schur(auv_model):
     graph = DirectedGraph.from_edges(6, [[0, 1], [0, 2], [2, 1], [2, 3], [3, 4], [4, 5]])
     spectrum = normalized_laplacian(graph)
     ctrl = design_controller(auv_model, spectrum)
-    closed = assemble_closed_loop(auv_model, spectrum, ctrl)
-    assert closed.coupling_schur
+    assert baseline_radius(auv_model, spectrum, ctrl.K, ctrl.c) < 1.0
+    # Lhat has a 4x4 Jordan block at 1/2, which the dense eig of the global
+    # matrix resolves only to about eps^(1/4) ~ 1e-4
     for c in (ctrl.c, 0.5 * ctrl.c, 2.0 * ctrl.c, 4.0 * ctrl.c):
-        trial = assemble_closed_loop(auv_model, spectrum, unit_gain_ctrl(auv_model, ctrl.K, c))
-        assert trial.coupling_schur == (baseline_radius(auv_model, spectrum, ctrl.K, c) < 1.0)
+        trial = unit_gain_ctrl(auv_model, ctrl.K, c)
+        global_eigs = np.linalg.eigvals(kron_closed_loop(auv_model, spectrum, trial))
+        assert_same_spectrum(global_eigs, block_union(auv_model, spectrum, trial), atol=1e-2)
+        # the lam = 0 block is A itself; the rest of the spectrum decides the radius
+        rest = list(global_eigs)
+        for lam in np.linalg.eigvals(auv_model.A):
+            rest.pop(int(np.argmin(np.abs(np.array(rest) - lam))))
+        radius = baseline_radius(auv_model, spectrum, ctrl.K, c)
+        assert abs(np.abs(rest).max() - radius) <= 1e-2 * radius
+        assert (radius < 1.0) == (c == ctrl.c)
 
 
 def test_step_examples(integrator, example1_graph, example1_spectrum):
@@ -137,8 +172,7 @@ def test_predict_consensus_examples(integrator, rotation2d, example1_spectrum):
     np.testing.assert_allclose(pred_rot.value(4), w, atol=1e-12)   # rotation period 4
     np.testing.assert_allclose(pred_rot.value(2), -w, atol=1e-12)
     np.testing.assert_allclose(pred_rot.value(1), [[0.0, -1.0], [1.0, 0.0]] @ w, atol=1e-12)
-    traj = pred_rot.trajectory(8)
-    np.testing.assert_allclose(traj[8], w, atol=1e-12)
+    np.testing.assert_allclose(pred_rot.value(8), w, atol=1e-12)
 
 
 def test_predict_consensus_requires_spanning_tree(integrator):

@@ -107,9 +107,9 @@ def test_ramp_crossing_equals_closed_form_inside_a_block():
     # no rounding can move the crossing: the ramp passes the threshold mid-step
     assert offset + (step - 1) * rate < threshold - 0.01 < threshold + 0.01 < offset + step * rate
     # the crossing lies strictly inside a predictor block (4 states) and an
-    # error-system block (4 + 4 + 1 states)
+    # error-system block (4 + 1 states: a baseline run carries no d)
     predictor_block = engine.BLOCK_FLOATS // 4 ** 2
-    error_block = engine.BLOCK_FLOATS // 9 ** 2
+    error_block = engine.BLOCK_FLOATS // 5 ** 2
     assert step % predictor_block % error_block != 0
 
     trace = simulate(config.model, config.graph, spectrum, ctrl, horizon=50_000, x0=config.x0,
@@ -117,6 +117,31 @@ def test_ramp_crossing_equals_closed_form_inside_a_block():
     assert trace.first_crossing == step
     assert trace.steps_run == step
     assert trace.inf_norms[step] > threshold >= trace.inf_norms[:step].max()
+
+
+def test_error_system_carries_d_only_when_the_compensator_runs(monkeypatch):
+    widths = []
+
+    def recording(step, dim, limit, _original=engine._stacked_powers):
+        widths.append(dim)
+        return _original(step, dim, limit)
+
+    monkeypatch.setattr(engine, "_stacked_powers", recording)
+    config = load_config("example1_root_attack")
+    spectrum, ctrl = _design(config)
+
+    def error_widths(**kwargs):
+        widths.clear()
+        simulate(config.model, config.graph, spectrum, ctrl, horizon=300, x0=config.x0,
+                 attacks=config.attacks, **kwargs)
+        assert widths[0] == 4  # the predictor: the four agent states
+        return set(widths[1:])
+
+    # e (4 states) and the attack generator (1); d (4) only while it can move
+    assert error_widths() == {5}
+    assert error_widths(controller="resilient", compensator_start=300) == {5}
+    assert error_widths(controller="resilient") == {9}
+    assert error_widths(controller="resilient", compensator_start=120) == {9}
 
 
 def test_memory_grows_only_by_the_inf_norm_series():

@@ -1,10 +1,10 @@
 import numpy as np
 
 from resilient_consensus import (AttackSpec, DirectedGraph, Verdict, analyze_growth,
-                                 constant_signal, design_controller, destabilization_verdict,
-                                 deviation_bound, effective_attack, global_performance,
-                                 hinf_bypass_report, normalized_laplacian, simulate,
-                                 sinusoid_signal, tracking_error)
+                                 constant_signal, design_controller, design_gain,
+                                 destabilization_verdict, deviation_bound, effective_attack,
+                                 global_performance, hinf_bypass_report, normalized_laplacian,
+                                 simulate, sinusoid_signal, tracking_error)
 from resilient_consensus.metrics import GROWTH_CHUNK
 
 from conftest import random_spanning_tree_digraph
@@ -36,11 +36,12 @@ def test_global_performance_stacked_matches_single_states():
     np.testing.assert_allclose(stacked, single, rtol=1e-12, atol=0.0)
 
 
-def test_deviation_bound_cases(integrator, example1_spectrum, example1_ctrl):
+def test_deviation_bound_cases(integrator, rotation2d, auv_model, example1_spectrum,
+                               example1_ctrl):
     assert deviation_bound(integrator, example1_spectrum, example1_ctrl, 0, 5.0) == 0.0
 
     # Example-1 with K = c = 1 puts a zero eigenvalue into A_c: undefined
-    from test_dynamics import unit_gain_ctrl
+    from test_dynamics import kron_closed_loop, unit_gain_ctrl
     unit = unit_gain_ctrl(integrator, K=[[1.0]], c=1.0)
     assert deviation_bound(integrator, example1_spectrum, unit, 1, 1.0) is None
 
@@ -48,6 +49,20 @@ def test_deviation_bound_cases(integrator, example1_spectrum, example1_ctrl):
     two = deviation_bound(integrator, example1_spectrum, example1_ctrl, 1, 2.0)
     if one is not None:
         assert abs(two - 2.0 * one) < 1e-9
+
+    # lambda_min(A_c) from the block spectra equals the smallest eigenvalue
+    # modulus of the dense I (x) A - c Lhat (x) BK
+    rng = np.random.default_rng(23)
+    for model in (integrator, rotation2d, auv_model):
+        K = design_gain(model)[0]
+        for _ in range(8):
+            graph = random_spanning_tree_digraph(int(rng.integers(3, 8)), rng, weighted=True)
+            spectrum = normalized_laplacian(graph)
+            ctrl = unit_gain_ctrl(model, K, float(rng.uniform(0.1, 3.0)))
+            lam_min = np.abs(np.linalg.eigvals(kron_closed_loop(model, spectrum, ctrl))).min()
+            expected = 3 * np.linalg.norm(model.B, ord=2) * 1.5 / lam_min
+            bound = deviation_bound(model, spectrum, ctrl, 3, 1.5)
+            assert abs(bound - expected) <= 1e-9 * expected
 
 
 def test_destabilization_verdict_examples(integrator, example1_spectrum):
