@@ -137,6 +137,44 @@ def test_theta_bound_lambda_min_is_zero(seed, n_agents, forest, model, c):
     assert abs(lam_min) <= 1e-12
 
 
+def _compensator_products(spectrum, ctrl):
+    """Eigenvalues c lam_i mu_j of c Lhat (x) B'P1B R1_bar^-1, one row per lam_i."""
+    block = np.linalg.eigvals((ctrl.R1_bar - ctrl.R1) @ np.linalg.inv(ctrl.R1_bar))
+    return ctrl.c * spectrum.eigenvalues[:, None] * block[None, :]
+
+
+def test_theta_bound_formula_cases(integrator, example1_spectrum, example1_ctrl):
+    # 1/sqrt(2 + lam_min) with the dense lam_min is the constant, on the designed
+    # controller and with B'P1B = 0; lam_min hits zero through the zero eigenvalue
+    ctrl = _ctrl_with([[1.0]], 1.0, 1.0, 1.0)
+    object.__setattr__(ctrl, "R1_bar", np.array([[2.0]]))
+    object.__setattr__(ctrl, "R1", np.array([[2.0]]))  # B'P1B = 0
+    for case in (example1_ctrl, ctrl):
+        block = (case.R1_bar - case.R1) @ np.linalg.inv(case.R1_bar)
+        dense = np.linalg.eigvals(
+            case.c * np.kron(example1_spectrum.normalized_laplacian, block))
+        assert abs(1.0 / np.sqrt(2.0 + dense.real.min()) - THETA_BOUND) < 1e-12
+        products = _compensator_products(example1_spectrum, case)
+        assert abs(1.0 / np.sqrt(2.0 + products.real.min()) - THETA_BOUND) < 1e-12
+
+
+def test_theta_bound_nonzero_lambda_min():
+    # the products over the nonzero Laplacian eigenvalues never have a negative
+    # real part, so none of them pulls lam_min below the zero eigenvalue's 0
+    for name in list_scenarios():
+        config = load_config(name)
+        spectrum = normalized_laplacian(config.graph)
+        ctrl = design_controller(config.model, spectrum, Q1=config.q1, R1=config.r1,
+                                 c=config.c, theta=config.theta)
+        products = _compensator_products(spectrum, ctrl)
+        nonzero = np.abs(spectrum.eigenvalues) > 1e-9
+        assert nonzero.sum() == spectrum.eigenvalues.size - spectrum.zero_multiplicity
+        assert products[nonzero].real.min() >= -1e-12
+        lam_min = products.real.min()
+        assert abs(lam_min) <= 1e-12
+        assert abs(1.0 / np.sqrt(2.0 + lam_min) - THETA_BOUND) < 1e-12
+
+
 def test_theta_bound_default_fraction(integrator, example1_spectrum, example1_ctrl):
     assert abs(THETA_BOUND - 1.0 / np.sqrt(2.0)) < 1e-12
     assert abs(example1_ctrl.theta - 0.9 * THETA_BOUND) < 1e-12
