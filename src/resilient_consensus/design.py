@@ -12,12 +12,15 @@ minimum is exactly 0, so the bound is the constant THETA_BOUND = 1/sqrt(2):
 - Re lam_i >= 0 by Gershgorin: row i of Lhat = (I+H)^-1 L has centre and
   radius h_i/(1+h_i);
 - the mu_j are real and >= 0: B'P1B R1_bar^-1 is similar to
-  R1_bar^-1/2 B'P1B R1_bar^-1/2, positive semidefinite for symmetric weights;
+  R1_bar^-1/2 B'P1B R1_bar^-1/2, positive semidefinite for symmetric weights,
+  which ``_as_weight`` requires;
 - c > 0, which ``design_controller`` enforces.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -32,6 +35,8 @@ THETA_FRACTIONS = (0.9, 0.7, 0.5, 0.35, 0.2)
 # theta < THETA_BOUND keeps the compensator stable; derived in the module docstring
 THETA_BOUND = 1.0 / np.sqrt(2.0)
 COUPLING_GRID = np.linspace(0.02, 4.0, 200)
+# distinct design inputs remembered by ``design_controller``, least recently used evicted
+DESIGN_MEMO_SIZE = 64
 
 
 class DesignError(RuntimeError):
@@ -60,13 +65,16 @@ class ControllerConfig:
 def _as_weight(value, dim: int, name: str) -> np.ndarray:
     if value is None:
         return np.eye(dim)
-    w = np.asarray(value, dtype=float)
+    w = np.array(value, dtype=float)  # a copy: the caller may change its array later
     if w.ndim == 0:
         w = float(w) * np.eye(dim)
     if w.shape != (dim, dim):
         raise ValueError(f"{name} must be a scalar or {dim}x{dim} matrix")
-    eigs = np.linalg.eigvalsh(0.5 * (w + w.T))
-    if eigs.min() <= 0:
+    if not np.isfinite(w).all():
+        raise ValueError(f"{name} must be finite")
+    if np.abs(w - w.T).max() > 1e-12 * np.abs(w).max():
+        raise ValueError(f"{name} must be symmetric")
+    if np.linalg.eigvalsh(w).min() <= 0:
         raise ValueError(f"{name} must be positive definite")
     return w
 
@@ -205,6 +213,14 @@ def joint_radius(model: LtiModel, spectrum: GraphSpectrum, K, c: float, theta: f
     return worst
 
 
+_designs: OrderedDict = OrderedDict()
+_designs_lock = threading.Lock()
+
+
+def _fingerprint(a: np.ndarray) -> tuple:
+    return a.dtype.str, a.shape, a.tobytes()
+
+
 def design_controller(model: LtiModel, spectrum: GraphSpectrum, Q1=None, R1=None,
                       c: float | None = None, theta: float | None = None) -> ControllerConfig:
     """Full controller synthesis with defaulted coupling and compensator parameter.
@@ -215,11 +231,38 @@ def design_controller(model: LtiModel, spectrum: GraphSpectrum, Q1=None, R1=None
     keep the plant+compensator error blocks Schur; theta starts at 0.9 of
     THETA_BOUND and backs off when the joint blocks demand it. A supplied
     c <= 0 is a ValueError.
+
+    The synthesis runs once per distinct (A, B, Q1, R1, nonzero Laplacian
+    eigenvalues, c, theta), compared bit for bit; equal inputs return the
+    same ``ControllerConfig``, whose arrays are read-only because every such
+    caller shares them (vary it with ``dataclasses.replace``). The last
+    ``DESIGN_MEMO_SIZE`` inputs are remembered; a DesignError is raised
+    afresh on every call.
     """
     if c is not None and not c > 0:
         raise ValueError(f"coupling c must be positive, got {c!r}")
     Q1 = _as_weight(Q1, model.state_dim, "Q1")
     R1 = _as_weight(R1, model.input_dim, "R1")
+    key = (_fingerprint(model.A), _fingerprint(model.B), _fingerprint(Q1), _fingerprint(R1),
+           _fingerprint(spectrum.nonzero_eigenvalues()),
+           None if c is None else float(c), None if theta is None else float(theta))
+    with _designs_lock:
+        ctrl = _designs.get(key)
+        if ctrl is not None:
+            _designs.move_to_end(key)
+            return ctrl
+    ctrl = _synthesize(model, spectrum, Q1, R1, c, theta)
+    for a in (ctrl.K, ctrl.P1, ctrl.Q1, ctrl.R1, ctrl.R1_bar, ctrl.T):
+        a.setflags(write=False)
+    with _designs_lock:
+        _designs[key] = ctrl
+        if len(_designs) > DESIGN_MEMO_SIZE:
+            _designs.popitem(last=False)
+    return ctrl
+
+
+def _synthesize(model: LtiModel, spectrum: GraphSpectrum, Q1, R1, c, theta) -> ControllerConfig:
+    """The body of ``design_controller`` for checked weights, run on a memo miss."""
     K, P1, R1_bar = design_gain(model, Q1, R1)
     T = K.T @ model.B.T @ P1 @ model.B @ K
     base = ControllerConfig(K=K, c=1.0, P1=P1, Q1=Q1, R1=R1, R1_bar=R1_bar, theta=0.5, T=T)

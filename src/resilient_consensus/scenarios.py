@@ -11,7 +11,7 @@ from jsonschema import Draft202012Validator
 
 from . import engine
 from .attacks import AttackSpec, constant_signal, sinusoid_signal, ExogenousSignal
-from .design import THETA_BOUND, DesignError, coupling_range, design_controller
+from .design import THETA_BOUND, DesignError, _as_weight, coupling_range, design_controller
 from .dynamics import LtiModel
 from .graph import DirectedGraph, GraphError, normalized_laplacian
 from .trace import SimulationTrace
@@ -193,6 +193,12 @@ class ScenarioConfig:
         else:
             model = LtiModel(A=np.asarray(model_raw["A"], dtype=float),
                              B=np.asarray(model_raw["B"], dtype=float))
+        for weight, dim in (("q1", model.state_dim), ("r1", model.input_dim)):
+            if weight in raw:
+                try:
+                    _as_weight(raw[weight], dim, weight)
+                except (TypeError, ValueError) as exc:
+                    raise ConfigError(str(exc)) from exc
 
         graw = raw["graph"]
         try:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from resilient_consensus import DirectedGraph, LtiModel, design_controller, normalized_laplacian
+from resilient_consensus import (DirectedGraph, LtiModel, design, design_controller,
+                                 normalized_laplacian)
 
 
 @pytest.fixture
@@ -48,6 +49,28 @@ def auv_model():
 @pytest.fixture
 def example1_ctrl(integrator, example1_spectrum):
     return design_controller(integrator, example1_spectrum)
+
+
+@pytest.fixture
+def cold_designs():
+    """The emptied design memo: the next design of any input runs the synthesis."""
+    design._designs.clear()
+    return design._designs
+
+
+@pytest.fixture
+def synthesis_runs(monkeypatch, cold_designs):
+    """Arguments of every synthesis run from an empty memo, recorded through
+    ``design``'s globals, which ``design_controller`` calls it through."""
+    runs = []
+    real = design._synthesize
+
+    def recording(*args):
+        runs.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(design, "_synthesize", recording)
+    return runs
 
 
 def random_spanning_tree_digraph(n, rng, extra_edge_factor=0.3, weighted=False):

@@ -1,3 +1,9 @@
+import dataclasses
+import sys
+import threading
+import time
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -9,7 +15,8 @@ from resilient_consensus import (THETA_BOUND, ControllerConfig, DesignError, Dir
                                  LtiModel, coupling_range, design_controller, design_gain,
                                  joint_radius, list_scenarios, load_config, normalized_laplacian,
                                  solve_dare)
-from resilient_consensus.design import COUPLING_GRID
+from resilient_consensus import design
+from resilient_consensus.design import COUPLING_GRID, DESIGN_MEMO_SIZE
 from resilient_consensus.scenarios import MODEL_PRESETS
 
 from conftest import random_forest_digraph, random_spanning_tree_digraph
@@ -50,6 +57,11 @@ def test_dare_rejects_bad_weights():
         solve_dare([[1.0]], [[1.0]], -1.0, 1.0)
     with pytest.raises(ValueError):
         solve_dare([[1.0]], [[1.0]], 1.0, np.zeros((1, 1)))
+    # a non-symmetric weight fails as itself, not later as a Riccati residual
+    with pytest.raises(ValueError, match="R1 must be symmetric"):
+        solve_dare(0.5 * np.eye(2), np.eye(2), 1.0, [[1.0, 0.1], [-0.1, 1.0]])
+    with pytest.raises(ValueError, match="Q1 must be finite"):
+        solve_dare([[1.0]], [[1.0]], float("nan"), 1.0)
 
 
 def test_design_gain_scalar(integrator):
@@ -180,12 +192,16 @@ def test_theta_bound_default_fraction(integrator, example1_spectrum, example1_ct
     assert abs(example1_ctrl.theta - 0.9 * THETA_BOUND) < 1e-12
 
 
-def test_design_controller_rejects_nonpositive_coupling(integrator, example1_spectrum):
+def test_design_controller_rejects_nonpositive_coupling(integrator, example1_spectrum,
+                                                       synthesis_runs, cold_designs):
+    # checked before the memo is read, on every call, and never remembered
     for c in (0.0, -1.0, float("nan")):
-        with pytest.raises(ValueError, match="coupling c must be positive"):
-            design_controller(integrator, example1_spectrum, c=c)
-        with pytest.raises(ValueError, match="coupling c must be positive"):
-            design_controller(integrator, example1_spectrum, c=c, theta=0.5)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="coupling c must be positive"):
+                design_controller(integrator, example1_spectrum, c=c)
+            with pytest.raises(ValueError, match="coupling c must be positive"):
+                design_controller(integrator, example1_spectrum, c=c, theta=0.5)
+    assert not synthesis_runs and not cold_designs
 
 
 def test_schur_inside_nonempty_coupling_interval():
@@ -259,3 +275,209 @@ def test_bundled_scenario_gains_pinned():
         ctrl = design_controller(config.model, normalized_laplacian(config.graph),
                                  Q1=config.q1, R1=config.r1, c=config.c, theta=config.theta)
         assert (ctrl.c, ctrl.theta) == (c, theta), name
+
+
+def assert_same_design(a, b):
+    """Every field equal, arrays bit for bit."""
+    for f in dataclasses.fields(ControllerConfig):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), f.name
+        else:
+            assert x == y, f.name
+
+
+def test_memo_hit_equals_cold_design_on_bundled_scenarios(cold_designs):
+    for name in list_scenarios():
+        config = load_config(name)
+        args = (config.model, normalized_laplacian(config.graph))
+        kwargs = dict(Q1=config.q1, R1=config.r1, c=config.c, theta=config.theta)
+        cold_designs.clear()
+        cold = design_controller(*args, **kwargs)
+        hit = design_controller(*args, **kwargs)
+        assert hit is cold, name
+        cold_designs.clear()
+        assert_same_design(design_controller(*args, **kwargs), hit)
+
+
+@settings(max_examples=24, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_agents=st.integers(2, 6),
+       model=st.sampled_from(sorted(MODEL_PRESETS)),
+       supplied=st.sampled_from([{}, {"c": 1.3}, {"c": 1.3, "theta": 0.5}]))
+def test_memo_hit_equals_cold_design(seed, n_agents, model, supplied):
+    spectrum = normalized_laplacian(
+        random_spanning_tree_digraph(n_agents, np.random.default_rng(seed)))
+    preset = MODEL_PRESETS[model]
+    lti = LtiModel(A=preset["A"], B=preset["B"])
+    design._designs.clear()
+    try:
+        cold = design_controller(lti, spectrum, **supplied)
+    except DesignError:
+        with pytest.raises(DesignError):  # a failure is not remembered
+            design_controller(lti, spectrum, **supplied)
+        assert not design._designs
+        return
+    assert design_controller(lti, spectrum, **supplied) is cold
+    design._designs.clear()
+    assert_same_design(design_controller(lti, spectrum, **supplied), cold)
+
+
+def test_memo_tells_every_input_apart(integrator, example1_spectrum, chain5_graph,
+                                     synthesis_runs):
+    base = dict(model=integrator, spectrum=example1_spectrum, Q1=None, R1=None,
+                c=1.2, theta=0.5)
+    variants = [{}, {"model": LtiModel(A=[[0.9]], B=[[1.0]])},
+                {"model": LtiModel(A=[[1.0]], B=[[2.0]])}, {"Q1": 2.0}, {"R1": 2.0},
+                {"spectrum": normalized_laplacian(chain5_graph)}, {"c": 1.3},
+                {"theta": 0.4}, {"theta": None}, {"c": None, "theta": None}]
+    designs = [design_controller(**{**base, **v}) for v in variants]
+    assert len(synthesis_runs) == len(variants) == len({id(d) for d in designs})
+    for v, ctrl in zip(variants, designs):
+        design._designs.clear()
+        assert_same_design(design_controller(**{**base, **v}), ctrl)
+
+
+def test_memo_result_arrays_are_read_only(integrator, example1_spectrum, cold_designs):
+    ctrl = design_controller(integrator, example1_spectrum)
+    for name in ("K", "P1", "Q1", "R1", "R1_bar", "T"):
+        array = getattr(ctrl, name)
+        assert not array.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 1.0
+    varied = dataclasses.replace(ctrl, c=1.0)
+    assert varied.c == 1.0 and ctrl.c == 2.16
+
+
+def test_memo_keeps_its_own_copy_of_the_weights(rotation2d, chain5_graph, synthesis_runs):
+    spectrum = normalized_laplacian(chain5_graph)
+    Q1 = np.diag([2.0, 0.5])
+    original = Q1.copy()
+    ctrl = design_controller(rotation2d, spectrum, Q1=Q1)
+    assert Q1.flags.writeable and ctrl.Q1 is not Q1
+    Q1[0, 0] = 7.0
+    np.testing.assert_array_equal(ctrl.Q1, original)
+    changed = design_controller(rotation2d, spectrum, Q1=Q1)
+    assert changed is not ctrl and changed.Q1[0, 0] == 7.0
+    assert design_controller(rotation2d, spectrum, Q1=original) is ctrl
+    assert len(synthesis_runs) == 2
+
+
+def test_memo_shared_by_relabelled_isospectral_graphs(integrator, rotation2d, auv_model,
+                                                      example1_graph, chain5_graph,
+                                                      cold_designs):
+    auv_graph = DirectedGraph.from_edges(6, [[0, 1], [0, 2], [2, 1], [2, 3], [3, 4], [4, 5]])
+    rng = np.random.default_rng(8)
+    for model, graph in ((integrator, example1_graph), (rotation2d, chain5_graph),
+                         (auv_model, auv_graph)):
+        spectra = [normalized_laplacian(graph)]
+        for perm in (rng.permutation(graph.n_agents), np.arange(graph.n_agents)[::-1]):
+            relabelled = DirectedGraph(graph.adjacency[np.ix_(perm, perm)])
+            assert not np.array_equal(relabelled.adjacency, graph.adjacency)
+            spectra.append(normalized_laplacian(relabelled))
+            assert (spectra[-1].nonzero_eigenvalues().tobytes()
+                    == spectra[0].nonzero_eigenvalues().tobytes())
+        colds = []
+        for spectrum in spectra:
+            cold_designs.clear()
+            colds.append(design_controller(model, spectrum))
+        cold_designs.clear()
+        shared = [design_controller(model, spectrum) for spectrum in spectra]
+        assert len(cold_designs) == 1
+        for ctrl, cold in zip(shared, colds):
+            assert ctrl is shared[0]
+            assert_same_design(ctrl, cold)
+
+
+def test_memo_is_bounded_and_evicts_least_recently_used(integrator, example1_spectrum,
+                                                        synthesis_runs, cold_designs):
+    couplings = 1.0 + 0.01 * np.arange(DESIGN_MEMO_SIZE + 1)
+
+    def designed(i):
+        return design_controller(integrator, example1_spectrum, c=couplings[i], theta=0.5)
+
+    first = designed(0)
+    for i in range(1, DESIGN_MEMO_SIZE):
+        designed(i)
+        assert len(cold_designs) == i + 1
+    assert designed(0) is first  # a hit, which makes entry 1 the least recently used
+    designed(DESIGN_MEMO_SIZE)
+    assert len(cold_designs) == DESIGN_MEMO_SIZE
+    assert len(synthesis_runs) == DESIGN_MEMO_SIZE + 1
+    assert designed(0) is first and designed(2).c == couplings[2]
+    assert len(synthesis_runs) == DESIGN_MEMO_SIZE + 1
+    designed(1)  # evicted, so designed again
+    assert len(synthesis_runs) == DESIGN_MEMO_SIZE + 2
+    assert len(cold_designs) == DESIGN_MEMO_SIZE
+
+
+def test_memo_hit_makes_no_radius_calls(monkeypatch, rotation2d, chain5_graph, cold_designs):
+    calls = []
+    for name in ("baseline_radius", "joint_radius"):
+        def counted(*args, _fn=getattr(design, name)):
+            calls.append(_fn)
+            return _fn(*args)
+        monkeypatch.setattr(design, name, counted)
+    spectrum = normalized_laplacian(chain5_graph)
+    cold = design_controller(rotation2d, spectrum)
+    assert calls
+    calls.clear()
+    assert design_controller(rotation2d, spectrum) is cold
+    assert not calls
+
+
+def test_memo_does_not_keep_failures(synthesis_runs, cold_designs):
+    # a marginal uncontrollable mode: the Riccati solve fails on every call
+    with pytest.warns(UserWarning, match="not stabilizable"):
+        model = LtiModel(A=np.eye(2), B=[[1.0], [0.0]])
+    spectrum = normalized_laplacian(DirectedGraph.from_edges(3, [[0, 1], [1, 2]]))
+    for _ in range(2):
+        with pytest.raises(DesignError):
+            design_controller(model, spectrum)
+    assert len(synthesis_runs) == 2 and not cold_designs
+    for _ in range(2):
+        with pytest.raises(ValueError, match="Q1 must be symmetric"):
+            design_controller(model, spectrum, Q1=[[1.0, 0.1], [-0.1, 1.0]])
+    assert len(synthesis_runs) == 2 and not cold_designs
+
+
+class _YieldingMemo(OrderedDict):
+    """A memo whose lookups let other threads run before the caller goes on."""
+
+    def get(self, key, default=None):
+        value = super().get(key, default)
+        time.sleep(1e-3)
+        return value
+
+
+def test_memo_under_concurrent_callers(monkeypatch, integrator, example1_spectrum):
+    # more threads than cores, each lookup yielding, over more inputs than the memo holds
+    memo = _YieldingMemo()
+    monkeypatch.setattr(design, "_designs", memo)
+    monkeypatch.setattr(design, "DESIGN_MEMO_SIZE", 3)
+    couplings = [1.0 + 0.1 * i for i in range(4)]
+    expected = {c: design_controller(integrator, example1_spectrum, c=c, theta=0.5).K.tobytes()
+                for c in couplings}
+    errors = []
+
+    def caller(offset):
+        try:
+            for i in range(60):
+                c = couplings[(i + offset) % len(couplings)]
+                ctrl = design_controller(integrator, example1_spectrum, c=c, theta=0.5)
+                assert ctrl.c == c and ctrl.K.tobytes() == expected[c]
+                assert len(memo) <= 3
+        except Exception as exc:  # reported below; a thread cannot fail the test itself
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller, args=(k,)) for k in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors[0]

@@ -92,6 +92,23 @@ def test_non_finite_initial_states_rejected(tmp_path, capsys):
         assert field in capsys.readouterr().err
 
 
+def test_bad_weights_are_config_errors(tmp_path, capsys):
+    cases = (("r1", [[1.0, 0.0], [0.0, -1.0]], "r1 must be positive definite"),
+             ("r1", [[1.0, 0.1], [-0.1, 1.0]], "r1 must be symmetric"),
+             ("q1", [[1.0]], "q1 must be a scalar or 4x4 matrix"),
+             ("q1", float("nan"), "q1 must be finite"))
+    for field, value, message in cases:
+        raw = {**BUNDLED_SCENARIOS["auv_healthy"], "name": "bad_weight", field: value}
+        with pytest.raises(ConfigError, match=message):
+            ScenarioConfig.from_dict(raw)
+        cfg = tmp_path / "bad_weight.json"
+        cfg.write_text(json.dumps(raw))
+        for argv in (["run", str(cfg), "--out", str(tmp_path)], ["validate", str(cfg)]):
+            assert main(argv) == 2, (argv, value)
+            assert message in capsys.readouterr().err
+    assert not (tmp_path / "bad_weight.summary.json").exists()
+
+
 TWO_CYCLES = {"n_agents": 4, "edges": [[0, 1, 1.0], [1, 0, 1.0], [2, 3, 1.0], [3, 2, 1.0]]}
 
 
@@ -306,11 +323,20 @@ def test_cli_numerical_failure_exit_code(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
-def test_cli_run_all(tmp_path):
-    code = main(["run-all", "--out", str(tmp_path), "--format", "json"])
+def test_cli_run_all(tmp_path, synthesis_runs):
+    code = main(["run-all", "--jobs", "1", "--out", str(tmp_path), "--format", "json"])
     assert code == 0
     for name in list_scenarios():
         assert (tmp_path / f"{name}.summary.json").exists()
+    # 14 scenarios, 4 distinct design inputs: AUV, rotation2d, example1, chain5
+    assert len(synthesis_runs) == 4
+
+
+def test_validate_then_run_designs_once(synthesis_runs):
+    config = load_config("auv_healthy")
+    assert not any(d["level"] == "error" for d in validate(config))
+    run(config)
+    assert len(synthesis_runs) == 1
 
 
 def test_cli_env_var_output_dir(tmp_path, monkeypatch):

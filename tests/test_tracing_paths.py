@@ -39,8 +39,11 @@ def test_traced_paths_resolve_against_package():
         assert callable(found) or isinstance(found, classmethod), path
 
 
-def test_design_counters_see_radius_calls(monkeypatch, integrator, example1_spectrum):
-    """The tracer counts these calls through ``design``'s globals, as patched here."""
+def test_design_counters_see_radius_calls(monkeypatch, cold_designs, integrator,
+                                         example1_spectrum):
+    """The tracer counts these calls through ``design``'s globals, as patched here.
+
+    The memo starts empty, so the design below runs the synthesis that makes them."""
     counts = Counter()
     for name in ("baseline_radius", "joint_radius"):
         def counted(*args, _name=name, _fn=getattr(design, name), **kwargs):
