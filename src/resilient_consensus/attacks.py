@@ -1,11 +1,13 @@
 """Sensor/actuator attack signals, their generator dynamics, and classification.
 
-Every signal is represented by linear exogenous dynamics f(j+1) = W f(j): a
+Every signal is linear exogenous dynamics f(j+1) = W f(j) with a read-out: a
 constant is W = I, and a sinusoid is a 2x2 rotation read out through an
-amplitude map. Classification and signal generation therefore share one code
-path, and the eigenvalues used by the internal-model test are always eig(W).
+amplitude map; the internal-model test reads eig(W). A run's attacks stack
+into one ``AttackGenerator``, and every attack quantity is a linear read-out
+of its state: the signals, the injection f, the root-directed projection
+S(k) = p'f(k), and whether a signal is zero at all, which the first dim W
+read-outs after the last start decide exactly (Cayley-Hamilton).
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -103,6 +105,65 @@ def signal_series(spec: AttackSpec, length: int) -> np.ndarray:
     return out
 
 
+class AttackGenerator:
+    """Every attack of a run as one exosystem g(j+1) = W g(j), g(0) = g0.
+
+    W is block diagonal and g0 stacks the attacks' f0. State i holds (the
+    identity replaces its block) and reads out nothing before its attack's
+    ``starts[i]``. ``readouts[channel]`` (dim, N, width) maps g into the
+    agents' signal slots of each channel some attack uses. Construction raises
+    ValueError for an agent out of range or a signal of the wrong width.
+    """
+
+    def __init__(self, specs, n_agents: int, state_dim: int, input_dim: int):
+        specs = list(specs)
+        self.g0 = np.array([v for s in specs for v in s.signal.f0], dtype=float)
+        self.starts = np.array([s.start_step for s in specs for _ in s.signal.f0], dtype=int)
+        size = len(self.g0)
+        self.W = np.zeros((size, size))
+        self.readouts = {}
+        lo = 0
+        for spec in specs:
+            sig, width = spec.signal, state_dim if spec.channel == "sensor" else input_dim
+            if spec.agent >= n_agents:
+                raise ValueError(f"{spec.channel} attack on agent {spec.agent} is out of "
+                                 f"range for {n_agents} agents")
+            if sig.dim != width:
+                raise ValueError(f"{spec.channel} attack on agent {spec.agent} has signal "
+                                 f"dimension {sig.dim}, expected {width}")
+            hi = lo + sig.f0.size
+            self.W[lo:hi, lo:hi] = sig.W
+            R = self.readouts.setdefault(spec.channel, np.zeros((size, n_agents, width)))
+            R[lo:hi, spec.agent] = (np.eye(width) if sig.output is None else sig.output).T
+            lo = hi
+
+    def held(self, k: int) -> np.ndarray:
+        """The map from g(k) to g(k+1)."""
+        return np.where((self.starts <= k)[:, None], self.W, np.eye(len(self.g0)))
+
+    def state(self, k: int) -> np.ndarray:
+        """g(k), by one matrix power per stretch between start steps."""
+        steps = sorted({0, k, *(int(s) for s in self.starts if s < k)})
+        g = self.g0
+        for a, b in zip(steps, steps[1:]):
+            g = np.linalg.matrix_power(self.held(a), b - a) @ g
+        return g
+
+    def read(self, states: np.ndarray, ks):
+        """(sensor, actuator) signals (rows, N, width) of ``states``, one row per
+        step of ``ks`` (or all at step ``ks``); None for an unused channel."""
+        live = np.where(self.starts <= np.asarray(ks)[..., None], states, 0.0)
+        return tuple(None if R is None else np.tensordot(live, R, 1)
+                     for R in map(self.readouts.get, ("sensor", "actuator")))
+
+    def live_window(self):
+        """``read`` of the dim W steps from the last start on, where g follows W
+        alone. By Cayley-Hamilton every later W^j is a combination of these
+        powers, so a linear read-out that vanishes here vanishes for good."""
+        last = int(self.starts.max(initial=0))
+        return self.read(np.array([self.state(last + j) for j in range(len(self.g0))]), last)
+
+
 @dataclass(frozen=True)
 class ImpClassification:
     """Internal-model verdict: IMP iff every generator eigenvalue matches one of A's."""
@@ -156,31 +217,18 @@ def effective_injection(sensor, actuator, norm_lap: np.ndarray, c: float,
     return f
 
 
-def _injection_series(specs, model: LtiModel, spectrum: GraphSpectrum, ctrl,
-                      length: int) -> np.ndarray:
-    """``effective_injection`` of the attacks' ``signal_series`` for k < length."""
-    n_agents = spectrum.normalized_laplacian.shape[0]
-    series = {"sensor": np.zeros((length, n_agents, model.state_dim)),
-              "actuator": np.zeros((length, n_agents, model.input_dim))}
-    for spec in specs:
-        out = series[spec.channel]
-        if spec.signal.dim != out.shape[2]:
-            raise ValueError(f"{spec.channel} attack on agent {spec.agent} has dimension "
-                             f"{spec.signal.dim}, expected {out.shape[2]}")
-        out[:, spec.agent] += signal_series(spec, length)
-    return effective_injection(series["sensor"], series["actuator"],
-                               spectrum.normalized_laplacian, ctrl.c, ctrl.K)
-
-
 def effective_attack(specs, model: LtiModel, spectrum: GraphSpectrum, ctrl,
                      k: int) -> np.ndarray:
     """Overall per-agent injection f_i(k) entering through the input matrix.
 
     f_i = c (1+h_i)^-1 K sum_j a_ij (sensor_j - sensor_i) + actuator_i, with
-    the signals read through ``signal_series`` and mapped by
-    ``effective_injection``, as the engine does.
+    the signals read off the attacks' ``AttackGenerator`` at step k and
+    mapped by ``effective_injection``, as the engine does.
     """
-    return _injection_series(specs, model, spectrum, ctrl, k + 1)[k]
+    lap = spectrum.normalized_laplacian
+    gen = AttackGenerator(specs, lap.shape[0], model.state_dim, model.input_dim)
+    f = effective_injection(*gen.read(gen.state(k)[None], k), lap, ctrl.c, ctrl.K)
+    return np.zeros((lap.shape[0], model.input_dim)) if f is None else f[0]
 
 
 def attack_projection(f_agents: np.ndarray, spectrum: GraphSpectrum) -> np.ndarray:
@@ -192,12 +240,12 @@ def attack_projection(f_agents: np.ndarray, spectrum: GraphSpectrum) -> np.ndarr
 
 
 def root_targeted(specs, model: LtiModel, spectrum: GraphSpectrum, ctrl,
-                  probe_steps: int = 64, tol: float = 1e-12) -> bool:
-    """True when sup_k ||S(k)|| is nonzero over a window where every attack is live."""
-    specs = list(specs)
-    if not specs:
+                  tol: float = 1e-12) -> bool:
+    """True when S(k) = p' f(k) is nonzero at some step where every attack is
+    live, decided exactly from ``AttackGenerator.live_window``."""
+    lap = spectrum.normalized_laplacian
+    gen = AttackGenerator(specs, lap.shape[0], model.state_dim, model.input_dim)
+    f = effective_injection(*gen.live_window(), lap, ctrl.c, ctrl.K)
+    if f is None:
         return False
-    first_live = max(s.start_step for s in specs)
-    window = _injection_series(specs, model, spectrum, ctrl, first_live + probe_steps)
-    s = attack_projection(window[first_live:], spectrum)  # (probe_steps, m)
-    return bool((np.linalg.norm(s, axis=1) > tol).any())
+    return bool((np.linalg.norm(attack_projection(f, spectrum), axis=1) > tol).any())

@@ -9,11 +9,11 @@ into two systems that do not feed each other:
   only with a leader). No attack, compensator or controller choice touches
   it, so x_hat is the same with and without attacks;
 - the error system q = [e; d; g]: the plant's deviation e = x - x_hat from
-  the predictor, the compensator state d and the stacked attack generator
-  states g. The reference cancels in e, so q stays zero in an attack-free
-  run whose predictor starts at x0. A run whose compensator never starts
-  inside the horizon (every baseline run) has d = 0 throughout, and q
-  leaves it out.
+  the predictor, the compensator state d and the state g of the run's one
+  ``attacks.AttackGenerator``, whose read-outs are the attack signals. The
+  reference cancels in e, so q stays zero in an attack-free run whose
+  predictor starts at x0. A run whose compensator never starts inside the
+  horizon (every baseline run) has d = 0 throughout, and q leaves it out.
 
 The law u = c K eps_bar - d with eps_bar = -Lhat (x + s) (s the sensor
 corruption), the leader's u_0 = r(k) - K0 x_0, the followers' feed-forward
@@ -27,8 +27,8 @@ update the compensator. Every quantity stored for step k is the value used
 during it.
 
 The predictor's operator is fixed. The error system's switches at each
-attack's ``start_step`` (before it, the generator is held at f0 and injects
-nothing) and, for the resilient controller, at ``compensator_start``
+attack's ``start_step`` (before it, the attack's block of g holds at f0 and
+reads out nothing) and, for the resilient controller, at ``compensator_start``
 (before it, d is held at zero): each stretch between switch times is a
 regime with its own operator.
 
@@ -58,7 +58,8 @@ import numpy as np
 
 # ``signal_series`` is not called here any more; the benchmark's tracer patches
 # ``engine.signal_series`` by name, so the name stays importable from this module.
-from .attacks import effective_injection, signal_series  # noqa: F401
+from .attacks import (AttackGenerator, effective_injection, signal_series,  # noqa: F401
+                      sinusoid_signal)
 from .design import ControllerConfig
 from .dynamics import LtiModel
 from .graph import DirectedGraph, GraphSpectrum
@@ -151,19 +152,6 @@ def _stacked_powers(step, dim: int, limit: int) -> np.ndarray:
     return out[:j].reshape(-1, dim)
 
 
-def _check_attacks(attacks, N: int, n: int, m: int, leader) -> None:
-    for spec in attacks:
-        if spec.agent >= N:
-            raise ValueError(f"{spec.channel} attack on agent {spec.agent} is out of "
-                             f"range for {N} agents")
-        width = n if spec.channel == "sensor" else m
-        if spec.signal.dim != width:
-            raise ValueError(f"{spec.channel} attack on agent {spec.agent} has dimension "
-                             f"{spec.signal.dim}, expected {width}")
-        if leader is not None and spec.agent == 0:
-            raise ValueError("the leader agent is trusted and cannot be attacked")
-
-
 def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
              ctrl: ControllerConfig, horizon: int, x0, attacks=(),
              controller: str = "baseline", compensator_start: int = 0,
@@ -193,7 +181,9 @@ def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
     # d stays zero unless the compensator starts inside the horizon
     compensating = controller == "resilient" and compensator_start < horizon
     Nd = Nm if compensating else 0
-    _check_attacks(attacks, N, n, m, leader)
+    gen = AttackGenerator(attacks, N, n, m)
+    if leader is not None and any(spec.agent == 0 for spec in attacks):
+        raise ValueError("the leader agent is trusted and cannot be attacked")
 
     x = np.asarray(x0, dtype=float).reshape(N, n)
     if not np.isfinite(x).all():
@@ -207,51 +197,25 @@ def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
 
     law = _Law(graph, norm_lap, ctrl, leader)
     A_T, B_T = model.A.T, model.B.T
-    rotation_T = None
-    if leader is not None:
-        w = leader.omega
-        rotation_T = np.array([[np.cos(w), -np.sin(w)], [np.sin(w), np.cos(w)]])
+    # the phase rows (sin omega k, cos omega k) follow a unit sinusoid's generator
+    phase_W = None if leader is None else sinusoid_signal(1.0, leader.omega).W
 
     def predictor_step(p):
         """p = [x_hat; phase] -> its value one step later."""
         x_h, phase = p[:, :Nn].reshape(-1, N, n), p[:, Nn:]
         out = np.empty_like(p)
         out[:, :Nn] = (x_h @ A_T + law(x_h, 0.0, 0.0, phase) @ B_T).reshape(-1, Nn)
-        if rotation_T is not None:
-            out[:, Nn:] = phase @ rotation_T
-        return out
-
-    # error system q = [e; d; g], one generator slice of g per attack
-    gen, dq = [], Nn + Nd
-    for spec in attacks:
-        gen.append(slice(dq, dq + spec.signal.f0.size))
-        dq += spec.signal.f0.size
-
-    def signals(Q, ks, channel, width):
-        """Summed attack signals of ``channel``, (len(Q), N, width), read from
-        the generator states Q of the ascending steps ks; None when no attack
-        uses it."""
-        out = None
-        for spec, sl in zip(attacks, gen):
-            if spec.channel == channel:
-                if out is None:
-                    out = np.zeros((len(Q), N, width))
-                live = np.searchsorted(ks, spec.start_step)  # the rows from the start on
-                g = Q[live:, sl]
-                if spec.signal.output is not None:
-                    g = g @ spec.signal.output.T
-                out[live:, spec.agent] += g
+        if phase_W is not None:
+            out[:, Nn:] = phase @ phase_W.T
         return out
 
     def error_step(q, t):
-        """q -> its value one step later, in the regime of step t: an attack
-        injects from its start_step on, and before that its generator is held;
-        the compensator updates d from compensator_start on."""
+        """q -> its value one step later, in the regime of step t: g advances by
+        ``gen.held(t)``, and d updates from compensator_start on."""
         e = q[:, :Nn].reshape(-1, N, n)
         d = q[:, Nn:Nn + Nd].reshape(-1, N, m) if compensating else 0.0
-        ks = np.full(len(q), t)
-        s = signals(q, ks, "sensor", n)
-        a = signals(q, ks, "actuator", m)
+        g = q[:, Nn + Nd:]
+        s, a = gen.read(g, t)
         s = 0.0 if s is None else s
         U = law(e, s, d, np.zeros((len(q), 2)))  # U - U_hat: the reference cancels
         out = np.empty_like(q)
@@ -260,20 +224,16 @@ def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
             if compensator_start <= t:
                 d = law.compensate(d, e + s)
             out[:, Nn:Nn + Nd] = d.reshape(-1, Nd)
-        for spec, sl in zip(attacks, gen):
-            out[:, sl] = q[:, sl] @ spec.signal.W.T if spec.start_step <= t else q[:, sl]
+        out[:, Nn + Nd:] = g @ gen.held(t).T
         return out
 
     p = np.concatenate([x_hat.ravel(), [0.0, 1.0] if leader is not None else []])
     dp = len(p)
     Pp = _stacked_powers(predictor_step, dp, horizon)
     Bp = len(Pp) // dp
-    q = np.zeros(dq)
-    q[:Nn] = (x - x_hat).ravel()
-    for spec, sl in zip(attacks, gen):
-        q[sl] = spec.signal.f0
-    switches = {0, horizon}
-    switches.update(s.start_step for s in attacks if s.start_step < horizon)
+    q = np.concatenate([(x - x_hat).ravel(), np.zeros(Nd), gen.g0])
+    dq = len(q)
+    switches = {0, horizon, *gen.starts[gen.starts < horizon].tolist()}
     if compensating:
         switches.add(compensator_start)
     switches = sorted(switches)
@@ -331,10 +291,8 @@ def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
             w = int(within.argmin()) + 1
             first_crossing = k0 + w
 
-        ks = np.arange(k0, k0 + w)
-        sens = signals(Q[:w], ks, "sensor", n)
-        f = effective_injection(sens, signals(Q[:w], ks, "actuator", m), norm_lap,
-                                ctrl.c, ctrl.K)
+        sens, act = gen.read(Q[:w, Nn + Nd:], np.arange(k0, k0 + w))
+        f = effective_injection(sens, act, norm_lap, ctrl.c, ctrl.K)
         if f is not None:
             ft = f.reshape(w, Nm).T.copy()
             np.abs(ft, out=ft)

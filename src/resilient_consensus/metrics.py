@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attacks import AttackSpec, classify_imp, signal_series
+from .attacks import AttackGenerator, AttackSpec, classify_imp
 from .dynamics import LtiModel, block_eigenvalues
 from .graph import DirectedGraph, GraphSpectrum
 
@@ -67,9 +67,9 @@ class Verdict(enum.Enum):
     DESTABILIZE = "DESTABILIZE"
 
 
-def _signal_is_nonzero(spec: AttackSpec, probe: int = 16) -> bool:
-    series = signal_series(spec, spec.start_step + probe)
-    return bool(np.abs(series).max() > 1e-12)
+def _signal_is_nonzero(spec: AttackSpec, model: LtiModel, n_agents: int) -> bool:
+    read = AttackGenerator([spec], n_agents, model.state_dim, model.input_dim).live_window()
+    return any(r is not None and np.abs(r).max() > 1e-12 for r in read)
 
 
 def destabilization_verdict(specs, model: LtiModel, spectrum: GraphSpectrum) -> Verdict:
@@ -79,15 +79,12 @@ def destabilization_verdict(specs, model: LtiModel, spectrum: GraphSpectrum) -> 
     is exactly the root eigenvector, so their projection S(k) vanishes
     identically; only actuator attacks can be root-directed.
     """
-    specs = [s for s in specs if _signal_is_nonzero(s)]
-    if not specs:
-        return Verdict.CONSENSUS
-    for spec in specs:
-        if spec.channel != "actuator":
-            continue
-        if spec.agent in spectrum.root_set and classify_imp(spec, model).is_imp:
-            return Verdict.DESTABILIZE
-    return Verdict.BOUNDED_DEVIATION
+    n_agents = spectrum.normalized_laplacian.shape[0]
+    live = [s for s in specs if _signal_is_nonzero(s, model, n_agents)]
+    if any(s.channel == "actuator" and s.agent in spectrum.root_set
+           and classify_imp(s, model).is_imp for s in live):
+        return Verdict.DESTABILIZE
+    return Verdict.BOUNDED_DEVIATION if live else Verdict.CONSENSUS
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ import numpy as np
 from jsonschema import Draft202012Validator
 
 from . import engine
-from .attacks import AttackSpec, constant_signal, sinusoid_signal, ExogenousSignal
+from .attacks import AttackGenerator, AttackSpec, constant_signal, sinusoid_signal, ExogenousSignal
 from .design import THETA_BOUND, DesignError, _as_weight, coupling_range, design_controller
 from .dynamics import LtiModel
 from .graph import DirectedGraph, GraphError, normalized_laplacian
@@ -191,8 +191,11 @@ class ScenarioConfig:
             model = LtiModel(A=np.asarray(preset["A"]), B=np.asarray(preset["B"]))
             k0 = preset.get("K0")
         else:
-            model = LtiModel(A=np.asarray(model_raw["A"], dtype=float),
-                             B=np.asarray(model_raw["B"], dtype=float))
+            try:
+                model = LtiModel(A=np.asarray(model_raw["A"], dtype=float),
+                                 B=np.asarray(model_raw["B"], dtype=float))
+            except ValueError as exc:
+                raise ConfigError(f"model: {exc}") from exc
         for weight, dim in (("q1", model.state_dim), ("r1", model.input_dim)):
             if weight in raw:
                 try:
@@ -227,19 +230,14 @@ class ScenarioConfig:
 
         attacks = []
         for idx, araw in enumerate(raw.get("attacks", [])):
-            if araw["agent"] >= graph.n_agents:
-                raise ConfigError(f"attacks.{idx}.agent: index {araw['agent']} out of "
-                                  f"range for {graph.n_agents} agents")
             try:
                 signal = _parse_signal(araw["signal"])
                 spec = AttackSpec(agent=araw["agent"], channel=araw["channel"],
                                   signal=signal, start_step=araw.get("start", 0))
+                # checks that the agent exists and the signal has its channel's width
+                AttackGenerator([spec], graph.n_agents, model.state_dim, model.input_dim)
             except ValueError as exc:
                 raise ConfigError(f"attacks.{idx}: {exc}") from exc
-            expected = model.input_dim if spec.channel == "actuator" else model.state_dim
-            if spec.signal.dim != expected:
-                raise ConfigError(f"attacks.{idx}.signal: dimension {spec.signal.dim} "
-                                  f"does not match {spec.channel} width {expected}")
             attacks.append(spec)
 
         leader = None

@@ -10,6 +10,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 TAIL_FRACTION = 0.1
+# values formatted and written at a time (in whole rows), so that emission
+# memory does not grow with the number of stored steps
+CSV_CHUNK_FLOATS = 1 << 15
 
 SUMMARY_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -168,13 +171,16 @@ def _csv_header(trace: SimulationTrace) -> list:
     return cols
 
 
-def _atomic_write(path: str, data: bytes) -> None:
+def _atomic_write(path: str, chunks) -> None:
+    """Write the byte strings ``chunks`` to a temporary file beside ``path``,
+    then replace ``path`` with it; on any failure ``path`` is left as it was."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-emit-")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -182,26 +188,33 @@ def _atomic_write(path: str, data: bytes) -> None:
         raise
 
 
-def _rows(ks: np.ndarray, blocks) -> list:
-    """One CSV line per step k: k, then each block's row flattened, as repr floats."""
-    table = np.concatenate([b.reshape(len(ks), -1) for b in blocks], axis=1)
-    return [",".join([str(k), *map(repr, row.tolist())]) for k, row in zip(ks.tolist(), table)]
+def _lines(header: list, ks: np.ndarray, blocks):
+    """The CSV header line, then one line per step k: k, then each block's row
+    flattened, as repr floats; encoded about CSV_CHUNK_FLOATS values at a time."""
+    yield (",".join(header) + "\n").encode()
+    per_chunk = max(1, CSV_CHUNK_FLOATS // sum(int(np.prod(b.shape[1:])) for b in blocks))
+    for lo in range(0, len(ks), per_chunk):
+        steps = ks[lo:lo + per_chunk].tolist()
+        table = np.concatenate([b[lo:lo + len(steps)].reshape(len(steps), -1) for b in blocks],
+                               axis=1)
+        yield "".join(",".join([str(k), *map(repr, row.tolist())]) + "\n"
+                      for k, row in zip(steps, table)).encode()
 
 
 def write_csv(trace: SimulationTrace, path: str) -> None:
     """One row per stored step, stable column order, shortest-roundtrip floats."""
-    rows = _rows(trace.ks, (trace.x, trace.x_hat, trace.u, trace.d, trace.eps, trace.gamma))
-    _atomic_write(path, ("\n".join([",".join(_csv_header(trace)), *rows]) + "\n").encode())
+    _atomic_write(path, _lines(_csv_header(trace), trace.ks, (
+        trace.x, trace.x_hat, trace.u, trace.d, trace.eps, trace.gamma)))
 
 
 def write_summary(trace: SimulationTrace, path: str) -> None:
     payload = json.dumps(trace.to_summary(), sort_keys=True, indent=2) + "\n"
-    _atomic_write(path, payload.encode())
+    _atomic_write(path, [payload.encode()])
 
 
 def write_plot_data(trace: SimulationTrace, path: str, max_rows: int = 500) -> None:
     """Downsampled per-agent state magnitudes for external plotting."""
     idx = slice(None, None, max(1, len(trace.ks) // max_rows))
     header = ["k"] + [f"x_a{a}_norm" for a in range(trace.n_agents)] + ["gamma"]
-    rows = _rows(trace.ks[idx], (np.abs(trace.x[idx]).max(axis=2), trace.gamma[idx]))
-    _atomic_write(path, ("\n".join([",".join(header), *rows]) + "\n").encode())
+    _atomic_write(path, _lines(header, trace.ks[idx],
+                               (np.abs(trace.x[idx]).max(axis=2), trace.gamma[idx])))

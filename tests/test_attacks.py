@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_dynamics import unit_gain_ctrl
 
-from resilient_consensus import (AttackSpec, ExogenousSignal, attack_projection, classify_imp,
-                                 constant_signal, effective_attack, root_targeted, signal_series,
-                                 sinusoid_signal)
+from resilient_consensus import (AttackSpec, DirectedGraph, ExogenousSignal, LtiModel, Verdict,
+                                 attack_projection, classify_imp, constant_signal,
+                                 destabilization_verdict, effective_attack, normalized_laplacian,
+                                 root_targeted, signal_series, sinusoid_signal)
 
 
 def test_constant_signal_values():
@@ -133,3 +137,88 @@ def test_spec_validation():
         AttackSpec(agent=0, channel="sensor", signal=constant_signal([1.0]), start_step=-1)
     with pytest.raises(ValueError):
         ExogenousSignal(W=np.eye(2), f0=[1.0])
+
+
+# rotation2d (n = 2, m = 1) on the 4-agent example graph, whose roots are 0 and 1
+PROP_MODEL = LtiModel(A=[[0.0, -1.0], [1.0, 0.0]], B=[[0.0], [1.0]])
+PROP_SPECTRUM = normalized_laplacian(DirectedGraph.from_edges(4, [[1, 0], [0, 1], [1, 2], [0, 3]]))
+PROP_CTRL = unit_gain_ctrl(PROP_MODEL, K=[[0.3, -0.7]], c=0.8)
+PROBE = 256
+
+
+@st.composite
+def attack_with_closed_form(draw):
+    """An attack and its signal's closed form j -> value (None for a custom W).
+
+    Custom generators have entries k/8 with |k| <= 2 and dimension <= 4, so
+    every row's absolute sum is at most 1 and no read-out grows over a probe;
+    integer f0 and read-out maps make a zero read-out exactly zero."""
+    channel = draw(st.sampled_from(["sensor", "actuator"]))
+    width = PROP_MODEL.state_dim if channel == "sensor" else PROP_MODEL.input_dim
+    vector = st.lists(st.integers(-2, 2), min_size=width, max_size=width)
+    kind = draw(st.sampled_from(["constant", "sinusoid", "custom", "nilpotent"]))
+    form = None
+    if kind == "constant":
+        value = np.array(draw(vector), dtype=float)
+        signal, form = constant_signal(value), (lambda j: value)
+    elif kind == "sinusoid":
+        amp = np.array(draw(vector), dtype=float)
+        omega, phase = draw(st.floats(0.1, 3.0)), draw(st.floats(-3.0, 3.0))
+        signal = sinusoid_signal(amp, omega, phase)
+        form = lambda j: amp * np.sin(omega * j + phase)  # noqa: E731
+    else:
+        d = draw(st.integers(1, 4))
+        W = np.array(draw(st.lists(st.integers(-2, 2), min_size=d * d, max_size=d * d)),
+                     dtype=float).reshape(d, d) / 8
+        if kind == "nilpotent":
+            W = np.triu(W, 1)
+        f0 = draw(st.lists(st.integers(-1, 1), min_size=d, max_size=d))
+        C = draw(st.lists(st.integers(-1, 1), min_size=width * d, max_size=width * d))
+        signal = ExogenousSignal(W=W, f0=f0, output=np.reshape(C, (width, d)))
+    spec = AttackSpec(agent=draw(st.integers(0, 3)), channel=channel, signal=signal,
+                      start_step=draw(st.integers(0, 20)))
+    return spec, form
+
+
+def _reference_injection(specs, length):
+    """f(k) for k < length, from each attack's ``signal_series``:
+    f = -c (Lhat s) K' + a, with s and a the summed sensor and actuator signals."""
+    sens = np.zeros((length, 4, PROP_MODEL.state_dim))
+    act = np.zeros((length, 4, PROP_MODEL.input_dim))
+    for spec in specs:
+        (sens if spec.channel == "sensor" else act)[:, spec.agent] += signal_series(spec, length)
+    return -PROP_CTRL.c * (PROP_SPECTRUM.normalized_laplacian @ sens) @ PROP_CTRL.K.T + act
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(attacks=st.lists(attack_with_closed_form(), min_size=1, max_size=3))
+def test_generator_matches_series_probe_and_closed_form(attacks):
+    specs = [spec for spec, _ in attacks]
+    last = max(spec.start_step for spec in specs)
+    f = _reference_injection(specs, last + PROBE)
+    scale = np.abs(f).max()
+    for k in range(last + 40):
+        got = effective_attack(specs, PROP_MODEL, PROP_SPECTRUM, PROP_CTRL, k)
+        assert np.abs(got - f[k]).max() <= 1e-12 * scale, k
+
+    # the exact decisions against a 256-step probe: an attack alone predicts
+    # CONSENSUS iff its signal is zero, and the attacks together are root-targeted
+    # iff S(k) = p' f(k) is nonzero once all are live
+    for spec in specs:
+        silent = np.abs(signal_series(spec, spec.start_step + PROBE)).max() <= 1e-12
+        verdict = destabilization_verdict([spec], PROP_MODEL, PROP_SPECTRUM)
+        assert (verdict is Verdict.CONSENSUS) == silent
+    S = attack_projection(f[last:], PROP_SPECTRUM)
+    assert root_targeted(specs, PROP_MODEL, PROP_SPECTRUM, PROP_CTRL) == bool(
+        (np.linalg.norm(S, axis=1) > 1e-12).any())
+
+    # far out, against the closed forms; matrix powers drift by about k eps
+    if all(form is not None for _, form in attacks):
+        k = 10 ** 7
+        sens = np.zeros((4, PROP_MODEL.state_dim))
+        act = np.zeros((4, PROP_MODEL.input_dim))
+        for spec, form in attacks:
+            (sens if spec.channel == "sensor" else act)[spec.agent] += form(k - spec.start_step)
+        expected = -PROP_CTRL.c * (PROP_SPECTRUM.normalized_laplacian @ sens) @ PROP_CTRL.K.T + act
+        got = effective_attack(specs, PROP_MODEL, PROP_SPECTRUM, PROP_CTRL, k)
+        assert np.abs(got - expected).max() <= 10 * k * np.finfo(float).eps * max(scale, 1.0)

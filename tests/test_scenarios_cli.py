@@ -1,6 +1,8 @@
 import json
 import os
 import time
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from resilient_consensus import (BUNDLED_SCENARIOS, ConfigError, ScenarioConfig,
                                  global_performance, list_scenarios, load_config, run, validate,
                                  write_csv, write_plot_data, write_summary)
 from resilient_consensus.cli import main
-from resilient_consensus.trace import SUMMARY_SCHEMA
+from resilient_consensus.trace import CSV_CHUNK_FLOATS, SUMMARY_SCHEMA
 
 
 def small_config(**overrides):
@@ -109,6 +111,20 @@ def test_bad_weights_are_config_errors(tmp_path, capsys):
     assert not (tmp_path / "bad_weight.summary.json").exists()
 
 
+def test_bad_custom_model_is_a_config_error(tmp_path, capsys):
+    cases = (({"A": [[1.0, 0.0]], "B": [[1.0]]}, "A must be square"),
+             ({"A": [[1.0]], "B": [[1.0], [1.0]]}, "B must have 1 rows"))
+    for model, message in cases:
+        with pytest.raises(ConfigError, match=f"model: {message}"):
+            ScenarioConfig.from_dict(small_config(model=model))
+        cfg = tmp_path / "bad_model.json"
+        cfg.write_text(json.dumps(small_config(name="bad_model", model=model)))
+        for argv in (["run", str(cfg), "--out", str(tmp_path)], ["validate", str(cfg)]):
+            assert main(argv) == 2, (argv, model)
+            assert message in capsys.readouterr().err
+    assert not (tmp_path / "bad_model.summary.json").exists()
+
+
 TWO_CYCLES = {"n_agents": 4, "edges": [[0, 1, 1.0], [1, 0, 1.0], [2, 3, 1.0], [3, 2, 1.0]]}
 
 
@@ -176,6 +192,25 @@ def test_csv_shape_contract(tmp_path):
     assert header[1] == "x_a0_0" and header[5] == "xhat_a0_0"
 
 
+def test_csv_memory_does_not_grow_with_horizon(tmp_path):
+    def peak(horizon):
+        trace = run(ScenarioConfig.from_dict(small_config(horizon=horizon)))
+        path = tmp_path / f"h{horizon}.csv"
+        tracemalloc.start()
+        try:
+            write_csv(trace, str(path))
+            return tracemalloc.get_traced_memory()[1], path.stat().st_size
+        finally:
+            tracemalloc.stop()
+
+    rows_per_chunk = CSV_CHUNK_FLOATS // 22  # k, 5 x 4 agent columns, gamma
+    small, small_bytes = peak(2 * rows_per_chunk)
+    large, large_bytes = peak(8 * rows_per_chunk)
+    assert large_bytes > 3.5 * small_bytes
+    # holding the file's text in memory would grow the peak with the file
+    assert large <= 1.25 * small
+
+
 def test_csv_float_format_pinned(tmp_path):
     trace = run(ScenarioConfig.from_dict(small_config(horizon=3)))
     specials = [-0.0, 5e-324, 1e300, 3.0, -2.0, 0.1, -1e-300, 1.0]
@@ -210,9 +245,8 @@ def test_shipped_example_scenario_runs():
 
 
 def test_shipped_schema_matches_package():
-    shipped = json.loads(
-        open(os.path.join(os.path.dirname(__file__), "..", "docs", "scenario.schema.json"),
-             encoding="utf-8").read())
+    shipped = json.loads((Path(__file__).parent.parent / "docs" / "scenario.schema.json")
+                         .read_text(encoding="utf-8"))
     from resilient_consensus.scenarios import SCENARIO_SCHEMA
     assert shipped == json.loads(json.dumps(SCENARIO_SCHEMA))
 
