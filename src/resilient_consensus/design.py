@@ -1,8 +1,9 @@
 """Feedback-gain synthesis via the discrete algebraic Riccati equation.
 
-The standard DARE is solved (A'PA - P - A'PB(R + B'PB)^-1 B'PA + Q = 0); its
-stabilizing solution P is positive definite for positive definite Q, which is
-what the gain formula K = (R + B'PB)^-1 B'PA requires.
+The standard DARE (A'PA - P - A'PB(R + B'PB)^-1 B'PA + Q = 0) is solved by
+structured doubling, the one Riccati algorithm here; its stabilizing solution
+P is positive definite for positive definite Q, which is what the gain
+formula K = (R + B'PB)^-1 B'PA requires.
 
 The compensator parameter theta must stay below 1/sqrt(2 + lam_min), lam_min
 the smallest real part in the spectrum of c Lhat (x) B'P1B R1_bar^-1: the
@@ -28,8 +29,6 @@ import numpy as np
 from .dynamics import LtiModel, baseline_radius
 from .graph import GraphSpectrum
 
-DARE_TOL = 1e-12
-DARE_MAX_ITER = 10_000
 JOINT_RADIUS_LIMIT = 0.98
 THETA_FRACTIONS = (0.9, 0.7, 0.5, 0.35, 0.2)
 # theta < THETA_BOUND keeps the compensator stable; derived in the module docstring
@@ -79,23 +78,6 @@ def _as_weight(value, dim: int, name: str) -> np.ndarray:
     return w
 
 
-def _dare_residual(A, B, Q, R, P) -> float:
-    gain_term = A.T @ P @ B @ np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A)
-    return float(np.linalg.norm(A.T @ P @ A - P - gain_term + Q, ord="fro"))
-
-
-def _dare_fixed_point(A, B, Q, R, tol, max_iter):
-    P = Q.copy()
-    for _ in range(max_iter):
-        R_bar = R + B.T @ P @ B
-        P_next = A.T @ P @ A - A.T @ P @ B @ np.linalg.solve(R_bar, B.T @ P @ A) + Q
-        P_next = 0.5 * (P_next + P_next.T)
-        if np.linalg.norm(P_next - P, ord="fro") <= tol * max(1.0, np.linalg.norm(P_next, "fro")):
-            return P_next
-        P = P_next
-    return None
-
-
 def _dare_doubling(A, B, Q, R, iters=120):
     # structured doubling: A_{k+1} = A_k W^-1 A_k, W = I + G_k H_k,
     # G_{k+1} = G_k + A_k W^-1 G_k A_k', H_{k+1} = H_k + A_k' H_k W^-1 A_k; H -> P
@@ -117,31 +99,36 @@ def _dare_doubling(A, B, Q, R, iters=120):
         if np.linalg.norm(H_next - Hk, "fro") <= 1e-15 * max(1.0, np.linalg.norm(H_next, "fro")):
             return H_next
         Hk = H_next
-    return Hk
+    return None  # H_k still growing: no stabilizing solution
 
 
-def solve_dare(A, B, Q1, R1, tol: float = DARE_TOL, max_iter: int = DARE_MAX_ITER) -> np.ndarray:
-    """Stabilizing DARE solution by fixed-point iteration with a doubling fallback.
+def solve_dare(A, B, Q1, R1) -> np.ndarray:
+    """Stabilizing DARE solution by structured doubling.
 
-    Raises DesignError when neither route reaches the requested residual, or
-    when R1 + B'PB fails to be positive definite along the way.
+    The doubling iteration (Lin & Xu 2006) converges quadratically, so a few
+    dozen steps reach rounding level even where the closed loop is barely
+    Schur. Raises DesignError when it does not converge, when R1 + B'PB is
+    not positive definite, or when the residual exceeds 1e-11 of
+    ||A'PA||_F + ||Q1||_F: a bound relative to P's scale, which an exact P of
+    large norm meets and a P off by 1e-6 does not.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     Q1 = _as_weight(Q1, A.shape[0], "Q1")
     R1 = _as_weight(R1, B.shape[1], "R1")
 
-    P = _dare_fixed_point(A, B, Q1, R1, tol, max_iter)
+    P = _dare_doubling(A, B, Q1, R1)
     if P is None:
-        P = _dare_doubling(A, B, Q1, R1)
-    if P is None:
-        raise DesignError("Riccati iteration did not converge and doubling fallback failed")
-    r_bar_eigs = np.linalg.eigvalsh(R1 + B.T @ P @ B)
-    if r_bar_eigs.min() <= 0:
+        raise DesignError("Riccati doubling iteration did not converge")
+    R_bar = R1 + B.T @ P @ B
+    if np.linalg.eigvalsh(R_bar).min() <= 0:
         raise DesignError("R1 + B'PB is not positive definite")
-    residual = _dare_residual(A, B, Q1, R1, P)
-    if residual > 1e-8:
-        raise DesignError(f"Riccati residual {residual:.3e} exceeds tolerance")
+    APA = A.T @ P @ A
+    gain_term = A.T @ P @ B @ np.linalg.solve(R_bar, B.T @ P @ A)
+    residual = np.linalg.norm(APA - P - gain_term + Q1, "fro")
+    scale = np.linalg.norm(APA, "fro") + np.linalg.norm(Q1, "fro")
+    if residual > 1e-11 * scale:
+        raise DesignError(f"Riccati residual {residual:.3e} exceeds 1e-11 of its scale {scale:.3e}")
     return P
 
 
@@ -266,64 +253,42 @@ def _synthesize(model: LtiModel, spectrum: GraphSpectrum, Q1, R1, c, theta) -> C
     K, P1, R1_bar = design_gain(model, Q1, R1)
     T = K.T @ model.B.T @ P1 @ model.B @ K
     base = ControllerConfig(K=K, c=1.0, P1=P1, Q1=Q1, R1=R1, R1_bar=R1_bar, theta=0.5, T=T)
-    notes = []
-    rng_analytic = coupling_range(spectrum, base)
-
+    rng = coupling_range(spectrum, base)
     if c is not None and theta is not None:
-        chosen_c, chosen_theta = float(c), float(theta)
-        notes.append("c and theta supplied by configuration")
+        return replace(base, c=float(c), theta=float(theta),
+                       notes=("c and theta supplied by configuration",))
+
+    # candidate couplings, best first
+    mid = rng.midpoint
+    if c is not None:
+        c_note, couplings = "c supplied by configuration", [float(c)]
+    elif (not rng.is_empty and np.isfinite(mid)
+          and baseline_radius(model, spectrum, K, mid) < 1.0):
+        c_note, couplings = "c = midpoint of the analytic coupling interval", [float(mid)]
     else:
-        midpoint_ok = (
-            not rng_analytic.is_empty
-            and np.isfinite(rng_analytic.midpoint)
-            and baseline_radius(model, spectrum, K, rng_analytic.midpoint) < 1.0
-        )
-        if c is not None:
-            candidates = [(baseline_radius(model, spectrum, K, float(c)), float(c))]
-            notes.append("c supplied by configuration")
-        elif midpoint_ok:
-            candidates = [(baseline_radius(model, spectrum, K, rng_analytic.midpoint), rng_analytic.midpoint)]
-            notes.append("c = midpoint of the analytic coupling interval")
+        if rng.is_empty:
+            c_note = ("analytic coupling interval empty; grid fallback over "
+                      f"({COUPLING_GRID[0]:g}, {COUPLING_GRID[-1]:g}] used")
+        elif not np.isfinite(mid):
+            c_note = "analytic coupling interval unbounded; grid fallback used"
         else:
-            if rng_analytic.is_empty:
-                notes.append(
-                    "analytic coupling interval empty; grid fallback over "
-                    f"({COUPLING_GRID[0]:g}, {COUPLING_GRID[-1]:g}] used"
-                )
-            elif not np.isfinite(rng_analytic.midpoint):
-                notes.append("analytic coupling interval unbounded; grid fallback used")
-            else:
-                notes.append("analytic coupling midpoint not stabilizing; grid fallback used")
-            candidates = sorted(
-                (baseline_radius(model, spectrum, K, cv), float(cv)) for cv in COUPLING_GRID
-            )
-            candidates = [(r, cv) for r, cv in candidates if r < 1.0]
-            if not candidates:
-                raise DesignError("no coupling on the search grid makes A - c*lam*BK Schur")
+            c_note = "analytic coupling midpoint not stabilizing; grid fallback used"
+        ranked = sorted((baseline_radius(model, spectrum, K, cv), float(cv))
+                        for cv in COUPLING_GRID)
+        couplings = [cv for radius, cv in ranked if radius < 1.0]
+        if not couplings:
+            raise DesignError("no coupling on the search grid makes A - c*lam*BK Schur")
 
-        chosen_c = chosen_theta = None
-        if theta is not None:
-            for radius, cv in candidates:
-                if radius < 1.0:
-                    chosen_c, chosen_theta = cv, float(theta)
-                    notes.append("theta supplied by configuration")
-                    break
-        else:
-            for frac in THETA_FRACTIONS:
-                th = frac * THETA_BOUND
-                for radius, cv in candidates:
-                    if joint_radius(model, spectrum, K, cv, th) <= JOINT_RADIUS_LIMIT:
-                        chosen_c, chosen_theta = cv, th
-                        notes.append(f"theta = {frac:g} * theta_bound keeps compensator blocks Schur")
-                        break
-                if chosen_c is not None:
-                    break
-            if chosen_c is None:
-                # last resort: best baseline coupling with the most conservative theta
-                radius, cv = candidates[0]
-                chosen_c, chosen_theta = cv, THETA_FRACTIONS[-1] * THETA_BOUND
-                notes.append("warning: no (c, theta) pair met the joint Schur margin")
-        if chosen_c is None:
-            raise DesignError("no stabilizing coupling found")
-
-    return replace(base, c=float(chosen_c), theta=float(chosen_theta), notes=tuple(notes))
+    if theta is not None:  # c is a midpoint or grid coupling here, so A - c*lam*BK is Schur
+        return replace(base, c=couplings[0], theta=float(theta),
+                       notes=(c_note, "theta supplied by configuration"))
+    # the first (theta, c), largest theta first, that keeps the joint blocks within the margin
+    for frac in THETA_FRACTIONS:
+        th = float(frac * THETA_BOUND)
+        for cv in couplings:
+            if joint_radius(model, spectrum, K, cv, th) <= JOINT_RADIUS_LIMIT:
+                return replace(base, c=cv, theta=th, notes=(
+                    c_note, f"theta = {frac:g} * theta_bound keeps compensator blocks Schur"))
+    # last resort: best baseline coupling with the most conservative theta
+    return replace(base, c=couplings[0], theta=float(THETA_FRACTIONS[-1] * THETA_BOUND),
+                   notes=(c_note, "warning: no (c, theta) pair met the joint Schur margin"))

@@ -185,11 +185,9 @@ class ScenarioConfig:
             raise ConfigError("; ".join(errors))
 
         model_raw = raw["model"]
-        k0 = None
         if isinstance(model_raw, str):
             preset = MODEL_PRESETS[model_raw]
             model = LtiModel(A=np.asarray(preset["A"]), B=np.asarray(preset["B"]))
-            k0 = preset.get("K0")
         else:
             try:
                 model = LtiModel(A=np.asarray(model_raw["A"], dtype=float),
@@ -243,9 +241,7 @@ class ScenarioConfig:
         leader = None
         lraw = raw.get("leader")
         if lraw is not None:
-            K0 = np.asarray(lraw["K0"], dtype=float) if "K0" in lraw else None
-            if K0 is None and k0 is not None:
-                K0 = np.asarray(k0, dtype=float)
+            K0 = np.asarray(lraw["K0"], dtype=float)
             if K0.shape != (model.input_dim, model.state_dim):
                 raise ConfigError(f"leader.K0: expected shape "
                                   f"({model.input_dim}, {model.state_dim}), got {K0.shape}")

@@ -214,7 +214,7 @@ def write_summary(trace: SimulationTrace, path: str) -> None:
 
 def write_plot_data(trace: SimulationTrace, path: str, max_rows: int = 500) -> None:
     """Downsampled per-agent state magnitudes for external plotting."""
-    idx = slice(None, None, max(1, len(trace.ks) // max_rows))
+    idx = slice(None, None, max(1, -(-len(trace.ks) // max_rows)))  # ceil: at most max_rows
     header = ["k"] + [f"x_a{a}_norm" for a in range(trace.n_agents)] + ["gamma"]
     _atomic_write(path, _lines(header, trace.ks[idx],
                                (np.abs(trace.x[idx]).max(axis=2), trace.gamma[idx])))

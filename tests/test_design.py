@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import sys
 import threading
 import time
@@ -11,11 +12,12 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resilient_consensus import (THETA_BOUND, ControllerConfig, DesignError, DirectedGraph,
-                                 LtiModel, coupling_range, design_controller, design_gain,
-                                 joint_radius, list_scenarios, load_config, normalized_laplacian,
-                                 solve_dare)
+from resilient_consensus import (BUNDLED_SCENARIOS, THETA_BOUND, ControllerConfig, DesignError,
+                                 DirectedGraph, LtiModel, coupling_range, design_controller,
+                                 design_gain, joint_radius, list_scenarios, load_config,
+                                 normalized_laplacian, solve_dare)
 from resilient_consensus import design
+from resilient_consensus.cli import main
 from resilient_consensus.design import COUPLING_GRID, DESIGN_MEMO_SIZE
 from resilient_consensus.scenarios import MODEL_PRESETS
 
@@ -41,15 +43,43 @@ def test_deadbeat_plant_gives_q():
     np.testing.assert_allclose(P, Q, atol=1e-12)
 
 
-@pytest.mark.parametrize("case", ["rotation2d", "auv"])
-def test_dare_against_scipy_oracle(case, rotation2d, auv_model):
-    model = rotation2d if case == "rotation2d" else auv_model
-    P = solve_dare(model.A, model.B, None, None)
-    assert dare_residual(model.A, model.B, np.eye(model.state_dim),
-                         np.eye(model.input_dim), P) < 1e-8
-    P_oracle = scipy.linalg.solve_discrete_are(
-        model.A, model.B, np.eye(model.state_dim), np.eye(model.input_dim))
+@pytest.mark.parametrize("case, q1", [
+    pytest.param("rotation2d", 1.0, id="rotation2d"),
+    pytest.param("auv", 1.0, id="auv"),
+    # closed loops barely Schur, the hardest inputs for an iterative solver
+    pytest.param("integrator", 1e-8, id="integrator-q1=1e-8"),
+    pytest.param("rotation2d", 1e-6, id="rotation2d-q1=1e-6"),
+])
+def test_dare_against_scipy_oracle(case, q1, integrator, rotation2d, auv_model):
+    model = {"integrator": integrator, "rotation2d": rotation2d, "auv": auv_model}[case]
+    Q = q1 * np.eye(model.state_dim)
+    P = solve_dare(model.A, model.B, Q, None)
+    assert dare_residual(model.A, model.B, Q, np.eye(model.input_dim), P) < 1e-8
+    P_oracle = scipy.linalg.solve_discrete_are(model.A, model.B, Q, np.eye(model.input_dim))
     np.testing.assert_allclose(P, P_oracle, rtol=1e-9, atol=1e-9)
+
+
+@pytest.mark.parametrize("r1", [1e4, 1e6])
+def test_dare_accepts_exact_solution_of_large_norm(r1, tmp_path, auv_model):
+    # ||P|| grows with r1 (2.6e7 at 1e6), and with it the rounding in the residual;
+    # the residual is bounded relative to ||A'PA||_F + ||Q1||_F, not absolutely
+    P = solve_dare(auv_model.A, auv_model.B, None, r1)
+    P_oracle = scipy.linalg.solve_discrete_are(auv_model.A, auv_model.B, np.eye(4),
+                                               r1 * np.eye(2))
+    assert np.abs(P - P_oracle).max() <= 1e-8 * np.abs(P_oracle).max()
+    cfg = tmp_path / "auv.json"
+    cfg.write_text(json.dumps({**BUNDLED_SCENARIOS["auv_healthy"], "r1": r1}))
+    assert main(["run", str(cfg), "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("model", sorted(MODEL_PRESETS))
+@pytest.mark.parametrize("r1", [1.0, 1e4, 1e6])
+def test_dare_rejects_inexact_solution(monkeypatch, model, r1):
+    solve = design._dare_doubling
+    monkeypatch.setattr(design, "_dare_doubling", lambda *args: solve(*args) * (1.0 + 1e-6))
+    preset = MODEL_PRESETS[model]
+    with pytest.raises(DesignError, match="Riccati residual"):
+        solve_dare(preset["A"], preset["B"], None, r1)
 
 
 def test_dare_rejects_bad_weights():
@@ -237,6 +267,23 @@ def test_coupling_range_rejects_degenerate_spectrum(integrator, example1_spectru
     edgeless = normalized_laplacian(DirectedGraph(np.zeros((3, 3))))
     with pytest.raises(DesignError):
         coupling_range(edgeless, example1_ctrl)
+
+
+def test_midpoint_coupling_with_last_resort_theta(integrator, example1_spectrum):
+    # Q1 = 1e-8 makes the analytic interval nonempty and its midpoint stabilizing, yet
+    # no theta fraction keeps the joint blocks within the margin
+    ctrl = design_controller(integrator, example1_spectrum, Q1=1e-8)
+    assert (ctrl.c, ctrl.theta) == (72.71244590764849, 0.1414213562373095)
+    assert ctrl.notes == ("c = midpoint of the analytic coupling interval",
+                          "warning: no (c, theta) pair met the joint Schur margin")
+    # a supplied theta takes the first candidate coupling, midpoint or grid
+    ctrl = design_controller(integrator, example1_spectrum, Q1=1e-8, theta=0.3)
+    assert (ctrl.c, ctrl.theta) == (72.71244590764849, 0.3)
+    assert ctrl.notes[1] == "theta supplied by configuration"
+    ctrl = design_controller(integrator, example1_spectrum, theta=0.3)
+    assert (ctrl.c, ctrl.theta) == (2.16, 0.3)
+    assert ctrl.notes == ("analytic coupling interval empty; grid fallback over (0.02, 4] used",
+                          "theta supplied by configuration")
 
 
 def test_coupling_range_unbounded_for_rank_deficient_t():

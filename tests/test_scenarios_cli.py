@@ -75,6 +75,11 @@ def test_validation_rejects_bad_configs():
             leader={"K0": [[1.0]]},
             attacks=[{"agent": 0, "channel": "actuator",
                       "signal": {"type": "constant", "value": [1.0]}}]))
+    with pytest.raises(ConfigError, match=r"leader.K0: expected shape \(1, 1\), got \(1, 2\)"):
+        ScenarioConfig.from_dict(small_config(leader={"K0": [[1.0, 2.0]]}))
+    # a preset's K0 is no default: the leader must name its own
+    with pytest.raises(ConfigError, match="'K0' is a required property"):
+        ScenarioConfig.from_dict(small_config(model="auv_diving", leader={"amplitude": 1.0}))
 
 
 def test_non_finite_initial_states_rejected(tmp_path, capsys):
@@ -244,6 +249,17 @@ def test_shipped_example_scenario_runs():
     assert trace.controller == "resilient"
 
 
+def test_readme_library_sketch_runs(capsys):
+    # the README's python sketch runs as printed, so the documented API cannot go stale
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library sketch", 1)[1]
+    sketch = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(sketch, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0].split()[0] == "BOUNDED_DEVIATION"
+    assert printed[-1] == "False"  # root_targeted: agent 2 is no root
+
+
 def test_shipped_schema_matches_package():
     shipped = json.loads((Path(__file__).parent.parent / "docs" / "scenario.schema.json")
                          .read_text(encoding="utf-8"))
@@ -324,10 +340,12 @@ def test_cli_list_and_run(tmp_path, capsys):
 
 def test_cli_config_file_and_plot_data(tmp_path):
     cfg = tmp_path / "scenario.json"
-    cfg.write_text(json.dumps(small_config(name="from_file")))
+    cfg.write_text(json.dumps(small_config(name="from_file", horizon=800)))
     code = main(["run", str(cfg), "--out", str(tmp_path), "--plot-data"])
     assert code == 0
-    assert (tmp_path / "from_file.plot.csv").exists()
+    # 800 stored steps thin to every second one: at most the default 500 rows, from k = 0
+    rows = (tmp_path / "from_file.plot.csv").read_text().split("\n")[1:-1]
+    assert [int(r.split(",")[0]) for r in rows] == list(range(0, 800, 2))
 
 
 def test_cli_exit_codes(tmp_path, capsys):
