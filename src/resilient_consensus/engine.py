@@ -32,22 +32,36 @@ reads out nothing) and, for the resilient controller, at ``compensator_start``
 (before it, d is held at zero): each stretch between switch times is a
 regime with its own operator.
 
-A system with operator F and block length B advances by one product of the
-stacked powers [F; F^2; ...; F^B] with its state, which gives the B states
-that follow; the last of them starts the next block. B is the number of
-dim x dim powers that fit in BLOCK_FLOATS floats, cut before the first power
-with an entry above POWER_LIMIT, so that no power overflows. The run is
-processed in windows of whole predictor blocks whose states fill about
-WINDOW_FLOATS floats. The predictor's blocks start at multiples of its B
-whatever the attacks are, so x_hat comes out the same with and without
-them; the error system's blocks restart at each window and at each switch
-time. A window's states give ||x||_inf = ||x_hat + e||_inf after every
-step, and the run stops at the first step inside the window where it is
-non-finite or above the divergence threshold.
+A system with operator F and block length B advances in two levels. B is
+the number of dim x dim powers that fit in BLOCK_FLOATS floats, cut before
+the first power with an entry above POWER_LIMIT, so that no power overflows.
+First the block starts follow one another by F^B, the last row block of the
+stacked powers [F; F^2; ...; F^B]. Then one GEMM of those starts with the
+stacked powers gives every state of the whole blocks, and the block ends are
+set back to the chain's values, so that each block starts exactly where the
+last one ended. A partial last block takes one product of the powers it
+needs with its start; with B = 1 the chain alone holds every state.
+
+The run is processed in windows of whole predictor blocks, no more of them
+than the horizon needs. Each run allocates one workspace, and every window
+writes into it in place: the states of both systems and their block starts,
+|x| laid out one column per step, and the live generator rows with their
+injections f = M' g, where M is the read-out of every live generator state
+(so f's sensor product is still written once, in
+``attacks.effective_injection``). WINDOW_FLOATS is the budget of that whole
+workspace, which is released before the post-processing. The predictor's
+blocks start at multiples of its B whatever the attacks are, so x_hat comes
+out the same with and without them; the error system's blocks restart at
+each window and at each switch time. A window's states give
+||x||_inf = ||x_hat + e||_inf after every step, and the run stops at the
+first step inside the window where it is non-finite or above the divergence
+threshold. A diverging run may overflow in the propagation past that step,
+so the propagation runs with NumPy's overflow warnings off.
 
 Time grows linearly with the horizon. Memory grows with it only by the
-per-step inf-norm series (8 bytes a step) and the stored rows; the powers
-and a window's states are bounded by BLOCK_FLOATS and WINDOW_FLOATS.
+per-step inf-norm series (8 bytes a step) and the stored rows; each system's
+powers are bounded by BLOCK_FLOATS (or by its one operator, when that alone
+is larger) and the workspace by WINDOW_FLOATS.
 """
 
 from __future__ import annotations
@@ -69,8 +83,9 @@ from .trace import SimulationTrace
 DIVERGENCE_THRESHOLD = 1e9
 # floats of one system's stacked powers [F; ...; F^B]
 BLOCK_FLOATS = 1 << 16
-# floats of the predictor and error-system states of one window
-WINDOW_FLOATS = 1 << 15
+# floats of a run's window workspace: both systems' states and block starts,
+# |x| and the injection rows
+WINDOW_FLOATS = 1 << 18
 # largest entry any stacked power may reach
 POWER_LIMIT = 1e150
 # unit vectors pushed through a one-step map at once to build its matrix
@@ -150,6 +165,43 @@ def _stacked_powers(step, dim: int, limit: int) -> np.ndarray:
             break
         j += k
     return out[:j].reshape(-1, dim)
+
+
+def _propagate(states: np.ndarray, count: int, powers: np.ndarray, block: int,
+               starts: np.ndarray) -> None:
+    """Write the ``count`` states that follow ``states[0]`` into states[1:count+1].
+
+    ``powers`` is [F; ...; F^B] with B = ``block``. The block starts follow one
+    another by F^B into ``starts`` (or straight into ``states`` when B is 1),
+    one GEMM of them with the powers gives every state of the whole blocks,
+    and the block ends are set back to the chain's values, so that each block
+    starts exactly where the last one ended. A partial last block takes one
+    product of the powers it needs with its start.
+    """
+    dim = states.shape[1]
+    whole = count // block
+    chain = states if block == 1 else starts
+    chain[0] = states[0]
+    F_B = powers[-dim:]
+    for j in range(whole):
+        np.matmul(F_B, chain[j], out=chain[j + 1])
+    end = whole * block
+    if whole and block > 1:
+        np.matmul(chain[:whole], powers.T, out=states[1:end + 1].reshape(whole, -1))
+        states[block:end + 1:block] = chain[1:whole + 1]
+    if end < count:
+        np.matmul(powers[:(count - end) * dim], states[end],
+                  out=states[end + 1:count + 1].reshape(-1))
+
+
+def _injection_peaks(M: np.ndarray, live: np.ndarray, buf: np.ndarray, n_agents: int):
+    """The per-agent peak |f_i(k)| and the largest ||f(k)||_2 over the injections
+    f(k) = M' live(k) of the rows of ``live``, evaluated in ``buf``."""
+    f = np.matmul(M.T, live.T, out=buf[:M.shape[1] * len(live)].reshape(M.shape[1], -1))
+    np.abs(f, out=f)
+    peak = f.max(axis=1).reshape(n_agents, -1).max(axis=1)
+    np.square(f, out=f)
+    return peak, float(np.sqrt(f.sum(axis=0).max()))
 
 
 def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
@@ -242,8 +294,29 @@ def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
     for start, end in zip(switches, switches[1:]):
         powers = _stacked_powers(lambda z, t=start: error_step(z, t), dq, Bp)
         regimes.append((end, powers, len(powers) // dq))
-    # a window is whole predictor blocks whose states fill about WINDOW_FLOATS
-    window = Bp * max(1, WINDOW_FLOATS // (Bp * (dp + dq)))
+
+    # the attack injection is f(k) = M' g(k) for the live generator state g(k)
+    size = len(gen.g0)
+    if size:
+        M = effective_injection(*gen.read(np.eye(size), int(gen.starts.max())),
+                                norm_lap, ctrl.c, ctrl.K).reshape(size, Nm)
+    # floats a step of the live generator rows and the injection rows
+    Nf = size + Nm if size else 0
+    # the shortest error-system block above 1 sizes its chain of block starts;
+    # with B = 1 the chain is the states themselves
+    Bq = min((block for _, _, block in regimes if block > 1), default=None)
+    # a window is whole predictor blocks whose workspace fills about
+    # WINDOW_FLOATS floats, and no more blocks than the horizon needs
+    per_step = (dp + dq + Nn + Nf + (dp / Bp if Bp > 1 else 0)
+                + (dq / Bq if Bq else 0))
+    window = Bp * max(1, min(int(WINDOW_FLOATS // (Bp * per_step)), -(-horizon // Bp)))
+    P = np.empty((window + 1, dp))
+    Q = np.empty((window + 1, dq))
+    Xt = np.empty(Nn * window)
+    P_starts = np.empty((window // Bp + 1 if Bp > 1 else 0, dp))
+    Q_starts = np.empty((window // Bq + 1 if Bq else 0, dq))
+    live = np.empty((window, size))
+    ft = np.empty(Nm * window if size else 0)
 
     stored_ks = np.arange(0, horizon, store_stride)
     S = len(stored_ks)
@@ -259,67 +332,68 @@ def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
     attack_bound = 0.0
 
     first_crossing = None
+    P[0], Q[0] = p, q
     k0 = 0
     si = 0
     r = 0
     while k0 < horizon:
         w = min(window, horizon - k0)
-        P = np.empty((w + 1, dp))
-        P[0] = p
-        for a in range(0, w, Bp):
-            b = min(a + Bp, w)
-            np.matmul(Pp[:(b - a) * dp], P[a], out=P[a + 1:b + 1].reshape(-1))
-        Q = np.empty((w + 1, dq))
-        Q[0] = q
-        a = 0
-        while a < w:
-            while regimes[r][0] <= k0 + a:
-                r += 1
-            end, powers, block = regimes[r]
-            b = min(a + block, w, end - k0)
-            np.matmul(powers[:(b - a) * dq], Q[a], out=Q[a + 1:b + 1].reshape(-1))
-            a = b
+        # a diverging run overflows here; the crossing check below stops it
+        with np.errstate(over="ignore", invalid="ignore"):
+            _propagate(P, w, Pp, Bp, P_starts)
+            a = 0
+            while a < w:
+                while regimes[r][0] <= k0 + a:
+                    r += 1
+                end, powers, block = regimes[r]
+                b = min(w, end - k0)
+                _propagate(Q[a:], b - a, powers, block, Q_starts)
+                a = b
+            # |x| = |x_hat + e|, laid out one row per state entry and one column
+            # per step, since numpy reduces along short rows slowly
+            X = Xt[:Nn * w].reshape(Nn, w)
+            np.add(P[1:w + 1, :Nn].T, Q[1:w + 1, :Nn].T, out=X)
+            np.abs(X, out=X)
+            norms = X.max(axis=0, out=inf_norms[k0 + 1:k0 + w + 1])
+            within = np.isfinite(norms) & (norms <= divergence_threshold)
+            if not within.all():
+                w = int(within.argmin()) + 1
+                first_crossing = k0 + w
+            x = P[w, :Nn] + Q[w, :Nn]  # the state after the window
 
-        # x = x_hat + e, laid out one row per state entry and one column per
-        # step, since numpy reduces along short rows slowly
-        Xt = np.empty((Nn, w + 1))
-        np.add(P[:, :Nn].T, Q[:, :Nn].T, out=Xt)
-        norms = np.abs(Xt[:, 1:]).max(axis=0)
-        inf_norms[k0 + 1:k0 + w + 1] = norms
-        within = np.isfinite(norms) & (norms <= divergence_threshold)
-        if not within.all():
-            w = int(within.argmin()) + 1
-            first_crossing = k0 + w
+        if size:
+            np.copyto(live[:w], Q[:w, Nn + Nd:])
+            for i in np.flatnonzero(gen.starts > k0):
+                live[:gen.starts[i] - k0, i] = 0.0
+            peak, bound = _injection_peaks(M, live[:w], ft, N)
+            np.maximum(per_agent_peak, peak, out=per_agent_peak)
+            attack_bound = max(attack_bound, bound)
 
-        sens, act = gen.read(Q[:w, Nn + Nd:], np.arange(k0, k0 + w))
-        f = effective_injection(sens, act, norm_lap, ctrl.c, ctrl.K)
-        if f is not None:
-            ft = f.reshape(w, Nm).T.copy()
-            np.abs(ft, out=ft)
-            per_agent_peak = np.maximum(per_agent_peak, ft.reshape(N, m * w).max(axis=1))
-            np.square(ft, out=ft)
-            attack_bound = max(attack_bound, float(np.sqrt(ft.sum(axis=0).max())))
-
-        rows = stored_ks[si:np.searchsorted(stored_ks, k0 + w)] - k0
-        if len(rows):
-            sl = slice(si, si + len(rows))
-            x_rows = Xt[:, rows].T.reshape(-1, N, n)
+        first = -k0 % store_stride
+        rows = slice(first, w, store_stride)
+        ks = np.arange(k0 + first, k0 + w, store_stride)
+        if len(ks):
+            sl = slice(si, si + len(ks))
+            x_rows = store_x[sl]
+            np.add(P[rows, :Nn], Q[rows, :Nn], out=x_rows.reshape(-1, Nn))
             d_rows = Q[rows, Nn:Nn + Nd].reshape(-1, N, m) if compensating else 0.0
-            store_x[sl] = x_rows
+            sens, act = gen.read(Q[rows, Nn + Nd:], ks)
             store_xhat[sl] = P[rows, :Nn].reshape(-1, N, n)
-            store_u[sl] = law(x_rows, 0.0 if sens is None else sens[rows], d_rows,
-                              P[rows, Nn:])
+            store_u[sl] = law(x_rows, 0.0 if sens is None else sens, d_rows, P[rows, Nn:])
             store_d[sl] = d_rows
             store_cerr[sl] = np.abs(Q[rows, :Nn].reshape(-1, N, n)).max(axis=2)
+            f = effective_injection(sens, act, norm_lap, ctrl.c, ctrl.K)
             if f is not None:
-                store_f[sl] = f[rows]
-            si += len(rows)
+                store_f[sl] = f
+            si += len(ks)
 
-        p, q, x = P[w], Q[w], Xt[:, w]
         k0 += w
+        P[0], Q[0] = P[w], Q[w]
         if first_crossing is not None:
             break
 
+    final_x_hat = P[0, :Nn].copy()
+    del P, Q, Xt, X, P_starts, Q_starts, live, ft  # the workspace ends with the loop
     steps_run = k0
     stored_ks = stored_ks[:si]
     inf_norms = inf_norms[:steps_run + 1]
@@ -348,8 +422,8 @@ def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
         gamma=global_performance(store_x, graph),
         consensus_err=store_cerr[:si],
         inf_norms=inf_norms,
-        final_x=x.copy(),
-        final_x_hat=p[:Nn].copy(),
+        final_x=x,
+        final_x_hat=final_x_hat,
         diverged=bool(crossing is not None or growth.growth_detected),
         first_crossing=crossing,
         growth_detected=growth.growth_detected,

@@ -12,7 +12,7 @@ from jsonschema import Draft202012Validator
 from . import engine
 from .attacks import AttackGenerator, AttackSpec, constant_signal, sinusoid_signal, ExogenousSignal
 from .design import THETA_BOUND, DesignError, _as_weight, coupling_range, design_controller
-from .dynamics import LtiModel
+from .dynamics import LtiModel, baseline_radius
 from .graph import DirectedGraph, GraphError, normalized_laplacian
 from .trace import SimulationTrace
 
@@ -348,11 +348,19 @@ def validate(config: ScenarioConfig) -> list:
 
     rng = coupling_range(spectrum, ctrl)
     if rng.is_empty:
+        chosen = (f"c = {ctrl.c:.4g} supplied by configuration" if config.c is not None
+                  else f"grid-search fallback selected c = {ctrl.c:.4g}")
         diags.append({
             "level": "warning", "field": "c",
             "message": (f"analytic coupling interval ({rng.c_lo:.4g}, {rng.c_hi:.4g}) is "
-                        f"empty; grid-search fallback selected c = {ctrl.c:.4g}"),
+                        f"empty; {chosen}"),
         })
+    if config.c is not None:
+        radius = baseline_radius(config.model, spectrum, ctrl.K, ctrl.c)
+        if radius >= 1.0:
+            diags.append({"level": "error", "field": "c",
+                          "message": (f"supplied c = {ctrl.c:.4g} leaves A - c lam BK unstable: "
+                                      f"spectral radius {radius:.4g} >= 1")})
     if not (0 < ctrl.theta < THETA_BOUND):
         diags.append({"level": "error", "field": "theta",
                       "message": f"theta = {ctrl.theta:.4g} outside (0, {THETA_BOUND:.4g})"})

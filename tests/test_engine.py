@@ -1,19 +1,21 @@
 """Checks of ``engine.simulate`` that do not go through its block operators.
 
 The step law is checked on the stored arrays with the model matrices, the
-designed gains and ``signal_series``; the ramp crossing is pinned to its
-closed form; memory is measured with ``tracemalloc``.
+designed gains and ``signal_series``; whole runs are compared with a one-step
+recursion of the Kronecker-form closed loop; the ramp crossing is pinned to
+its closed form; memory is measured with ``tracemalloc``.
 """
 
 import copy
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from resilient_consensus import (BUNDLED_SCENARIOS, AttackSpec, ScenarioConfig, constant_signal,
-                                 design_controller, load_config, normalized_laplacian, run,
-                                 signal_series, simulate)
+from resilient_consensus import (BUNDLED_SCENARIOS, AttackSpec, DirectedGraph, LtiModel,
+                                 ScenarioConfig, constant_signal, design_controller, load_config,
+                                 normalized_laplacian, run, signal_series, simulate)
 from resilient_consensus import engine
 
 
@@ -170,3 +172,131 @@ def test_attack_on_missing_agent_is_a_value_error(channel, integrator, example1_
     with pytest.raises(ValueError, match=f"{channel} attack on agent 4 is out of range"):
         simulate(integrator, example1_graph, example1_spectrum, example1_ctrl, horizon=10,
                  x0=np.zeros(4), attacks=[spec])
+
+
+def _two_channel_config():
+    """rotation2d, resilient, with the bundled actuator attack (from step 61) and a
+    sensor attack on agent 4 from step 150: both channels, three regimes."""
+    raw = copy.deepcopy(BUNDLED_SCENARIOS["rotation2d_imp_nonroot_resilient"])
+    raw["attacks"].append({"agent": 4, "channel": "sensor", "start": 150,
+                           "signal": {"type": "sin", "amplitude": [0.3, -0.2], "omega": 0.4}})
+    return ScenarioConfig.from_dict(raw)
+
+
+def _reference(config, spectrum, ctrl, horizon):
+    """The leaderless closed loop, one step at a time in Kronecker form: states
+    x, x_hat, d for k = 0..horizon and the law u and injection f for k < horizon."""
+    N, n, m = config.graph.n_agents, config.model.state_dim, config.model.input_dim
+    I = np.eye(N)
+    A, B = np.kron(I, config.model.A), np.kron(I, config.model.B)
+    LK = ctrl.c * np.kron(spectrum.normalized_laplacian, ctrl.K)
+    s = _signals(config, "sensor", horizon, n).reshape(horizon, N * n)
+    a = _signals(config, "actuator", horizon, m).reshape(horizon, N * m)
+    x = np.empty((horizon + 1, N * n))
+    x_hat = np.empty((horizon + 1, N * n))
+    d = np.zeros((horizon + 1, N * m))
+    u = np.empty((horizon, N * m))
+    x[0] = x_hat[0] = np.asarray(config.x0, dtype=float).ravel()
+    for k in range(horizon):
+        u[k] = -LK @ (x[k] + s[k]) - d[k]
+        x[k + 1] = A @ x[k] + B @ (u[k] + a[k])
+        x_hat[k + 1] = (A - B @ LK) @ x_hat[k]
+        if k >= config.compensator_start:
+            d[k + 1] = ctrl.theta * (d[k] + LK @ (x[k] + s[k] - x_hat[k]))
+    f = a - s @ LK.T
+    return (x.reshape(-1, N, n), x_hat.reshape(-1, N, n), d.reshape(-1, N, m),
+            u.reshape(-1, N, m), f.reshape(-1, N, m))
+
+
+@pytest.mark.parametrize("block_floats, window_floats, horizon, stride", [
+    # default sizes: one window; partial blocks at the switches and the end
+    (None, None, 1000, 7),
+    # a window capped at a horizon shorter than one predictor block
+    (None, None, 100, 3),
+    # blocks of 8 and 2 steps, windows of 32: switches inside GEMM'd blocks
+    (800, 2000, 997, 13),
+    # block length 1: the chain holds every state
+    (150, 2000, 333, 5),
+])
+def test_runs_match_the_one_step_recursion(monkeypatch, block_floats, window_floats, horizon,
+                                           stride):
+    if block_floats is not None:
+        monkeypatch.setattr(engine, "BLOCK_FLOATS", block_floats)
+        monkeypatch.setattr(engine, "WINDOW_FLOATS", window_floats)
+    config = _two_channel_config()
+    spectrum, ctrl = _design(config)
+    trace = simulate(config.model, config.graph, spectrum, ctrl, horizon=horizon, x0=config.x0,
+                     attacks=config.attacks, controller="resilient",
+                     compensator_start=config.compensator_start, store_stride=stride)
+    x, x_hat, d, u, f = _reference(config, spectrum, ctrl, horizon)
+    assert trace.steps_run == horizon and trace.first_crossing is None
+    ks = np.arange(0, horizon, stride)
+    assert list(trace.ks) == list(ks)
+    for actual, expected in ((trace.x, x[ks]), (trace.x_hat, x_hat[ks]), (trace.d, d[ks]),
+                             (trace.u, u[ks]), (trace.f, f[ks]),
+                             (trace.final_x, x[-1].ravel()),
+                             (trace.final_x_hat, x_hat[-1].ravel()),
+                             (trace.inf_norms, np.abs(x).max(axis=(1, 2)))):
+        _assert_close(actual, expected)
+    assert trace.attack_bound == pytest.approx(np.linalg.norm(f, axis=(1, 2)).max(), rel=1e-12)
+    reached = np.abs(f).max(axis=(0, 2)) > 1e-12
+    assert trace.intact_agents == tuple(np.flatnonzero(~reached))
+    # the sensor attack on agent 4 reaches its out-neighbours through Lhat
+    if horizon > 150:
+        assert reached.sum() > 1
+
+
+def test_a_diverging_run_stops_at_its_crossing_without_warnings():
+    raw = copy.deepcopy(BUNDLED_SCENARIOS["example1_consensus"])
+    raw.update(c=50, theta=0.3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = run(ScenarioConfig.from_dict(raw))
+    assert trace.first_crossing == trace.steps_run == 7
+    assert trace.diverged
+
+
+def _out_star(n_agents):
+    """Agent 0 feeds every other agent: a spanning tree with Lhat eigenvalues 0 and 1/2."""
+    return DirectedGraph.from_edges(n_agents, [[0, i] for i in range(1, n_agents)])
+
+
+@pytest.mark.parametrize("case, horizons", [("auv", (5_000, 40_000)),
+                                            ("network200", (200, 2_000))])
+def test_workspace_stays_within_its_budget(monkeypatch, case, horizons):
+    if case == "auv":
+        config = load_config("auv_sin_attack_agent3_resilient")
+        model, graph, x0 = config.model, config.graph, config.x0
+        kwargs = dict(attacks=config.attacks, controller="resilient",
+                      compensator_start=config.compensator_start, leader=config.leader)
+        spectrum, ctrl = _design(config)
+    else:
+        model, graph = LtiModel(A=[[1.0]], B=[[1.0]]), _out_star(200)
+        x0 = np.linspace(-1.0, 1.0, 200)
+        kwargs = dict(attacks=[AttackSpec(agent=5, channel="actuator",
+                                          signal=constant_signal([1.0]))],
+                      controller="resilient")
+        spectrum = normalized_laplacian(graph)
+        ctrl = design_controller(model, spectrum, c=1.0, theta=0.3)
+    powers = []
+
+    def recording(step, dim, limit, _original=engine._stacked_powers):
+        powers.append(_original(step, dim, limit))
+        return powers[-1]
+
+    monkeypatch.setattr(engine, "_stacked_powers", recording)
+    for horizon in horizons:
+        powers.clear()
+        tracemalloc.start()
+        try:
+            trace = simulate(model, graph, spectrum, ctrl, horizon=horizon, x0=x0,
+                             store_stride=horizon, **kwargs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.steps_run == horizon
+        # the inf-norm series (8 bytes a step) and the stacked powers
+        # (bounded by BLOCK_FLOATS, or one operator) come on top of the workspace
+        extra = 8 * (horizon + 1) + sum(p.nbytes for p in powers)
+
+        assert peak - extra <= 8 * engine.WINDOW_FLOATS + 256 * 1024

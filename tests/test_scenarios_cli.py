@@ -9,8 +9,9 @@ import pytest
 from jsonschema import Draft202012Validator
 
 from resilient_consensus import (BUNDLED_SCENARIOS, ConfigError, ScenarioConfig,
-                                 global_performance, list_scenarios, load_config, run, validate,
-                                 write_csv, write_plot_data, write_summary)
+                                 design_controller, global_performance, list_scenarios,
+                                 load_config, normalized_laplacian, run, validate, write_csv,
+                                 write_plot_data, write_summary)
 from resilient_consensus.cli import main
 from resilient_consensus.trace import CSV_CHUNK_FLOATS, SUMMARY_SCHEMA
 
@@ -150,6 +151,28 @@ def test_validate_reports_coupling_fallback():
     assert not any(d["level"] == "error" for d in diags)
     warnings = [d for d in diags if d["level"] == "warning"]
     assert any("fallback" in d["message"] and "c = " in d["message"] for d in warnings)
+
+
+def test_validate_names_a_supplied_coupling_and_its_unstable_loop(tmp_path):
+    config = ScenarioConfig.from_dict(small_config(c=50, theta=0.3))
+    diags = validate(config)
+    (interval,) = [d for d in diags if d["level"] == "warning" and d["field"] == "c"]
+    assert "c = 50 supplied by configuration" in interval["message"]
+    assert "fallback" not in interval["message"]
+    # single integrators: the loop's radius is max |1 - c lam K| over nonzero lam
+    spectrum = normalized_laplacian(config.graph)
+    ctrl = design_controller(config.model, spectrum, c=50, theta=0.3)
+    lam = spectrum.nonzero_eigenvalues()
+    radius = float(np.abs(1.0 - 50 * lam * ctrl.K[0, 0]).max())
+    assert radius > 1.0
+    (error,) = [d for d in diags if d["level"] == "error"]
+    assert error["field"] == "c" and f"spectral radius {radius:.4g}" in error["message"]
+    cfg = tmp_path / "unstable.json"
+    cfg.write_text(json.dumps(small_config(c=50, theta=0.3)))
+    assert main(["validate", str(cfg)]) == 2
+    # a supplied coupling that keeps the loop Schur is no error
+    stable = validate(ScenarioConfig.from_dict(small_config(c=2.0, theta=0.3)))
+    assert not any(d["level"] == "error" for d in stable)
 
 
 # joined by an edge too weak for the spectrum to resolve: the zero eigenvalue is double
