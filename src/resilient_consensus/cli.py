@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import os
 import sys
 
@@ -96,6 +97,22 @@ def _run_one(raw: dict, out_dir: str, fmt: str, plot_data: bool):
     return trace, files
 
 
+def _run_listed(raw: dict, out_dir: str, fmt: str, plot_data: bool):
+    """One run-all scenario: run and emit it, then return only its line and
+    divergence flag, so that no trace outlives it or is sent back by a worker."""
+    trace, _files = _run_one(raw, out_dir, fmt, plot_data)
+    return _describe(trace), trace.diverged
+
+
+def _print_lines(outcomes) -> bool:
+    """Print each (line, diverged) as it arrives; True if any run diverged."""
+    diverged_any = False
+    for line, diverged in outcomes:
+        print(line, flush=True)
+        diverged_any = diverged_any or diverged
+    return diverged_any
+
+
 def _describe(trace) -> str:
     tail = trace.to_summary()["tail"]
     status = "DIVERGED" if trace.diverged else "bounded"
@@ -146,17 +163,13 @@ def main(argv=None) -> int:
         # run-all
         raws = [_apply_overrides(BUNDLED_SCENARIOS[name], args)
                 for name in list_scenarios()]
-        diverged_any = False
+        job = functools.partial(_run_listed, out_dir=out_dir, fmt=args.format,
+                                plot_data=args.plot_data)
         if args.jobs > 1:
             with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                futures = [pool.submit(_run_one, raw, out_dir, args.format, args.plot_data)
-                           for raw in raws]
-                results = [f.result() for f in futures]
+                diverged_any = _print_lines(pool.map(job, raws))
         else:
-            results = [_run_one(raw, out_dir, args.format, args.plot_data) for raw in raws]
-        for trace, _files in results:
-            print(_describe(trace))
-            diverged_any = diverged_any or trace.diverged
+            diverged_any = _print_lines(map(job, raws))
         if args.fail_on_divergence and diverged_any:
             return EXIT_DIVERGENCE
         return EXIT_OK

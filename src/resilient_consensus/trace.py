@@ -11,8 +11,9 @@ import numpy as np
 
 TAIL_FRACTION = 0.1
 # values formatted and written at a time (in whole rows), so that emission
-# memory does not grow with the number of stored steps
-CSV_CHUNK_FLOATS = 1 << 15
+# memory does not grow with the number of stored steps; small enough that a
+# chunk's table of distinct-value strings stays a few hundred KiB
+CSV_CHUNK_FLOATS = 1 << 12
 
 SUMMARY_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -190,15 +191,22 @@ def _atomic_write(path: str, chunks) -> None:
 
 def _lines(header: list, ks: np.ndarray, blocks):
     """The CSV header line, then one line per step k: k, then each block's row
-    flattened, as repr floats; encoded about CSV_CHUNK_FLOATS values at a time."""
+    flattened, as repr floats; encoded about CSV_CHUNK_FLOATS values at a time.
+
+    Each distinct float64 bit pattern of a chunk is formatted once and the
+    strings are gathered into rows. The key is the bits, not the value, so
+    ``-0.0`` and ``0.0`` keep their own text.
+    """
     yield (",".join(header) + "\n").encode()
     per_chunk = max(1, CSV_CHUNK_FLOATS // sum(int(np.prod(b.shape[1:])) for b in blocks))
     for lo in range(0, len(ks), per_chunk):
         steps = ks[lo:lo + per_chunk].tolist()
         table = np.concatenate([b[lo:lo + len(steps)].reshape(len(steps), -1) for b in blocks],
-                               axis=1)
-        yield "".join(",".join([str(k), *map(repr, row.tolist())]) + "\n"
-                      for k, row in zip(steps, table)).encode()
+                               axis=1, dtype=np.float64)
+        bits, inverse = np.unique(table.view(np.int64), return_inverse=True)
+        text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+        rows = text[inverse.reshape(table.shape)].tolist()
+        yield "".join(",".join([str(k), *row]) + "\n" for k, row in zip(steps, rows)).encode()
 
 
 def write_csv(trace: SimulationTrace, path: str) -> None:

@@ -1,19 +1,24 @@
 import json
 import os
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
 from resilient_consensus import (BUNDLED_SCENARIOS, ConfigError, ScenarioConfig,
                                  design_controller, global_performance, list_scenarios,
                                  load_config, normalized_laplacian, run, validate, write_csv,
                                  write_plot_data, write_summary)
+from resilient_consensus import trace as trace_module
 from resilient_consensus.cli import main
-from resilient_consensus.trace import CSV_CHUNK_FLOATS, SUMMARY_SCHEMA
+from resilient_consensus.trace import CSV_CHUNK_FLOATS, SUMMARY_SCHEMA, SimulationTrace
 
 
 def small_config(**overrides):
@@ -263,6 +268,88 @@ def test_csv_float_format_pinned(tmp_path):
         assert plot_rows[i] == ",".join(plot)
 
 
+def _bits(*values):
+    return np.array(values, dtype=np.float64).view(np.int64).tolist()
+
+
+ZERO, MINUS_ZERO = _bits(0.0, -0.0)
+# signed zeros, infinities, subnormals, extremes, short and 17-digit reprs,
+# and NaNs with different signs and payloads (quiet, payload 1, signalling)
+SPECIAL_BITS = _bits(0.0, -0.0, np.inf, -np.inf, 5e-324, -2.5e-320, 2.2250738585072014e-308,
+                     1.7976931348623157e308, 1e300, 1e-05, 0.1, 3.0, -2.0,
+                     1.0000000000000002) + [0x7FF8000000000000, 0x7FF8000000000001,
+                                            -0x0008000000000000, 0x7FF0000000000001]
+
+
+def _table_trace(cells, n_agents, state_dim, input_dim):
+    """A trace whose x, xhat, u, d, eps and gamma are the columns of ``cells``."""
+    steps = len(cells)
+    dims = (state_dim, state_dim, input_dim, input_dim, state_dim)
+    bounds = np.cumsum([0] + [n_agents * dim for dim in dims] + [1])
+    x, x_hat, u, d, eps, gamma = (cells[:, lo:hi] for lo, hi in zip(bounds, bounds[1:]))
+    x, x_hat, u, d, eps = (block.reshape(steps, n_agents, dim)
+                           for block, dim in zip((x, x_hat, u, d, eps), dims))
+    return SimulationTrace(
+        name="table", controller="baseline", horizon=steps, steps_run=steps,
+        n_agents=n_agents, state_dim=state_dim, input_dim=input_dim, stride=3,
+        ks=np.arange(steps) * 3, x=x, x_hat=x_hat, u=u, d=d, f=u, eps=eps,
+        gamma=gamma.reshape(steps), consensus_err=np.zeros((steps, n_agents)),
+        inf_norms=np.zeros(steps + 1), final_x=x[-1].ravel(), final_x_hat=x_hat[-1].ravel(),
+        diverged=False, first_crossing=None, growth_detected=False, tail_slope=0.0,
+        prediction="CONSENSUS")
+
+
+def _repr_rows(ks, blocks):
+    """Reference body: one line per k, every value through its own ``repr``."""
+    return "".join(",".join([str(int(k))]
+                            + [repr(float(v)) for b in blocks for v in b[i].ravel()]) + "\n"
+                   for i, k in enumerate(ks)).encode()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(palette=st.lists(st.one_of(st.sampled_from(SPECIAL_BITS),
+                                  st.integers(-(1 << 63), (1 << 63) - 1)),
+                        min_size=1, max_size=12),
+       n_agents=st.integers(2, 3), state_dim=st.integers(1, 3), input_dim=st.integers(1, 2),
+       steps=st.integers(1, 40), chunk=st.sampled_from([5, 64, CSV_CHUNK_FLOATS]),
+       seed=st.integers(0, 2**32 - 1))
+# 0.0 beside -0.0 in one chunk: a formatter keyed on values prints one of them wrong
+@example(palette=[ZERO, MINUS_ZERO], n_agents=2, state_dim=1, input_dim=1, steps=3,
+         chunk=CSV_CHUNK_FLOATS, seed=0)
+def test_emitted_bytes_equal_per_value_repr(palette, n_agents, state_dim, input_dim, steps,
+                                            chunk, seed):
+    # a small palette repeats values across rows, columns and chunks; chunks of
+    # 5 or 64 floats put chunk boundaries inside the table and rows wider than a
+    # chunk, which then holds one row
+    width = n_agents * (3 * state_dim + 2 * input_dim) + 1
+    picks = np.random.default_rng(seed).integers(len(palette), size=(steps, width))
+    cells = np.array(palette, dtype=np.int64)[picks].view(np.float64)
+    trace = _table_trace(cells, n_agents, state_dim, input_dim)
+    norms = np.abs(trace.x).max(axis=2)
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(trace_module, "CSV_CHUNK_FLOATS", chunk):
+        write_csv(trace, os.path.join(tmp, "t.csv"))
+        write_plot_data(trace, os.path.join(tmp, "t.plot.csv"))
+        body = Path(tmp, "t.csv").read_bytes().split(b"\n", 1)[1]
+        plot_body = Path(tmp, "t.plot.csv").read_bytes().split(b"\n", 1)[1]
+    assert body == _repr_rows(trace.ks, (trace.x, trace.x_hat, trace.u, trace.d, trace.eps,
+                                         trace.gamma))
+    assert plot_body == _repr_rows(trace.ks, (norms, trace.gamma))
+
+
+def test_csv_write_peak_stays_under_one_mib(tmp_path):
+    # 77,600 floats at stride 1: only a chunk's strings may be held at a time
+    raw = dict(BUNDLED_SCENARIOS["auv_sin_attack_agent3_resilient"], store_stride=1)
+    trace = run(ScenarioConfig.from_dict(raw))
+    tracemalloc.start()
+    try:
+        write_csv(trace, str(tmp_path / "auv.csv"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20
+
+
 def test_shipped_example_scenario_runs():
     path = os.path.join(os.path.dirname(__file__), "..", "docs", "example-scenario.json")
     config = load_config(path)
@@ -405,6 +492,21 @@ def test_cli_run_all(tmp_path, synthesis_runs):
         assert (tmp_path / f"{name}.summary.json").exists()
     # 14 scenarios, 4 distinct design inputs: AUV, rotation2d, example1, chain5
     assert len(synthesis_runs) == 4
+
+
+def test_run_all_in_two_workers_matches_one(tmp_path, capsys):
+    results = []
+    for jobs in ("1", "2"):
+        out = tmp_path / jobs
+        code = main(["run-all", "--jobs", jobs, "--horizon", "300", "--seed", "7",
+                     "--plot-data", "--fail-on-divergence", "--out", str(out)])
+        files = {p.name: p.read_bytes() for p in out.iterdir()}
+        results.append((code, capsys.readouterr().out.splitlines(), files))
+    assert results[0] == results[1]
+    code, lines, files = results[0]
+    assert code == 4  # example1_root_attack diverges
+    assert [line.split(":")[0] for line in lines] == list_scenarios()
+    assert len(files) == 3 * len(list_scenarios())
 
 
 def test_validate_then_run_designs_once(synthesis_runs):
