@@ -32,40 +32,53 @@ reads out nothing) and, for the resilient controller, at ``compensator_start``
 (before it, d is held at zero): each stretch between switch times is a
 regime with its own operator.
 
-A system with operator F and block length B advances in two levels. B is
-the number of dim x dim powers that fit in BLOCK_FLOATS floats, cut before
-the first power with an entry above POWER_LIMIT, so that no power overflows.
-First the block starts follow one another by F^B, the last row block of the
-stacked powers [F; F^2; ...; F^B]. Then one GEMM of those starts with the
-stacked powers gives every state of the whole blocks, and the block ends are
-set back to the chain's values, so that each block starts exactly where the
-last one ended. A partial last block takes one product of the powers it
-needs with its start; with B = 1 the chain alone holds every state.
+The run is processed in windows of steps: the horizon, or fewer when that
+many steps' workspace would exceed WINDOW_FLOATS floats. A system with
+operator F advances through a window in three levels:
 
-The run is processed in windows of whole predictor blocks, no more of them
-than the horizon needs. Each run allocates one workspace, and every window
-writes into it in place: the states of both systems and their block starts,
-|x| laid out one column per step, and the live generator rows with their
-injections f = M' g, where M is the read-out of every live generator state
-(so f's sensor product is still written once, in
-``attacks.effective_injection``). WINDOW_FLOATS is the budget of that whole
-workspace, which is released before the post-processing. The predictor's
-blocks start at multiples of its B whatever the attacks are, so x_hat comes
-out the same with and without them; the error system's blocks restart at
-each window and at each switch time. A window's states give
+- the window is cut into groups of C blocks of B steps each, B and C about
+  the square root of the window. The group starts follow one another by
+  F^CB, in a Python loop that most windows run once or not at all;
+- one product of the group starts with the stacked powers [F^B; ...; F^CB]
+  gives every block start;
+- one GEMM of the block starts with the stacked powers [F; ...; F^B] gives
+  every state.
+
+At each level the last state of a group or block is set back to the value
+the level above gave it, so that each block starts exactly where the last
+one ended, and a partial last group or block takes one product of the
+powers it needs with its start. B and C are each cut to the powers that fit
+in BLOCK_FLOATS floats, and before the first power with an entry above
+POWER_LIMIT, so that no power overflows; a system whose powers are cut that
+far (B = 1 on large networks) falls back to the loop of single steps. Both
+systems restart their groups at each window, and the error system also at
+each switch time. The window depends on the floats a step takes, which the
+attacks add to, so x_hat comes out bit for bit the same with and without
+attacks when both runs fit one window, and the same up to rounding otherwise.
+
+Each run allocates one workspace, and every window writes into it in place:
+the states of both systems and their block and group starts, |x| laid out
+one column per step, and the live generator rows with their injections
+f = M' g. M is the read-out of every live generator state (so f's sensor
+product is still written once, in ``attacks.effective_injection``), cut to
+its columns that are not all zero. A window's states give
 ||x||_inf = ||x_hat + e||_inf after every step, and the run stops at the
 first step inside the window where it is non-finite or above the divergence
 threshold. A diverging run may overflow in the propagation past that step,
-so the propagation runs with NumPy's overflow warnings off.
+so the propagation runs with NumPy's overflow warnings off. Of the stored
+steps a window keeps x, x_hat, d, the consensus error and the generator and
+phase rows; u and f follow from those in one evaluation after the loop,
+when the workspace has been released.
 
 Time grows linearly with the horizon. Memory grows with it only by the
-per-step inf-norm series (8 bytes a step) and the stored rows; each system's
-powers are bounded by BLOCK_FLOATS (or by its one operator, when that alone
-is larger) and the workspace by WINDOW_FLOATS.
+per-step inf-norm series (8 bytes a step) and the stored rows; the window,
+and so the workspace and each system's powers, are sized by WINDOW_FLOATS
+and BLOCK_FLOATS, not by the horizon.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,10 +94,11 @@ from .metrics import analyze_growth, destabilization_verdict, global_performance
 from .trace import SimulationTrace
 
 DIVERGENCE_THRESHOLD = 1e9
-# floats of one system's stacked powers [F; ...; F^B]
+# floats of each level of one system's stacked powers, [F; ...; F^B] and
+# [F^B; ...; F^CB]
 BLOCK_FLOATS = 1 << 16
-# floats of a run's window workspace: both systems' states and block starts,
-# |x| and the injection rows
+# floats of a run's window workspace: both systems' states and block and
+# group starts, |x| and the injection rows
 WINDOW_FLOATS = 1 << 18
 # largest entry any stacked power may reach
 POWER_LIMIT = 1e150
@@ -141,65 +155,116 @@ class _Law:
         return self.ctrl.theta * (d - self.gain(e_plus_s))
 
 
-def _stacked_powers(step, dim: int, limit: int) -> np.ndarray:
-    """[F; F^2; ...; F^B] of the linear one-step map ``step`` as a (B*dim, dim)
-    array.
+def _block_length(dim: int, window: int) -> int:
+    """B for a window of ``window`` steps: about sqrt(window), no more dim x dim
+    powers than BLOCK_FLOATS holds, and at least 1."""
+    return max(1, min(math.isqrt(window - 1) + 1, BLOCK_FLOATS // (dim * dim)))
 
-    F's columns are ``step`` applied to the unit vectors, BASIS_CHUNK at a
-    time; the powers follow by doubling. B is the number of powers that fit
-    in BLOCK_FLOATS, at least 1 and at most ``limit``, and it stops short
-    before the first power with an entry above POWER_LIMIT or a non-finite one.
-    """
-    count = max(1, min(BLOCK_FLOATS // (dim * dim), limit))
-    out = np.empty((count, dim, dim))
-    for lo in range(0, dim, BASIS_CHUNK):
-        hi = min(lo + BASIS_CHUNK, dim)
-        out[0, :, lo:hi] = step(np.eye(hi - lo, dim, lo)).T
+
+def _double(out: np.ndarray) -> int:
+    """out[i] = out[0]^(i+1) by doubling; returns the number of leading powers
+    that stay finite and within POWER_LIMIT, the only ones to be used."""
     j = 1
-    while j < count:
-        k = min(j, count - j)
+    while j < len(out):
+        k = min(j, len(out) - j)
         new = np.matmul(out[:k], out[j - 1], out=out[j:j + k])  # F^i F^j = F^(i+j)
         fine = (new.max(axis=(1, 2)) <= POWER_LIMIT) & (new.min(axis=(1, 2)) >= -POWER_LIMIT)
         if not fine.all():
-            j += int(fine.argmin())
-            break
+            return j + int(fine.argmin())
         j += k
-    return out[:j].reshape(-1, dim)
+    return len(out)
 
 
-def _propagate(states: np.ndarray, count: int, powers: np.ndarray, block: int,
-               starts: np.ndarray) -> None:
+def _stacked_powers(step, dim: int, window: int) -> np.ndarray:
+    """[F; F^2; ...; F^B; F^2B; ...; F^CB] of the linear one-step map ``step``
+    as a ((B + C - 1) dim, dim) array: the powers within a block, then the
+    powers of F^B that give the block starts of a window.
+
+    F's columns are ``step`` applied to the unit vectors, BASIS_CHUNK at a
+    time; each level follows by doubling. B is ``_block_length`` and
+    C = ceil(window / B), both at most the powers BLOCK_FLOATS holds. Each
+    level stops short before the first power with an entry above POWER_LIMIT
+    or a non-finite one, and a cut in the first level leaves out the second.
+    ``_levels`` splits the result.
+    """
+    block = _block_length(dim, window)
+    groups = max(1, min(-(-window // block), BLOCK_FLOATS // (dim * dim)))
+    out = np.empty((block + groups - 1, dim, dim))
+    for lo in range(0, dim, BASIS_CHUNK):
+        hi = min(lo + BASIS_CHUNK, dim)
+        out[0, :, lo:hi] = step(np.eye(hi - lo, dim, lo)).T
+    count = _double(out[:block])
+    if count == block:
+        count += _double(out[block - 1:]) - 1
+    return out[:count].reshape(-1, dim)
+
+
+def _levels(powers: np.ndarray, window: int) -> tuple:
+    """The two levels [F; ...; F^B] and [F^B; ...; F^CB] of ``_stacked_powers``
+    for the same window; a cut first level has no second beyond F^B."""
+    dim = powers.shape[1]
+    block = min(_block_length(dim, window), len(powers) // dim)
+    return powers[:block * dim], powers[(block - 1) * dim:]
+
+
+def _propagate(states: np.ndarray, count: int, levels: tuple, starts: tuple) -> None:
     """Write the ``count`` states that follow ``states[0]`` into states[1:count+1].
 
-    ``powers`` is [F; ...; F^B] with B = ``block``. The block starts follow one
-    another by F^B into ``starts`` (or straight into ``states`` when B is 1),
-    one GEMM of them with the powers gives every state of the whole blocks,
-    and the block ends are set back to the chain's values, so that each block
-    starts exactly where the last one ended. A partial last block takes one
-    product of the powers it needs with its start.
+    ``levels[0]`` is [F; ...; F^B]. The block starts, B steps apart, are the
+    states of the system F^B: the next level propagates them the same way
+    into ``starts[0]`` (straight into ``states`` when B is 1), and without a
+    next level they follow one another by F^B. One GEMM of the block starts
+    with the powers gives every state of the whole blocks, and the block ends
+    are set back to the starts, so that each block starts exactly where the
+    last one ended. A partial last block takes one product of the powers it
+    needs with its start.
     """
+    powers = levels[0]
     dim = states.shape[1]
+    block = len(powers) // dim
     whole = count // block
-    chain = states if block == 1 else starts
-    chain[0] = states[0]
-    F_B = powers[-dim:]
-    for j in range(whole):
-        np.matmul(F_B, chain[j], out=chain[j + 1])
     end = whole * block
-    if whole and block > 1:
-        np.matmul(chain[:whole], powers.T, out=states[1:end + 1].reshape(whole, -1))
-        states[block:end + 1:block] = chain[1:whole + 1]
+    if whole:
+        chain = states if block == 1 else starts[0]
+        chain[0] = states[0]
+        if len(levels) > 1:
+            _propagate(chain, whole, levels[1:], starts[1:])
+        else:
+            F_B = powers[-dim:]
+            for j in range(whole):
+                np.matmul(F_B, chain[j], out=chain[j + 1])
+        if block > 1:
+            np.matmul(chain[:whole], powers.T, out=states[1:end + 1].reshape(whole, -1))
+            states[block:end + 1:block] = chain[1:whole + 1]
     if end < count:
         np.matmul(powers[:(count - end) * dim], states[end],
                   out=states[end + 1:count + 1].reshape(-1))
 
 
-def _injection_peaks(M: np.ndarray, live: np.ndarray, buf: np.ndarray, n_agents: int):
+def _starts(dim: int, window: int, regimes) -> tuple:
+    """Block-start buffers for ``_propagate`` over windows of ``window`` steps,
+    one per level, as large as any of ``regimes`` (pairs of ``_levels``) needs."""
+    rows = [0, 0]
+    for levels in regimes:
+        count = window
+        for i, powers in enumerate(levels):
+            block = len(powers) // dim
+            count //= block
+            if block > 1:
+                rows[i] = max(rows[i], count + 1)
+    return tuple(np.empty((r, dim)) for r in rows)
+
+
+def _injection_peaks(M: np.ndarray, agents: np.ndarray, live: np.ndarray, buf: np.ndarray,
+                     n_agents: int):
     """The per-agent peak |f_i(k)| and the largest ||f(k)||_2 over the injections
-    f(k) = M' live(k) of the rows of ``live``, evaluated in ``buf``."""
+    f(k) = M' live(k) of the rows of ``live``, evaluated in ``buf``. ``M`` holds
+    only the read-out columns that are not all zero, and ``agents`` their
+    agents; the others add exactly 0 to every peak and to ||f||^2."""
     f = np.matmul(M.T, live.T, out=buf[:M.shape[1] * len(live)].reshape(M.shape[1], -1))
     np.abs(f, out=f)
-    peak = f.max(axis=1).reshape(n_agents, -1).max(axis=1)
+    peak = np.zeros(n_agents)
+    np.maximum.at(peak, agents, f.max(axis=1))
     np.square(f, out=f)
     return peak, float(np.sqrt(f.sum(axis=0).max()))
 
@@ -281,51 +346,59 @@ def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
 
     p = np.concatenate([x_hat.ravel(), [0.0, 1.0] if leader is not None else []])
     dp = len(p)
-    Pp = _stacked_powers(predictor_step, dp, horizon)
-    Bp = len(Pp) // dp
     q = np.concatenate([(x - x_hat).ravel(), np.zeros(Nd), gen.g0])
     dq = len(q)
+    size = len(gen.g0)
+
+    # the attack injection is f(k) = M' g(k) for the live generator state g(k);
+    # only the columns of M that are not all zero can move a peak
+    cols = np.empty(0, dtype=int)
+    if size:
+        M = effective_injection(*gen.read(np.eye(size), int(gen.starts.max())),
+                                norm_lap, ctrl.c, ctrl.K).reshape(size, Nm)
+        cols = np.flatnonzero(M.any(axis=0))
+        M, agents = M[:, cols], cols // m
+    # floats a step of the live generator rows and the injection rows
+    Nf = size + len(cols) if len(cols) else 0
+
+    # a window's workspace fills about WINDOW_FLOATS floats: both systems'
+    # states and block starts (about every sqrt(window)-th state), |x| and the
+    # injection rows. No window is longer than the horizon.
+    base = dp + dq + Nn + Nf
+    est = max(1, WINDOW_FLOATS // base)
+    per_step = base + sum(dim / block for dim in (dp, dq)
+                          if (block := _block_length(dim, est)) > 1)
+    window = max(1, min(int(WINDOW_FLOATS // per_step), horizon))
+
+    predictor = _levels(_stacked_powers(predictor_step, dp, window), window)
     switches = {0, horizon, *gen.starts[gen.starts < horizon].tolist()}
     if compensating:
         switches.add(compensator_start)
     switches = sorted(switches)
-    # each regime: (its end step, its stacked powers, its block length)
+    # each regime: (its end step, its two levels of stacked powers)
     regimes = []
     for start, end in zip(switches, switches[1:]):
-        powers = _stacked_powers(lambda z, t=start: error_step(z, t), dq, Bp)
-        regimes.append((end, powers, len(powers) // dq))
+        powers = _stacked_powers(lambda z, t=start: error_step(z, t), dq, window)
+        regimes.append((end, _levels(powers, window)))
 
-    # the attack injection is f(k) = M' g(k) for the live generator state g(k)
-    size = len(gen.g0)
-    if size:
-        M = effective_injection(*gen.read(np.eye(size), int(gen.starts.max())),
-                                norm_lap, ctrl.c, ctrl.K).reshape(size, Nm)
-    # floats a step of the live generator rows and the injection rows
-    Nf = size + Nm if size else 0
-    # the shortest error-system block above 1 sizes its chain of block starts;
-    # with B = 1 the chain is the states themselves
-    Bq = min((block for _, _, block in regimes if block > 1), default=None)
-    # a window is whole predictor blocks whose workspace fills about
-    # WINDOW_FLOATS floats, and no more blocks than the horizon needs
-    per_step = (dp + dq + Nn + Nf + (dp / Bp if Bp > 1 else 0)
-                + (dq / Bq if Bq else 0))
-    window = Bp * max(1, min(int(WINDOW_FLOATS // (Bp * per_step)), -(-horizon // Bp)))
     P = np.empty((window + 1, dp))
     Q = np.empty((window + 1, dq))
     Xt = np.empty(Nn * window)
-    P_starts = np.empty((window // Bp + 1 if Bp > 1 else 0, dp))
-    Q_starts = np.empty((window // Bq + 1 if Bq else 0, dq))
-    live = np.empty((window, size))
-    ft = np.empty(Nm * window if size else 0)
+    P_starts = _starts(dp, window, [predictor])
+    Q_starts = _starts(dq, window, [levels for _, levels in regimes])
+    live = np.empty((window if Nf else 0, size))
+    ft = np.empty(len(cols) * window)
 
+    # the stored steps keep their states, generator and phase rows; u and f
+    # follow from those after the loop
     stored_ks = np.arange(0, horizon, store_stride)
     S = len(stored_ks)
     store_x = np.empty((S, N, n))
     store_xhat = np.empty((S, N, n))
-    store_u = np.empty((S, N, m))
-    store_d = np.empty((S, N, m))
-    store_f = np.zeros((S, N, m))
+    store_d = np.zeros((S, N, m))
     store_cerr = np.empty((S, N))
+    store_g = np.empty((S, size))
+    store_phase = np.empty((S, dp - Nn))
     inf_norms = np.empty(horizon + 1)
     inf_norms[0] = np.abs(x).max()
     per_agent_peak = np.zeros(N)
@@ -340,14 +413,14 @@ def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
         w = min(window, horizon - k0)
         # a diverging run overflows here; the crossing check below stops it
         with np.errstate(over="ignore", invalid="ignore"):
-            _propagate(P, w, Pp, Bp, P_starts)
+            _propagate(P, w, predictor, P_starts)
             a = 0
             while a < w:
                 while regimes[r][0] <= k0 + a:
                     r += 1
-                end, powers, block = regimes[r]
+                end, levels = regimes[r]
                 b = min(w, end - k0)
-                _propagate(Q[a:], b - a, powers, block, Q_starts)
+                _propagate(Q[a:], b - a, levels, Q_starts)
                 a = b
             # |x| = |x_hat + e|, laid out one row per state entry and one column
             # per step, since numpy reduces along short rows slowly
@@ -361,31 +434,25 @@ def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
                 first_crossing = k0 + w
             x = P[w, :Nn] + Q[w, :Nn]  # the state after the window
 
-        if size:
+        if Nf:
             np.copyto(live[:w], Q[:w, Nn + Nd:])
             for i in np.flatnonzero(gen.starts > k0):
                 live[:gen.starts[i] - k0, i] = 0.0
-            peak, bound = _injection_peaks(M, live[:w], ft, N)
+            peak, bound = _injection_peaks(M, agents, live[:w], ft, N)
             np.maximum(per_agent_peak, peak, out=per_agent_peak)
             attack_bound = max(attack_bound, bound)
 
         first = -k0 % store_stride
         rows = slice(first, w, store_stride)
-        ks = np.arange(k0 + first, k0 + w, store_stride)
-        if len(ks):
-            sl = slice(si, si + len(ks))
-            x_rows = store_x[sl]
-            np.add(P[rows, :Nn], Q[rows, :Nn], out=x_rows.reshape(-1, Nn))
-            d_rows = Q[rows, Nn:Nn + Nd].reshape(-1, N, m) if compensating else 0.0
-            sens, act = gen.read(Q[rows, Nn + Nd:], ks)
-            store_xhat[sl] = P[rows, :Nn].reshape(-1, N, n)
-            store_u[sl] = law(x_rows, 0.0 if sens is None else sens, d_rows, P[rows, Nn:])
-            store_d[sl] = d_rows
-            store_cerr[sl] = np.abs(Q[rows, :Nn].reshape(-1, N, n)).max(axis=2)
-            f = effective_injection(sens, act, norm_lap, ctrl.c, ctrl.K)
-            if f is not None:
-                store_f[sl] = f
-            si += len(ks)
+        sl = slice(si, si + len(range(first, w, store_stride)))
+        np.add(P[rows, :Nn], Q[rows, :Nn], out=store_x[sl].reshape(-1, Nn))
+        store_xhat[sl] = P[rows, :Nn].reshape(-1, N, n)
+        store_phase[sl] = P[rows, Nn:]
+        if compensating:
+            store_d[sl] = Q[rows, Nn:Nn + Nd].reshape(-1, N, m)
+        store_g[sl] = Q[rows, Nn + Nd:]
+        store_cerr[sl] = np.abs(Q[rows, :Nn].reshape(-1, N, n)).max(axis=2)
+        si = sl.stop
 
         k0 += w
         P[0], Q[0] = P[w], Q[w]
@@ -396,11 +463,17 @@ def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
     del P, Q, Xt, X, P_starts, Q_starts, live, ft  # the workspace ends with the loop
     steps_run = k0
     stored_ks = stored_ks[:si]
+    store_x = store_x[:si]
+    sens, act = gen.read(store_g[:si], stored_ks)
+    store_u = law(store_x, 0.0 if sens is None else sens,
+                  store_d[:si] if compensating else 0.0, store_phase[:si])
+    store_f = effective_injection(sens, act, norm_lap, ctrl.c, ctrl.K)
+    if store_f is None:
+        store_f = np.zeros((si, N, m))
     inf_norms = inf_norms[:steps_run + 1]
     growth = analyze_growth(inf_norms, magnitude_threshold=divergence_threshold)
     crossing = first_crossing if first_crossing is not None else growth.first_crossing
     prediction = destabilization_verdict(attacks, model, spectrum)
-    store_x = store_x[:si]
     intact = tuple(int(i) for i in range(N) if per_agent_peak[i] <= 1e-12)
 
     return SimulationTrace(
@@ -415,9 +488,9 @@ def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
         ks=stored_ks,
         x=store_x,
         x_hat=store_xhat[:si],
-        u=store_u[:si],
+        u=store_u,
         d=store_d[:si],
-        f=store_f[:si],
+        f=store_f,
         eps=-norm_lap @ store_x,
         gamma=global_performance(store_x, graph),
         consensus_err=store_cerr[:si],

@@ -35,12 +35,26 @@ def _signals(config, channel, length, width):
     return out
 
 
+def _record_levels(monkeypatch):
+    """(dim, B, C, window) of every ``_stacked_powers`` call of later runs."""
+    seen = []
+
+    def recording(step, dim, window, _original=engine._stacked_powers):
+        powers = _original(step, dim, window)
+        first, second = engine._levels(powers, window)
+        seen.append((dim, len(first) // dim, len(second) // dim, window))
+        return powers
+
+    monkeypatch.setattr(engine, "_stacked_powers", recording)
+    return seen
+
+
 def _assert_close(actual, expected, rtol=1e-9):
     scale = max(np.abs(expected).max(), 1.0)
     assert np.abs(actual - expected).max() <= rtol * scale
 
 
-def test_step_law_holds_on_every_stored_step():
+def test_step_law_holds_on_every_stored_step(monkeypatch):
     raw = copy.deepcopy(BUNDLED_SCENARIOS["auv_sin_attack_agent3_resilient"])
     raw["attacks"].append({"agent": 4, "channel": "sensor", "start": 150,
                            "signal": {"type": "sin", "amplitude": [0.3, -0.2, 0.5, 0.1],
@@ -48,12 +62,13 @@ def test_step_law_holds_on_every_stored_step():
     raw["compensator_start"] = 131
     config = ScenarioConfig.from_dict(raw)
     N, n, m = config.graph.n_agents, config.model.state_dim, config.model.input_dim
+    levels = _record_levels(monkeypatch)
+    trace = run(config)
     # the actuator attack, the compensator and the sensor attack start inside
     # predictor blocks (N n states and the leader phase), not at their ends
-    block = engine.BLOCK_FLOATS // (N * n + 2) ** 2
+    (dim, block, _, window), *_ = levels
+    assert dim == N * n + 2 and window == config.horizon
     assert all(t % block for t in (61, 131, 150))
-
-    trace = run(config)
     spectrum, ctrl = _design(config)
     assert (trace.gains["c"], trace.gains["theta"]) == (ctrl.c, ctrl.theta)
     A, B, L, K = config.model.A, config.model.B, spectrum.normalized_laplacian, ctrl.K
@@ -89,7 +104,7 @@ def test_step_law_holds_on_every_stored_step():
     assert np.abs(d[132]).max() > 0.0
 
 
-def test_ramp_crossing_equals_closed_form_inside_a_block():
+def test_ramp_crossing_equals_closed_form_inside_a_block(monkeypatch):
     config = load_config("example1_root_attack")
     spectrum, ctrl = _design(config)
     threshold = 1e4
@@ -108,14 +123,16 @@ def test_ramp_crossing_equals_closed_form_inside_a_block():
     step = int(np.floor((threshold - offset) / rate)) + 1
     # no rounding can move the crossing: the ramp passes the threshold mid-step
     assert offset + (step - 1) * rate < threshold - 0.01 < threshold + 0.01 < offset + step * rate
-    # the crossing lies strictly inside a predictor block (4 states) and an
-    # error-system block (4 + 1 states: a baseline run carries no d)
-    predictor_block = engine.BLOCK_FLOATS // 4 ** 2
-    error_block = engine.BLOCK_FLOATS // 5 ** 2
-    assert step % predictor_block % error_block != 0
 
+    levels = _record_levels(monkeypatch)
     trace = simulate(config.model, config.graph, spectrum, ctrl, horizon=50_000, x0=config.x0,
                      attacks=config.attacks, divergence_threshold=threshold, store_stride=1000)
+    # the crossing lies past the first window, strictly inside a predictor block
+    # (4 states) and an error-system block (4 + 1 states: a baseline run carries
+    # no d); both restart at each window
+    (_, predictor_block, _, window), (dim, error_block, _, _) = levels
+    assert dim == 5 and step > window
+    assert step % window % predictor_block and step % window % error_block
     assert trace.first_crossing == step
     assert trace.steps_run == step
     assert trace.inf_norms[step] > threshold >= trace.inf_norms[:step].max()
@@ -174,12 +191,18 @@ def test_attack_on_missing_agent_is_a_value_error(channel, integrator, example1_
                  x0=np.zeros(4), attacks=[spec])
 
 
-def _two_channel_config():
+def _two_channel_config(sensor=(0.3, -0.2), actuator=1.0, sensor_agent=4):
     """rotation2d, resilient, with the bundled actuator attack (from step 61) and a
-    sensor attack on agent 4 from step 150: both channels, three regimes."""
+    sensor attack on agent 4 from step 150: both channels, three regimes. The
+    amplitudes and the sensor's agent can be changed; ``actuator=None`` leaves
+    the actuator attack out."""
     raw = copy.deepcopy(BUNDLED_SCENARIOS["rotation2d_imp_nonroot_resilient"])
-    raw["attacks"].append({"agent": 4, "channel": "sensor", "start": 150,
-                           "signal": {"type": "sin", "amplitude": [0.3, -0.2], "omega": 0.4}})
+    if actuator is None:
+        raw["attacks"].clear()
+    else:
+        raw["attacks"][0]["signal"]["amplitude"] = [actuator]
+    raw["attacks"].append({"agent": sensor_agent, "channel": "sensor", "start": 150,
+                           "signal": {"type": "sin", "amplitude": list(sensor), "omega": 0.4}})
     return ScenarioConfig.from_dict(raw)
 
 
@@ -201,36 +224,29 @@ def _reference(config, spectrum, ctrl, horizon):
         u[k] = -LK @ (x[k] + s[k]) - d[k]
         x[k + 1] = A @ x[k] + B @ (u[k] + a[k])
         x_hat[k + 1] = (A - B @ LK) @ x_hat[k]
-        if k >= config.compensator_start:
+        if config.controller == "resilient" and k >= config.compensator_start:
             d[k + 1] = ctrl.theta * (d[k] + LK @ (x[k] + s[k] - x_hat[k]))
     f = a - s @ LK.T
     return (x.reshape(-1, N, n), x_hat.reshape(-1, N, n), d.reshape(-1, N, m),
             u.reshape(-1, N, m), f.reshape(-1, N, m))
 
 
-@pytest.mark.parametrize("block_floats, window_floats, horizon, stride", [
-    # default sizes: one window; partial blocks at the switches and the end
-    (None, None, 1000, 7),
-    # a window capped at a horizon shorter than one predictor block
-    (None, None, 100, 3),
-    # blocks of 8 and 2 steps, windows of 32: switches inside GEMM'd blocks
-    (800, 2000, 997, 13),
-    # block length 1: the chain holds every state
-    (150, 2000, 333, 5),
-])
-def test_runs_match_the_one_step_recursion(monkeypatch, block_floats, window_floats, horizon,
-                                           stride):
-    if block_floats is not None:
-        monkeypatch.setattr(engine, "BLOCK_FLOATS", block_floats)
-        monkeypatch.setattr(engine, "WINDOW_FLOATS", window_floats)
-    config = _two_channel_config()
+def _simulate(config, horizon, stride):
     spectrum, ctrl = _design(config)
     trace = simulate(config.model, config.graph, spectrum, ctrl, horizon=horizon, x0=config.x0,
-                     attacks=config.attacks, controller="resilient",
-                     compensator_start=config.compensator_start, store_stride=stride)
-    x, x_hat, d, u, f = _reference(config, spectrum, ctrl, horizon)
-    assert trace.steps_run == horizon and trace.first_crossing is None
-    ks = np.arange(0, horizon, stride)
+                     attacks=config.attacks, controller=config.controller,
+                     compensator_start=config.compensator_start, store_stride=stride,
+                     divergence_threshold=config.divergence_threshold)
+    return trace, spectrum, ctrl
+
+
+def _assert_matches_reference(trace, config, spectrum, ctrl, stride):
+    """Every stored row, the final states, |x| and the injection peaks of a run
+    of ``trace.steps_run`` steps against ``_reference``; f is evaluated densely,
+    on every agent and input. Returns which agents the injection reached."""
+    steps = trace.steps_run
+    x, x_hat, d, u, f = _reference(config, spectrum, ctrl, steps)
+    ks = np.arange(0, steps, stride)
     assert list(trace.ks) == list(ks)
     for actual, expected in ((trace.x, x[ks]), (trace.x_hat, x_hat[ks]), (trace.d, d[ks]),
                              (trace.u, u[ks]), (trace.f, f[ks]),
@@ -241,19 +257,99 @@ def test_runs_match_the_one_step_recursion(monkeypatch, block_floats, window_flo
     assert trace.attack_bound == pytest.approx(np.linalg.norm(f, axis=(1, 2)).max(), rel=1e-12)
     reached = np.abs(f).max(axis=(0, 2)) > 1e-12
     assert trace.intact_agents == tuple(np.flatnonzero(~reached))
+    return reached
+
+
+@pytest.mark.parametrize("block_floats, window_floats, horizon, stride", [
+    # default sizes: one window; partial blocks at the switches and the end
+    (None, None, 1000, 7),
+    # a window capped at a short horizon
+    (None, None, 100, 3),
+    # blocks of 6 and 2 steps, windows of 35: switches inside GEMM'd blocks
+    (800, 2000, 997, 13),
+    # block length 1: the chain holds every state
+    (150, 2000, 333, 5),
+    # B C below the window in both systems: the block starts of a window follow
+    # from more than one super-start, the switches fall inside second-level
+    # groups, and the stride does not divide the window
+    (800, 6000, 500, 7),
+])
+def test_runs_match_the_one_step_recursion(monkeypatch, block_floats, window_floats, horizon,
+                                           stride):
+    if block_floats is not None:
+        monkeypatch.setattr(engine, "BLOCK_FLOATS", block_floats)
+        monkeypatch.setattr(engine, "WINDOW_FLOATS", window_floats)
+    levels = _record_levels(monkeypatch)
+    config = _two_channel_config()
+    trace, spectrum, ctrl = _simulate(config, horizon, stride)
+    assert trace.steps_run == horizon and trace.first_crossing is None
+    reached = _assert_matches_reference(trace, config, spectrum, ctrl, stride)
     # the sensor attack on agent 4 reaches its out-neighbours through Lhat
     if horizon > 150:
         assert reached.sum() > 1
+    if window_floats == 6000:
+        window = levels[0][3]
+        assert all(block > 1 and block * groups < window for _, block, groups, _ in levels)
+        assert window % stride and window < 150 < 2 * window
+        # the error system's groups start at each window and at each switch
+        group = levels[1][1] * levels[1][2]
+        assert 61 % group and (150 - window) % group
+
+
+def test_cut_powers_match_the_one_step_recursion(monkeypatch):
+    """A POWER_LIMIT cut shortens the first level of the later regimes, which
+    then have no second level, while the first regime keeps both."""
+    monkeypatch.setattr(engine, "BLOCK_FLOATS", 3000)
+    monkeypatch.setattr(engine, "WINDOW_FLOATS", 8000)
+    monkeypatch.setattr(engine, "POWER_LIMIT", 1.5)
+    levels = _record_levels(monkeypatch)
+    config = _two_channel_config()
+    trace, spectrum, ctrl = _simulate(config, 500, 7)
+    _assert_matches_reference(trace, config, spectrum, ctrl, 7)
+    (_, block, groups, window), *cut = levels[1:]
+    assert groups > 1 and block * groups < window
+    assert all(b < block and g == 1 for _, b, g, _ in cut)
+
+
+@pytest.mark.parametrize("case", ["zero_amplitude", "sensor_only", "starts_in_two_windows"])
+def test_injection_peaks_match_a_dense_evaluation(monkeypatch, case):
+    if case == "zero_amplitude":
+        # every read-out column of the injection is zero
+        config = _two_channel_config(sensor=(0.0, 0.0), actuator=0.0)
+    elif case == "sensor_only":
+        config = _two_channel_config(actuator=None, sensor_agent=2)
+    else:
+        monkeypatch.setattr(engine, "WINDOW_FLOATS", 2000)
+        config = _two_channel_config()
+    levels = _record_levels(monkeypatch)
+    trace, spectrum, ctrl = _simulate(config, 400, 3)
+    reached = _assert_matches_reference(trace, config, spectrum, ctrl, 3)
+    if case == "zero_amplitude":
+        assert trace.attack_bound == 0.0 and not reached.any()
+    elif case == "sensor_only":
+        # the sensor attack on agent 2 reaches its out-neighbours through Lhat
+        heard = config.graph.adjacency[:, 2] > 0
+        assert heard.any() and list(reached) == list(heard | (np.arange(5) == 2))
+    else:
+        window = levels[0][3]
+        assert 61 // window < 150 // window
 
 
 def test_a_diverging_run_stops_at_its_crossing_without_warnings():
     raw = copy.deepcopy(BUNDLED_SCENARIOS["example1_consensus"])
-    raw.update(c=50, theta=0.3)
+    raw.update(c=50, theta=0.3, store_stride=3)
+    config = ScenarioConfig.from_dict(raw)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        trace = run(ScenarioConfig.from_dict(raw))
+        trace = run(config)
     assert trace.first_crossing == trace.steps_run == 7
     assert trace.diverged
+    # the crossing lies inside the run's one window, between stored steps; the
+    # stored rows end before it and the final states are those at it
+    assert trace.horizon > 7 and 7 % 3
+    spectrum, ctrl = _design(config)
+    _assert_matches_reference(trace, config, spectrum, ctrl, 3)
+    assert list(trace.ks) == [0, 3, 6]
 
 
 def _out_star(n_agents):
