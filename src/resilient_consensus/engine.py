@@ -30,11 +30,14 @@ The predictor's operator is fixed. The error system's switches at each
 attack's ``start_step`` (before it, the attack's block of g holds at f0 and
 reads out nothing) and, for the resilient controller, at ``compensator_start``
 (before it, d is held at zero): each stretch between switch times is a
-regime with its own operator.
+regime with its own operator and its own injection read-out f(k) = M' g(k),
+which ``AttackGenerator.read`` gives at the regime's start (so f's sensor
+product is still written once, in ``attacks.effective_injection``).
 
-The run is processed in windows of steps: the horizon, or fewer when that
-many steps' workspace would exceed WINDOW_FLOATS floats. A system with
-operator F advances through a window in three levels:
+The run is processed in windows of WINDOW_FLOATS // (floats a step takes)
+steps, at most the horizon; a step takes both systems' states, |x| and the
+injection rows. A system with operator F advances through a window in three
+levels:
 
 - the window is cut into groups of C blocks of B steps each, B and C about
   the square root of the window. The group starts follow one another by
@@ -56,19 +59,16 @@ each switch time. The window depends on the floats a step takes, which the
 attacks add to, so x_hat comes out bit for bit the same with and without
 attacks when both runs fit one window, and the same up to rounding otherwise.
 
-Each run allocates one workspace, and every window writes into it in place:
-the states of both systems and their block and group starts, |x| laid out
-one column per step, and the live generator rows with their injections
-f = M' g. M is the read-out of every live generator state (so f's sensor
-product is still written once, in ``attacks.effective_injection``), cut to
-its columns that are not all zero. A window's states give
-||x||_inf = ||x_hat + e||_inf after every step, and the run stops at the
-first step inside the window where it is non-finite or above the divergence
-threshold. A diverging run may overflow in the propagation past that step,
-so the propagation runs with NumPy's overflow warnings off. Of the stored
-steps a window keeps x, x_hat, d, the consensus error and the generator and
-phase rows; u and f follow from those in one evaluation after the loop,
-when the workspace has been released.
+Each run allocates one workspace, and every window writes into it in place.
+A window's states give ||x||_inf = ||x_hat + e||_inf after every step, and
+the run stops at the first step, step 0 included, where it is non-finite or
+above the divergence threshold (a diverging run may overflow past it, so the
+propagation runs with NumPy's overflow warnings off). The injection peaks
+are taken over each regime's rows of the window up to that step, with M cut
+to its columns that are not all zero once every attack has started. The
+stored steps keep the rows of both systems; x = x_hat + e, d, the consensus
+error, u and f follow from them in one evaluation after the loop, when the
+workspace has been released.
 
 Time grows linearly with the horizon. Memory grows with it only by the
 per-step inf-norm series (8 bytes a step) and the stored rows; the window,
@@ -97,8 +97,8 @@ DIVERGENCE_THRESHOLD = 1e9
 # floats of each level of one system's stacked powers, [F; ...; F^B] and
 # [F^B; ...; F^CB]
 BLOCK_FLOATS = 1 << 16
-# floats of a run's window workspace: both systems' states and block and
-# group starts, |x| and the injection rows
+# floats of a run's window workspace: both systems' states, |x| and the
+# injection rows (the block and group starts come on top)
 WINDOW_FLOATS = 1 << 18
 # largest entry any stacked power may reach
 POWER_LIMIT = 1e150
@@ -175,17 +175,18 @@ def _double(out: np.ndarray) -> int:
     return len(out)
 
 
-def _stacked_powers(step, dim: int, window: int) -> np.ndarray:
-    """[F; F^2; ...; F^B; F^2B; ...; F^CB] of the linear one-step map ``step``
-    as a ((B + C - 1) dim, dim) array: the powers within a block, then the
-    powers of F^B that give the block starts of a window.
+def _stacked_powers(step, dim: int, window: int) -> tuple:
+    """The two levels [F; F^2; ...; F^B] and [F^B; F^2B; ...; F^CB] of the
+    linear one-step map ``step``, as (B dim, dim) and (C dim, dim) views of one
+    array that share F^B: the powers within a block, then the powers of F^B
+    that give the block starts of a window.
 
     F's columns are ``step`` applied to the unit vectors, BASIS_CHUNK at a
     time; each level follows by doubling. B is ``_block_length`` and
     C = ceil(window / B), both at most the powers BLOCK_FLOATS holds. Each
     level stops short before the first power with an entry above POWER_LIMIT
-    or a non-finite one, and a cut in the first level leaves out the second.
-    ``_levels`` splits the result.
+    or a non-finite one, and a cut in the first level leaves the second with
+    its last power alone.
     """
     block = _block_length(dim, window)
     groups = max(1, min(-(-window // block), BLOCK_FLOATS // (dim * dim)))
@@ -196,15 +197,8 @@ def _stacked_powers(step, dim: int, window: int) -> np.ndarray:
     count = _double(out[:block])
     if count == block:
         count += _double(out[block - 1:]) - 1
-    return out[:count].reshape(-1, dim)
-
-
-def _levels(powers: np.ndarray, window: int) -> tuple:
-    """The two levels [F; ...; F^B] and [F^B; ...; F^CB] of ``_stacked_powers``
-    for the same window; a cut first level has no second beyond F^B."""
-    dim = powers.shape[1]
-    block = min(_block_length(dim, window), len(powers) // dim)
-    return powers[:block * dim], powers[(block - 1) * dim:]
+    block = min(block, count)
+    return out[:block].reshape(-1, dim), out[block - 1:count].reshape(-1, dim)
 
 
 def _propagate(states: np.ndarray, count: int, levels: tuple, starts: tuple) -> None:
@@ -243,7 +237,7 @@ def _propagate(states: np.ndarray, count: int, levels: tuple, starts: tuple) -> 
 
 def _starts(dim: int, window: int, regimes) -> tuple:
     """Block-start buffers for ``_propagate`` over windows of ``window`` steps,
-    one per level, as large as any of ``regimes`` (pairs of ``_levels``) needs."""
+    one per level, as large as any of ``regimes`` (level pairs of ``_stacked_powers``) needs."""
     rows = [0, 0]
     for levels in regimes:
         count = window
@@ -255,18 +249,17 @@ def _starts(dim: int, window: int, regimes) -> tuple:
     return tuple(np.empty((r, dim)) for r in rows)
 
 
-def _injection_peaks(M: np.ndarray, agents: np.ndarray, live: np.ndarray, buf: np.ndarray,
-                     n_agents: int):
-    """The per-agent peak |f_i(k)| and the largest ||f(k)||_2 over the injections
-    f(k) = M' live(k) of the rows of ``live``, evaluated in ``buf``. ``M`` holds
-    only the read-out columns that are not all zero, and ``agents`` their
-    agents; the others add exactly 0 to every peak and to ||f||^2."""
-    f = np.matmul(M.T, live.T, out=buf[:M.shape[1] * len(live)].reshape(M.shape[1], -1))
+def _injection_peaks(M: np.ndarray, agents: np.ndarray, g: np.ndarray, buf: np.ndarray,
+                     peak: np.ndarray) -> float:
+    """Raise the per-agent ``peak`` to the largest |f_i(k)| over f(k) = M' g(k)
+    for the generator rows ``g``, evaluated in ``buf``; return the largest
+    ||f(k)||_2. ``M`` holds only the read-out columns that are not all zero and
+    ``agents`` their agents; the others add exactly 0 to every peak and ||f||^2."""
+    f = np.matmul(M.T, g.T, out=buf[:M.shape[1] * len(g)].reshape(M.shape[1], -1))
     np.abs(f, out=f)
-    peak = np.zeros(n_agents)
     np.maximum.at(peak, agents, f.max(axis=1))
     np.square(f, out=f)
-    return peak, float(np.sqrt(f.sum(axis=0).max()))
+    return float(np.sqrt(f.sum(axis=0).max()))
 
 
 def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
@@ -350,55 +343,43 @@ def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
     dq = len(q)
     size = len(gen.g0)
 
-    # the attack injection is f(k) = M' g(k) for the live generator state g(k);
-    # only the columns of M that are not all zero can move a peak
-    cols = np.empty(0, dtype=int)
-    if size:
-        M = effective_injection(*gen.read(np.eye(size), int(gen.starts.max())),
-                                norm_lap, ctrl.c, ctrl.K).reshape(size, Nm)
-        cols = np.flatnonzero(M.any(axis=0))
-        M, agents = M[:, cols], cols // m
-    # floats a step of the live generator rows and the injection rows
-    Nf = size + len(cols) if len(cols) else 0
+    def injection(t):
+        """M with f(k) = M' g(k) in the regime of step t: the read-out of every
+        generator state that has started by then."""
+        return effective_injection(*gen.read(np.eye(size), t), norm_lap, ctrl.c,
+                                   ctrl.K).reshape(size, Nm)
 
-    # a window's workspace fills about WINDOW_FLOATS floats: both systems'
-    # states and block starts (about every sqrt(window)-th state), |x| and the
-    # injection rows. No window is longer than the horizon.
-    base = dp + dq + Nn + Nf
-    est = max(1, WINDOW_FLOATS // base)
-    per_step = base + sum(dim / block for dim in (dp, dq)
-                          if (block := _block_length(dim, est)) > 1)
-    window = max(1, min(int(WINDOW_FLOATS // per_step), horizon))
-
-    predictor = _levels(_stacked_powers(predictor_step, dp, window), window)
     switches = {0, horizon, *gen.starts[gen.starts < horizon].tolist()}
     if compensating:
         switches.add(compensator_start)
     switches = sorted(switches)
-    # each regime: (its end step, its two levels of stacked powers)
-    regimes = []
-    for start, end in zip(switches, switches[1:]):
-        powers = _stacked_powers(lambda z, t=start: error_step(z, t), dq, window)
-        regimes.append((end, _levels(powers, window)))
+    # only the columns of M that are not all zero in the last regime, where
+    # every attack of the run has started, can move a peak
+    cols = np.flatnonzero(injection(switches[-2]).any(axis=0)) if size else np.empty(0, int)
+    agents = cols // m
+
+    # a window's workspace fills about WINDOW_FLOATS floats: both systems'
+    # states, |x| and the injection rows. No window is longer than the horizon.
+    window = max(1, min(horizon, WINDOW_FLOATS // (dp + dq + Nn + len(cols))))
+
+    predictor = _stacked_powers(predictor_step, dp, window)
+    # each regime: its end step, its two levels of stacked powers and its M
+    regimes = [(end, _stacked_powers(lambda z, t=start: error_step(z, t), dq, window),
+                injection(start)[:, cols] if size else None)
+               for start, end in zip(switches, switches[1:])]
 
     P = np.empty((window + 1, dp))
     Q = np.empty((window + 1, dq))
     Xt = np.empty(Nn * window)
     P_starts = _starts(dp, window, [predictor])
-    Q_starts = _starts(dq, window, [levels for _, levels in regimes])
-    live = np.empty((window if Nf else 0, size))
+    Q_starts = _starts(dq, window, [levels for _, levels, _ in regimes])
     ft = np.empty(len(cols) * window)
 
-    # the stored steps keep their states, generator and phase rows; u and f
-    # follow from those after the loop
+    # the stored steps keep their rows of both systems; every stored quantity
+    # follows from those after the loop
     stored_ks = np.arange(0, horizon, store_stride)
-    S = len(stored_ks)
-    store_x = np.empty((S, N, n))
-    store_xhat = np.empty((S, N, n))
-    store_d = np.zeros((S, N, m))
-    store_cerr = np.empty((S, N))
-    store_g = np.empty((S, size))
-    store_phase = np.empty((S, dp - Nn))
+    store_P = np.empty((len(stored_ks), dp))
+    store_Q = np.empty((len(stored_ks), dq))
     inf_norms = np.empty(horizon + 1)
     inf_norms[0] = np.abs(x).max()
     per_agent_peak = np.zeros(N)
@@ -406,74 +387,68 @@ def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
 
     first_crossing = None
     P[0], Q[0] = p, q
-    k0 = 0
-    si = 0
-    r = 0
-    while k0 < horizon:
+    k0 = si = r = 0
+    while first_crossing is None and k0 < horizon:
         w = min(window, horizon - k0)
         # a diverging run overflows here; the crossing check below stops it
         with np.errstate(over="ignore", invalid="ignore"):
             _propagate(P, w, predictor, P_starts)
+            segments = []  # (a, b, M): rows a..b-1 of Q lie in a regime read out by M
             a = 0
             while a < w:
                 while regimes[r][0] <= k0 + a:
                     r += 1
-                end, levels = regimes[r]
+                end, levels, M = regimes[r]
                 b = min(w, end - k0)
                 _propagate(Q[a:], b - a, levels, Q_starts)
+                segments.append((a, b, M))
                 a = b
             # |x| = |x_hat + e|, laid out one row per state entry and one column
             # per step, since numpy reduces along short rows slowly
             X = Xt[:Nn * w].reshape(Nn, w)
             np.add(P[1:w + 1, :Nn].T, Q[1:w + 1, :Nn].T, out=X)
             np.abs(X, out=X)
-            norms = X.max(axis=0, out=inf_norms[k0 + 1:k0 + w + 1])
+            X.max(axis=0, out=inf_norms[k0 + 1:k0 + w + 1])
+            # steps k0..k0+w; step k0 was checked by the last window, or is x0
+            norms = inf_norms[k0:k0 + w + 1]
             within = np.isfinite(norms) & (norms <= divergence_threshold)
             if not within.all():
-                w = int(within.argmin()) + 1
+                w = int(within.argmin())
                 first_crossing = k0 + w
-            x = P[w, :Nn] + Q[w, :Nn]  # the state after the window
 
-        if Nf:
-            np.copyto(live[:w], Q[:w, Nn + Nd:])
-            for i in np.flatnonzero(gen.starts > k0):
-                live[:gen.starts[i] - k0, i] = 0.0
-            peak, bound = _injection_peaks(M, agents, live[:w], ft, N)
-            np.maximum(per_agent_peak, peak, out=per_agent_peak)
-            attack_bound = max(attack_bound, bound)
+        for a, b, M in segments:
+            if a < w and len(cols):
+                bound = _injection_peaks(M, agents, Q[a:min(b, w), Nn + Nd:], ft, per_agent_peak)
+                attack_bound = max(attack_bound, bound)
 
-        first = -k0 % store_stride
-        rows = slice(first, w, store_stride)
-        sl = slice(si, si + len(range(first, w, store_stride)))
-        np.add(P[rows, :Nn], Q[rows, :Nn], out=store_x[sl].reshape(-1, Nn))
-        store_xhat[sl] = P[rows, :Nn].reshape(-1, N, n)
-        store_phase[sl] = P[rows, Nn:]
-        if compensating:
-            store_d[sl] = Q[rows, Nn:Nn + Nd].reshape(-1, N, m)
-        store_g[sl] = Q[rows, Nn + Nd:]
-        store_cerr[sl] = np.abs(Q[rows, :Nn].reshape(-1, N, n)).max(axis=2)
+        rows = slice(-k0 % store_stride, w, store_stride)
+        sl = slice(si, si + len(range(w)[rows]))
+        store_P[sl], store_Q[sl] = P[rows], Q[rows]
         si = sl.stop
-
         k0 += w
         P[0], Q[0] = P[w], Q[w]
-        if first_crossing is not None:
-            break
 
     final_x_hat = P[0, :Nn].copy()
-    del P, Q, Xt, X, P_starts, Q_starts, live, ft  # the workspace ends with the loop
+    final_x = final_x_hat + Q[0, :Nn]
+    del P, Q, Xt, X, P_starts, Q_starts, ft  # the workspace ends with the loop
     steps_run = k0
     stored_ks = stored_ks[:si]
-    store_x = store_x[:si]
-    sens, act = gen.read(store_g[:si], stored_ks)
-    store_u = law(store_x, 0.0 if sens is None else sens,
-                  store_d[:si] if compensating else 0.0, store_phase[:si])
+    store_xhat = store_P[:si, :Nn].reshape(-1, N, n)
+    e = store_Q[:si, :Nn].reshape(-1, N, n)
+    store_x = store_xhat + e
+    # |e| laid out one slice per state entry, since numpy reduces along short rows slowly
+    store_cerr = np.abs(e.transpose(2, 0, 1), order="C").max(axis=0)
+    store_d = (store_Q[:si, Nn:Nn + Nd].reshape(-1, N, m).copy() if compensating
+               else np.zeros((si, N, m)))
+    sens, act = gen.read(store_Q[:si, Nn + Nd:], stored_ks)
+    del store_Q, e  # nothing derived keeps the error system's rows, so d is a copy
+    store_u = law(store_x, 0.0 if sens is None else sens, store_d, store_P[:si, Nn:])
     store_f = effective_injection(sens, act, norm_lap, ctrl.c, ctrl.K)
     if store_f is None:
         store_f = np.zeros((si, N, m))
     inf_norms = inf_norms[:steps_run + 1]
     growth = analyze_growth(inf_norms, magnitude_threshold=divergence_threshold)
-    crossing = first_crossing if first_crossing is not None else growth.first_crossing
-    prediction = destabilization_verdict(attacks, model, spectrum)
+    prediction = destabilization_verdict(attacks, model, spectrum, ctrl)
     intact = tuple(int(i) for i in range(N) if per_agent_peak[i] <= 1e-12)
 
     return SimulationTrace(
@@ -487,18 +462,18 @@ def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
         stride=store_stride,
         ks=stored_ks,
         x=store_x,
-        x_hat=store_xhat[:si],
+        x_hat=store_xhat,
         u=store_u,
-        d=store_d[:si],
+        d=store_d,
         f=store_f,
         eps=-norm_lap @ store_x,
         gamma=global_performance(store_x, graph),
-        consensus_err=store_cerr[:si],
+        consensus_err=store_cerr,
         inf_norms=inf_norms,
-        final_x=x,
+        final_x=final_x,
         final_x_hat=final_x_hat,
-        diverged=bool(crossing is not None or growth.growth_detected),
-        first_crossing=crossing,
+        diverged=bool(first_crossing is not None or growth.growth_detected),
+        first_crossing=first_crossing,
         growth_detected=growth.growth_detected,
         tail_slope=growth.tail_slope,
         prediction=prediction.value,

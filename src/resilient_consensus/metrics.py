@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attacks import AttackGenerator, AttackSpec, classify_imp
-from .dynamics import LtiModel, block_eigenvalues
+from .dynamics import LtiModel, baseline_radius, block_eigenvalues
 from .graph import DirectedGraph, GraphSpectrum
 
 GROWTH_WINDOW_FRACTION = 0.2
@@ -72,8 +72,12 @@ def _signal_is_nonzero(spec: AttackSpec, model: LtiModel, n_agents: int) -> bool
     return any(r is not None and np.abs(r).max() > 1e-12 for r in read)
 
 
-def destabilization_verdict(specs, model: LtiModel, spectrum: GraphSpectrum) -> Verdict:
-    """Predicts DESTABILIZE iff some IMP-classified attack excites a root node.
+def destabilization_verdict(specs, model: LtiModel, spectrum: GraphSpectrum,
+                            ctrl=None) -> Verdict:
+    """Predicts DESTABILIZE iff some IMP-classified attack excites a root node,
+    or, given the controller ``ctrl``, its loop is not stable: some block
+    A - c lam BK of a nonzero Laplacian eigenvalue has spectral radius >= 1,
+    so the run diverges whatever the attack.
 
     Sensor attacks enter the network through the Laplacian, whose left kernel
     is exactly the root eigenvector, so their projection S(k) vanishes
@@ -83,6 +87,8 @@ def destabilization_verdict(specs, model: LtiModel, spectrum: GraphSpectrum) -> 
     live = [s for s in specs if _signal_is_nonzero(s, model, n_agents)]
     if any(s.channel == "actuator" and s.agent in spectrum.root_set
            and classify_imp(s, model).is_imp for s in live):
+        return Verdict.DESTABILIZE
+    if ctrl is not None and baseline_radius(model, spectrum, ctrl.K, ctrl.c) >= 1.0:
         return Verdict.DESTABILIZE
     return Verdict.BOUNDED_DEVIATION if live else Verdict.CONSENSUS
 

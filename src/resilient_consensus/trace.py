@@ -120,7 +120,7 @@ class SimulationTrace:
         return float(self.consensus_err[self.tail_slice()].max(initial=0.0))
 
     def tail_consensus_error_per_agent(self) -> np.ndarray:
-        return self.consensus_err[self.tail_slice()].max(axis=0)
+        return self.consensus_err[self.tail_slice()].max(axis=0, initial=0.0)
 
     def tail_gamma(self) -> float:
         return float(self.gamma[self.tail_slice()].max(initial=0.0))

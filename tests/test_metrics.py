@@ -5,6 +5,7 @@ from resilient_consensus import (AttackSpec, DirectedGraph, Verdict, analyze_gro
                                  destabilization_verdict, deviation_bound, effective_attack,
                                  global_performance, hinf_bypass_report, normalized_laplacian,
                                  simulate, sinusoid_signal, tracking_error)
+from resilient_consensus.dynamics import baseline_radius
 from resilient_consensus.metrics import GROWTH_CHUNK
 
 from conftest import random_spanning_tree_digraph
@@ -65,8 +66,15 @@ def test_deviation_bound_cases(integrator, rotation2d, auv_model, example1_spect
             assert abs(bound - expected) <= 1e-9 * expected
 
 
-def test_destabilization_verdict_examples(integrator, example1_spectrum):
+def test_destabilization_verdict_examples(integrator, example1_spectrum, example1_ctrl):
     assert destabilization_verdict([], integrator, example1_spectrum) is Verdict.CONSENSUS
+    assert destabilization_verdict([], integrator, example1_spectrum,
+                                   example1_ctrl) is Verdict.CONSENSUS
+    # a supplied c = 50 leaves A - c lam BK unstable: the loop diverges unattacked
+    unstable = design_controller(integrator, example1_spectrum, c=50, theta=0.3)
+    assert baseline_radius(integrator, example1_spectrum, unstable.K, unstable.c) >= 1.0
+    assert destabilization_verdict([], integrator, example1_spectrum,
+                                   unstable) is Verdict.DESTABILIZE
 
     root = AttackSpec(agent=0, channel="actuator", signal=constant_signal([1.0]))
     assert destabilization_verdict([root], integrator, example1_spectrum) is Verdict.DESTABILIZE

@@ -437,6 +437,23 @@ def test_divergence_threshold_truncates_run():
     assert len(trace.inf_norms) == trace.steps_run + 1
 
 
+def test_a_run_starting_above_the_threshold_stops_at_step_0(tmp_path):
+    raw = dict(BUNDLED_SCENARIOS["example1_consensus"], divergence_threshold=8.0)
+    trace = run(ScenarioConfig.from_dict(raw))  # ||x0||_inf = 9
+    assert trace.steps_run == trace.first_crossing == 0 and trace.diverged
+    assert len(trace.ks) == 0 and list(trace.inf_norms) == [9.0]
+    assert list(trace.final_x) == raw["x0"]
+    assert trace.tail_consensus_error() == 0.0
+    assert list(trace.tail_consensus_error_per_agent()) == [0.0] * 4
+    write_summary(trace, str(tmp_path / "s.json"))
+    loaded = json.loads((tmp_path / "s.json").read_text())
+    assert not list(Draft202012Validator(SUMMARY_SCHEMA).iter_errors(loaded))
+    assert loaded["steps_run"] == loaded["first_crossing_step"] == 0
+    write_csv(trace, str(tmp_path / "t.csv"))
+    lines = (tmp_path / "t.csv").read_text().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("k,x_a0_0,")
+
+
 def test_cli_list_and_run(tmp_path, capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
@@ -507,6 +524,47 @@ def test_run_all_in_two_workers_matches_one(tmp_path, capsys):
     assert code == 4  # example1_root_attack diverges
     assert [line.split(":")[0] for line in lines] == list_scenarios()
     assert len(files) == 3 * len(list_scenarios())
+
+
+# ``run-all --seed 7`` at the bundled horizons: name, status, prediction, steps,
+# tail gamma and tail consensus error of every scenario
+RUN_ALL_SEED_7 = """\
+auv_const_attack_agent2: bounded, prediction=BOUNDED_DEVIATION, steps=800, tail gamma=114.3, tail consensus err=8.451
+auv_const_attack_agent2_resilient: bounded, prediction=BOUNDED_DEVIATION, steps=800, tail gamma=53.46, tail consensus err=5.463
+auv_healthy: bounded, prediction=CONSENSUS, steps=800, tail gamma=0.1374, tail consensus err=0
+auv_sin_attack_agent3: bounded, prediction=BOUNDED_DEVIATION, steps=800, tail gamma=393.5, tail consensus err=14.7
+auv_sin_attack_agent3_resilient: bounded, prediction=BOUNDED_DEVIATION, steps=800, tail gamma=1.929e+04, tail consensus err=126.7
+chain5_nonroot_attack: bounded, prediction=BOUNDED_DEVIATION, steps=2000, tail gamma=0.9976, tail consensus err=0.9988
+example1_consensus: bounded, prediction=CONSENSUS, steps=250, tail gamma=7.889e-31, tail consensus err=0
+example1_nonroot_attack: bounded, prediction=BOUNDED_DEVIATION, steps=2000, tail gamma=2.245, tail consensus err=1.498
+example1_root_attack: DIVERGED, prediction=DESTABILIZE, steps=2000, tail gamma=2.245, tail consensus err=999.9
+rotation2d_imp_nonroot: bounded, prediction=BOUNDED_DEVIATION, steps=1000, tail gamma=2.158, tail consensus err=1.469
+rotation2d_imp_nonroot_resilient: bounded, prediction=BOUNDED_DEVIATION, steps=1000, tail gamma=3.031, tail consensus err=1.469
+rotation2d_imp_root: DIVERGED, prediction=DESTABILIZE, steps=1000, tail gamma=8.63, tail consensus err=469
+rotation2d_imp_root_resilient: DIVERGED, prediction=DESTABILIZE, steps=1000, tail gamma=12.13, tail consensus err=469
+rotation2d_nonimp_root: bounded, prediction=BOUNDED_DEVIATION, steps=1000, tail gamma=4.544, tail consensus err=1.703
+"""
+
+
+def _run_all_fields(line):
+    """(name, status, prediction, steps) and the two tail numbers of a run-all line."""
+    name, rest = line.split(": ", 1)
+    fields = [field.split("=")[-1] for field in rest.split(", ")]
+    return (name, *fields[:3]), [float(v) for v in fields[3:]]
+
+
+def test_run_all_seed_7_prints_the_pinned_lines(tmp_path, capsys):
+    assert main(["run-all", "--seed", "7", "--format", "json", "--out", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    expected = RUN_ALL_SEED_7.splitlines()
+    assert len(lines) == len(expected)
+    for line, pinned in zip(lines, expected):
+        (labels, tails), (pinned_labels, pinned_tails) = map(_run_all_fields, (line, pinned))
+        assert labels == pinned_labels
+        for value, pin in zip(tails, pinned_tails):
+            # 4 significant digits, as printed; a pinned value under 1e-12 is
+            # rounding noise around an exact zero and need only stay under it
+            assert abs(value) < 1e-12 if abs(pin) < 1e-12 else f"{value:.4g}" == f"{pin:.4g}", line
 
 
 def test_validate_then_run_designs_once(synthesis_runs):
