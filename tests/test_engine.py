@@ -2,21 +2,29 @@
 
 The step law is checked on the stored arrays with the model matrices, the
 designed gains and ``signal_series``; whole runs are compared with a one-step
-recursion of the Kronecker-form closed loop; the ramp crossing is pinned to
-its closed form; memory is measured with ``tracemalloc``.
+recursion of the Kronecker-form closed loop, on hand-picked cases and on
+random ones; the ramp crossing is pinned to its closed form; memory is
+measured with ``tracemalloc``.
 """
 
 import copy
 import dataclasses
 import tracemalloc
+import types
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from resilient_consensus import (BUNDLED_SCENARIOS, AttackSpec, DirectedGraph, LtiModel,
-                                 ScenarioConfig, constant_signal, design_controller, load_config,
-                                 normalized_laplacian, run, signal_series, simulate)
+from conftest import random_spanning_tree_digraph
+from resilient_consensus import (BUNDLED_SCENARIOS, AttackSpec, ControllerConfig, DirectedGraph,
+                                 LeaderSpec, LtiModel, ScenarioConfig, constant_signal,
+                                 design_controller, global_performance, load_config,
+                                 normalized_laplacian, run, signal_series, simulate,
+                                 sinusoid_signal)
 from resilient_consensus import engine
 
 
@@ -49,9 +57,9 @@ def _record_levels(monkeypatch):
     return seen
 
 
-def _assert_close(actual, expected, rtol=1e-9):
-    scale = max(np.abs(expected).max(), 1.0)
-    assert np.abs(actual - expected).max() <= rtol * scale
+def _assert_close(actual, expected, rtol=1e-9, scale=0.0):
+    scale = max(np.abs(expected).max(initial=0.0), scale, 1.0)
+    assert np.abs(actual - expected).max(initial=0.0) <= rtol * scale
 
 
 def test_step_law_holds_on_every_stored_step(monkeypatch):
@@ -207,23 +215,37 @@ def _two_channel_config(sensor=(0.3, -0.2), actuator=1.0, sensor_agent=4):
 
 
 def _reference(config, spectrum, ctrl, horizon):
-    """The leaderless closed loop, one step at a time in Kronecker form: states
-    x, x_hat, d for k = 0..horizon and the law u and injection f for k < horizon."""
+    """The closed loop, one step at a time in Kronecker form: states x, x_hat, d
+    for k = 0..horizon and the law u and injection f for k < horizon. With a
+    leader, agent 0 applies u_0 = r(k) - K0 x_0 in place of the consensus law,
+    and each follower adds (1+h_i)^-1 a_i0 u_0."""
     N, n, m = config.graph.n_agents, config.model.state_dim, config.model.input_dim
     I = np.eye(N)
     A, B = np.kron(I, config.model.A), np.kron(I, config.model.B)
     LK = ctrl.c * np.kron(spectrum.normalized_laplacian, ctrl.K)
     s = _signals(config, "sensor", horizon, n).reshape(horizon, N * n)
     a = _signals(config, "actuator", horizon, m).reshape(horizon, N * m)
+    leader = config.leader
+    ff = config.graph.adjacency[1:, 0] / (1.0 + config.graph.in_degrees[1:])
+
+    def law(k, own, measured, d):
+        U = (-LK @ measured - d).reshape(N, m)
+        if leader is not None:
+            u0 = leader.amplitude * np.sin(leader.omega * k) - leader.K0 @ own[:n]
+            U[0] = u0
+            U[1:] += ff[:, None] * u0
+        return U.ravel()
+
     x = np.empty((horizon + 1, N * n))
     x_hat = np.empty((horizon + 1, N * n))
     d = np.zeros((horizon + 1, N * m))
     u = np.empty((horizon, N * m))
-    x[0] = x_hat[0] = np.asarray(config.x0, dtype=float).ravel()
+    x[0] = np.asarray(config.x0, dtype=float).ravel()
+    x_hat[0] = x[0] if config.predictor_init is None else config.predictor_init
     for k in range(horizon):
-        u[k] = -LK @ (x[k] + s[k]) - d[k]
+        u[k] = law(k, x[k], x[k] + s[k], d[k])
         x[k + 1] = A @ x[k] + B @ (u[k] + a[k])
-        x_hat[k + 1] = (A - B @ LK) @ x_hat[k]
+        x_hat[k + 1] = A @ x_hat[k] + B @ law(k, x_hat[k], x_hat[k], 0.0)
         if config.controller == "resilient" and k >= config.compensator_start:
             d[k + 1] = ctrl.theta * (d[k] + LK @ (x[k] + s[k] - x_hat[k]))
     f = a - s @ LK.T
@@ -235,27 +257,40 @@ def _simulate(config, horizon, stride):
     spectrum, ctrl = _design(config)
     trace = simulate(config.model, config.graph, spectrum, ctrl, horizon=horizon, x0=config.x0,
                      attacks=config.attacks, controller=config.controller,
-                     compensator_start=config.compensator_start, store_stride=stride,
+                     compensator_start=config.compensator_start, leader=config.leader,
+                     predictor_init=config.predictor_init, store_stride=stride,
                      divergence_threshold=config.divergence_threshold)
     return trace, spectrum, ctrl
 
 
-def _assert_matches_reference(trace, config, spectrum, ctrl, stride):
-    """Every stored row, the final states, |x| and the injection peaks of a run
-    of ``trace.steps_run`` steps against ``_reference``; f is evaluated densely,
-    on every agent and input. Returns which agents the injection reached."""
+def _assert_matches_reference(trace, config, spectrum, ctrl, stride, growing=False):
+    """Every stored array, the final states, |x| and the injection peaks of a
+    run of ``trace.steps_run`` steps against ``_reference``; f is evaluated
+    densely, on every agent and input. Returns which agents the injection
+    reached.
+
+    The consensus error, eps and Gamma are differences of states, so the
+    reference's rounding in them scales with |x|; so it does in d and u on a
+    ``growing`` run, whose |x| can be far larger than either."""
     steps = trace.steps_run
     x, x_hat, d, u, f = _reference(config, spectrum, ctrl, steps)
     ks = np.arange(0, steps, stride)
     assert list(trace.ks) == list(ks)
-    for actual, expected in ((trace.x, x[ks]), (trace.x_hat, x_hat[ks]), (trace.d, d[ks]),
-                             (trace.u, u[ks]), (trace.f, f[ks]),
-                             (trace.final_x, x[-1].ravel()),
-                             (trace.final_x_hat, x_hat[-1].ravel()),
-                             (trace.inf_norms, np.abs(x).max(axis=(1, 2)))):
-        _assert_close(actual, expected)
-    assert trace.attack_bound == pytest.approx(np.linalg.norm(f, axis=(1, 2)).max(), rel=1e-12)
-    reached = np.abs(f).max(axis=(0, 2)) > 1e-12
+    stored = x[ks]
+    scale = np.abs(x).max()
+    for actual, expected, power in (
+            (trace.x, stored, 0), (trace.x_hat, x_hat[ks], 0), (trace.f, f[ks], 0),
+            (trace.d, d[ks], growing), (trace.u, u[ks], growing),
+            (trace.final_x, x[-1].ravel(), 0), (trace.final_x_hat, x_hat[-1].ravel(), 0),
+            (trace.inf_norms, np.abs(x).max(axis=(1, 2)), 0),
+            (trace.eps, -spectrum.normalized_laplacian @ stored, 1),
+            (trace.consensus_err, np.abs(stored - x_hat[ks]).max(axis=2), 1),
+            (trace.gamma, global_performance(stored, config.graph), 2)):
+        assert actual.shape == expected.shape
+        _assert_close(actual, expected, scale=scale ** power if power else 0.0)
+    bound = np.linalg.norm(f, axis=(1, 2)).max(initial=0.0)
+    assert trace.attack_bound == pytest.approx(bound, rel=1e-12, abs=1e-300)
+    reached = np.abs(f).max(axis=(0, 2), initial=0.0) > 1e-12
     assert trace.intact_agents == tuple(np.flatnonzero(~reached))
     return reached
 
@@ -309,6 +344,94 @@ def test_cut_powers_match_the_one_step_recursion(monkeypatch):
     (_, block, groups, window), *cut = levels[1:]
     assert groups > 1 and block * groups < window
     assert all(b < block and g == 1 for _, b, g, _ in cut)
+
+
+@st.composite
+def _random_runs(draw):
+    """A random run and the engine sizes to simulate it with: a graph with a
+    spanning tree, with or without a leader; a model of dimension 1-3 with
+    random gains, so that some loops grow; attacks on both channels whose
+    starts may fall after the crossing or the horizon; a compensator start, a
+    store stride, and BLOCK_FLOATS, WINDOW_FLOATS and POWER_LIMIT small enough
+    for partial blocks and groups, cut powers, block length 1 and many
+    windows. Returns the run's config, its controller, the stride, the patched
+    sizes and the crossing step the threshold is placed at, if any."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    N, n = draw(st.integers(2, 5)), draw(st.integers(1, 3))
+    m = draw(st.integers(1, n))
+    A = rng.normal(size=(n, n))
+    A *= draw(st.sampled_from([0.5, 0.95, 1.0, 1.1])) / np.abs(np.linalg.eigvals(A)).max()
+    model = LtiModel(A=A, B=rng.normal(size=(n, m)))
+    ctrl = ControllerConfig(K=0.5 * rng.normal(size=(m, n)),
+                            c=draw(st.sampled_from([0.2, 0.6, 1.0])), P1=np.eye(n),
+                            Q1=np.eye(n), R1=np.eye(m), R1_bar=np.eye(m),
+                            theta=draw(st.sampled_from([0.3, 0.65])), T=np.eye(m))
+    horizon = draw(st.integers(1, 120))
+    leader = None
+    if draw(st.booleans()):
+        leader = LeaderSpec(K0=0.3 * rng.normal(size=(m, n)),
+                            amplitude=draw(st.sampled_from([0.5, 2.0])),
+                            omega=draw(st.sampled_from([0.05, 0.7])))
+    attacks = []
+    for _ in range(draw(st.integers(0, 3))):
+        channel = draw(st.sampled_from(["actuator", "sensor"]))
+        width = n if channel == "sensor" else m
+        amplitude = draw(st.lists(st.sampled_from([-1.5, -0.3, 0.0, 0.4, 2.0]),
+                                  min_size=width, max_size=width))
+        signal = (constant_signal(amplitude) if draw(st.booleans())
+                  else sinusoid_signal(amplitude, draw(st.sampled_from([0.4, 1.3]))))
+        attacks.append(AttackSpec(agent=draw(st.integers(leader is not None, N - 1)),
+                                  channel=channel, signal=signal,
+                                  start_step=draw(st.integers(0, horizon + 5))))
+    x0 = rng.normal(size=N * n)
+    config = types.SimpleNamespace(
+        model=model, graph=random_spanning_tree_digraph(N, rng), x0=x0, attacks=attacks,
+        controller=draw(st.sampled_from(["baseline", "resilient"])),
+        compensator_start=draw(st.integers(0, horizon + 5)), leader=leader,
+        predictor_init=x0 + 0.2 * rng.normal(size=N * n) if draw(st.booleans()) else None)
+    sizes = {"BLOCK_FLOATS": draw(st.sampled_from([None, 1, 30, 120, 600])),
+             "WINDOW_FLOATS": draw(st.sampled_from([None, 1, 60, 300, 1500])),
+             "POWER_LIMIT": draw(st.sampled_from([None, 1.5, 20.0]))}
+    stride = draw(st.integers(1, horizon + 1))
+    crossing = draw(st.none() | st.integers(0, horizon))
+    return config, ctrl, horizon, stride, sizes, crossing
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_random_runs())
+def test_random_runs_match_the_one_step_recursion(case):
+    config, ctrl, horizon, stride, sizes, crossing = case
+    spectrum = normalized_laplacian(config.graph)
+    norms = np.abs(_reference(config, spectrum, ctrl, horizon)[0]).max(axis=(1, 2))
+    # a threshold halfway between the largest |x| before the drawn step and a
+    # larger |x| at or after it, so that rounding cannot move the crossing;
+    # without one that far above, the run does not cross
+    peak = np.maximum.accumulate(norms)
+    later = [k for k in range(crossing or 0, horizon + 1)
+             if crossing is not None and norms[k] > 1.001 * (peak[k - 1] if k else 0.0)]
+    if later:
+        expected = later[0]
+        threshold = (norms[expected] + (peak[expected - 1] if expected else 0.0)) / 2
+    else:
+        expected, threshold = None, 2.0 * peak[-1] + 1.0
+    config.divergence_threshold = threshold
+    with mock.patch.multiple(engine, **{k: getattr(engine, k) if v is None else v
+                                        for k, v in sizes.items()}):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace, *_ = _simulate_with(config, ctrl, spectrum, horizon, stride)
+    assert trace.first_crossing == expected
+    assert trace.steps_run == (horizon if expected is None else expected)
+    _assert_matches_reference(trace, config, spectrum, ctrl, stride, growing=True)
+
+
+def _simulate_with(config, ctrl, spectrum, horizon, stride):
+    trace = simulate(config.model, config.graph, spectrum, ctrl, horizon=horizon, x0=config.x0,
+                     attacks=config.attacks, controller=config.controller,
+                     compensator_start=config.compensator_start, leader=config.leader,
+                     predictor_init=config.predictor_init, store_stride=stride,
+                     divergence_threshold=config.divergence_threshold)
+    return trace, spectrum, ctrl
 
 
 @pytest.mark.parametrize("case", ["zero_amplitude", "sensor_only", "starts_in_two_windows",
