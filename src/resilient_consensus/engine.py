@@ -1,4 +1,4 @@
-"""One run simulated as two autonomous linear systems, propagated in blocks.
+"""One run simulated as two autonomous linear systems, read out in blocks.
 
 Every input of a run comes from a linear generator f(j+1) = W f(j): each
 attack signal, and the leader reference r(k) = amplitude sin(omega k) on
@@ -30,50 +30,53 @@ The predictor's operator is fixed. The error system's switches at each
 attack's ``start_step`` (before it, the attack's block of g holds at f0 and
 reads out nothing) and, for the resilient controller, at ``compensator_start``
 (before it, d is held at zero): each stretch between switch times is a
-regime with its own operator and its own injection read-out f(k) = M' g(k),
-which ``AttackGenerator.read`` gives at the regime's start (so f's sensor
-product is still written once, in ``attacks.effective_injection``).
+regime with its own operator F_Q and its own injection read-out
+f(k) = M' g(k), which ``AttackGenerator.read`` gives at the regime's start
+(so f's sensor product is still written once, in
+``attacks.effective_injection``), cut to the columns that are not all zero
+once every attack has started.
 
-The run is processed in windows of WINDOW_FLOATS // (floats a step takes)
-steps, at most the horizon; a step takes both systems' states, |x| and the
-injection rows. A system with operator F advances through a window in three
-levels:
+The loop does not form the states of most steps, only what is read from
+them: x = x_hat + e, which gives ||x||_inf and the crossing, and the live
+columns of f, which give the injection peaks. Each regime is processed in
+segments of at most a window of steps, and both systems share the segment's
+grid of blocks of B steps, B the smaller of their block lengths. A segment
+starting at step k goes in three levels:
 
-- the window is cut into groups of C blocks of B steps each, B and C about
-  the square root of the window. The group starts follow one another by
-  F^CB, in a Python loop that most windows run once or not at all;
-- one product of the group starts with the stacked powers [F^B; ...; F^CB]
-  gives every block start;
-- one GEMM of the block starts with the stacked powers [F; ...; F^B] gives
-  every state.
+- the group starts, C blocks apart, follow one another by F^CB in a Python
+  loop that most segments run once or not at all;
+- one product of the group starts with [F^B; ...; F^CB] gives every block
+  start, of each system;
+- one GEMM of the stacked block starts [p; q] with the projected powers
+  [C_x F_P^t | C_x F_Q^t] and [0 | M' F_Q^(t-1)], t = 1..B (C_x takes the
+  first N n rows), gives x at step k + jB + t and f at step k + jB + t - 1
+  for every block j, laid out one row per read-out and one column per
+  block, so that ||x||_inf and the peaks are reductions over contiguous rows.
 
-At each level the last state of a group or block is set back to the value
-the level above gave it, so that each block starts exactly where the last
-one ended, and a partial last group or block takes one product of the
-powers it needs with its start. B and C are each cut to the powers that fit
-in BLOCK_FLOATS floats, and before the first power with an entry above
-POWER_LIMIT, so that no power overflows; a system whose powers are cut that
-far (B = 1 on large networks) falls back to the loop of single steps. Both
-systems restart their groups at each window, and the error system also at
-each switch time. The window depends on the floats a step takes, which the
-attacks add to, so x_hat comes out bit for bit the same with and without
-attacks when both runs fit one window, and the same up to rounding otherwise.
+Each system's powers [F; ...; F^B] and [F^B; ...; F^CB] are those of
+``_stacked_powers``, sized for the regime's length up to a window: B and C
+about its square root, each cut to the powers that fit in BLOCK_FLOATS
+floats and before the first power with an entry above POWER_LIMIT, so that
+no power overflows. The system with the longer blocks takes its group powers
+for the shorter B from its own F^B. A system whose powers are cut that far
+(B = 1 on large networks) steps its block starts one step at a time. Full
+states are formed only at block starts, at stored steps (one product of the
+offset's power with its block start for each offset, a GEMM of all the
+offsets at stride 1), at the end of each segment, and at the crossing. The
+run stops at the first step, step 0 included, where ||x||_inf is non-finite
+or above the divergence threshold (a diverging run may overflow past it, so
+the propagation runs with NumPy's overflow warnings off); the injection
+peaks count only the steps before it. x = x_hat + e, d, the consensus error,
+u and f of the stored steps follow from their rows of both systems in one
+evaluation after the loop, when the workspace has been released.
 
-Each run allocates one workspace, and every window writes into it in place.
-A window's states give ||x||_inf = ||x_hat + e||_inf after every step, and
-the run stops at the first step, step 0 included, where it is non-finite or
-above the divergence threshold (a diverging run may overflow past it, so the
-propagation runs with NumPy's overflow warnings off). The injection peaks
-are taken over each regime's rows of the window up to that step, with M cut
-to its columns that are not all zero once every attack has started. The
-stored steps keep the rows of both systems; x = x_hat + e, d, the consensus
-error, u and f follow from them in one evaluation after the loop, when the
-workspace has been released.
-
-Time grows linearly with the horizon. Memory grows with it only by the
-per-step inf-norm series (8 bytes a step) and the stored rows; the window,
-and so the workspace and each system's powers, are sized by WINDOW_FLOATS
-and BLOCK_FLOATS, not by the horizon.
+A window is sized so that its workspace, the read-outs of its steps (about
+N n + live columns floats a step), two copies of its block starts and one
+regime's projected powers, fills about WINDOW_FLOATS floats. Time grows
+linearly with the horizon. Memory grows with it only by the per-step
+inf-norm series (8 bytes a step) and the stored rows; the window, and so
+the workspace and each system's powers, are sized by WINDOW_FLOATS and
+BLOCK_FLOATS, not by the horizon.
 """
 
 from __future__ import annotations
@@ -97,8 +100,8 @@ DIVERGENCE_THRESHOLD = 1e9
 # floats of each level of one system's stacked powers, [F; ...; F^B] and
 # [F^B; ...; F^CB]
 BLOCK_FLOATS = 1 << 16
-# floats of a run's window workspace: both systems' states, |x| and the
-# injection rows (the block and group starts come on top)
+# floats of a run's window workspace: the read-outs of its steps, its block
+# starts and one regime's projected powers
 WINDOW_FLOATS = 1 << 18
 # largest entry any stacked power may reach
 POWER_LIMIT = 1e150
@@ -182,14 +185,15 @@ def _stacked_powers(step, dim: int, window: int) -> tuple:
     that give the block starts of a window.
 
     F's columns are ``step`` applied to the unit vectors, BASIS_CHUNK at a
-    time; each level follows by doubling. B is ``_block_length`` and
-    C = ceil(window / B), both at most the powers BLOCK_FLOATS holds. Each
-    level stops short before the first power with an entry above POWER_LIMIT
-    or a non-finite one, and a cut in the first level leaves the second with
-    its last power alone.
+    time; each level follows by doubling. B is ``_block_length`` of the window
+    and C that of its ceil(window / B) blocks, so both are about a square
+    root and at most the powers BLOCK_FLOATS holds. Each level stops short
+    before the first power with an entry above POWER_LIMIT or a non-finite
+    one, and a cut in the first level leaves the second with its last power
+    alone.
     """
     block = _block_length(dim, window)
-    groups = max(1, min(-(-window // block), BLOCK_FLOATS // (dim * dim)))
+    groups = _block_length(dim, -(-window // block))
     out = np.empty((block + groups - 1, dim, dim))
     for lo in range(0, dim, BASIS_CHUNK):
         hi = min(lo + BASIS_CHUNK, dim)
@@ -201,65 +205,95 @@ def _stacked_powers(step, dim: int, window: int) -> tuple:
     return out[:block].reshape(-1, dim), out[block - 1:count].reshape(-1, dim)
 
 
-def _propagate(states: np.ndarray, count: int, levels: tuple, starts: tuple) -> None:
-    """Write the ``count`` states that follow ``states[0]`` into states[1:count+1].
+def _upper(levels: tuple, dim: int, block: int, window: int) -> np.ndarray:
+    """[F^b; F^2b; ...; F^Cb] for a block length b = ``block`` of at most the B
+    of ``levels`` (a level pair of ``_stacked_powers``): its own second level
+    when b is B, else C = _block_length(dim, ceil(window / b)) powers of its
+    F^b by doubling, cut before the first power above POWER_LIMIT."""
+    first, second = levels
+    if len(first) == block * dim:
+        return second
+    out = np.empty((_block_length(dim, -(-window // block)), dim, dim))
+    out[0] = first[(block - 1) * dim:block * dim]
+    return out[:_double(out)].reshape(-1, dim)
 
-    ``levels[0]`` is [F; ...; F^B]. The block starts, B steps apart, are the
-    states of the system F^B: the next level propagates them the same way
-    into ``starts[0]`` (straight into ``states`` when B is 1), and without a
-    next level they follow one another by F^B. One GEMM of the block starts
-    with the powers gives every state of the whole blocks, and the block ends
-    are set back to the starts, so that each block starts exactly where the
-    last one ended. A partial last block takes one product of the powers it
-    needs with its start.
-    """
-    powers = levels[0]
+
+def _fill(states: np.ndarray, count: int, powers: np.ndarray, chain: np.ndarray) -> None:
+    """Write the ``count`` states that follow ``states[0]`` into
+    states[1:count+1], given the block starts chain[j] = states[jB] and the
+    powers [F; ...; F^B]: one GEMM of the block starts with the powers gives
+    every state of the whole blocks, and the block ends are set back to the
+    starts, so that each block starts exactly where the last one ended. A
+    partial last block takes one product of the powers it needs with its
+    start."""
     dim = states.shape[1]
     block = len(powers) // dim
     whole = count // block
     end = whole * block
     if whole:
-        chain = states if block == 1 else starts[0]
-        chain[0] = states[0]
-        if len(levels) > 1:
-            _propagate(chain, whole, levels[1:], starts[1:])
-        else:
-            F_B = powers[-dim:]
-            for j in range(whole):
-                np.matmul(F_B, chain[j], out=chain[j + 1])
         if block > 1:
             np.matmul(chain[:whole], powers.T, out=states[1:end + 1].reshape(whole, -1))
-            states[block:end + 1:block] = chain[1:whole + 1]
+        states[block:end + 1:block] = chain[1:whole + 1]
     if end < count:
         np.matmul(powers[:(count - end) * dim], states[end],
                   out=states[end + 1:count + 1].reshape(-1))
 
 
-def _starts(dim: int, window: int, regimes) -> tuple:
-    """Block-start buffers for ``_propagate`` over windows of ``window`` steps,
-    one per level, as large as any of ``regimes`` (level pairs of ``_stacked_powers``) needs."""
-    rows = [0, 0]
-    for levels in regimes:
-        count = window
-        for i, powers in enumerate(levels):
-            block = len(powers) // dim
-            count //= block
-            if block > 1:
-                rows[i] = max(rows[i], count + 1)
-    return tuple(np.empty((r, dim)) for r in rows)
+def _propagate(states: np.ndarray, count: int, powers: np.ndarray) -> None:
+    """Write the ``count`` states that follow ``states[0]`` into states[1:count+1]
+    for the stacked powers [F; ...; F^B]: the block starts, B steps apart,
+    follow one another by F^B (straight in ``states`` when B is 1), and
+    ``_fill`` gives the rest."""
+    dim = states.shape[1]
+    block = len(powers) // dim
+    chain = states if block == 1 else np.empty((count // block + 1, dim))
+    chain[0] = states[0]
+    F_B = powers[-dim:]
+    for j in range(count // block):
+        np.matmul(F_B, chain[j], out=chain[j + 1])
+    _fill(states, count, powers, chain)
 
 
-def _injection_peaks(M: np.ndarray, agents: np.ndarray, g: np.ndarray, buf: np.ndarray,
-                     peak: np.ndarray) -> float:
-    """Raise the per-agent ``peak`` to the largest |f_i(k)| over f(k) = M' g(k)
-    for the generator rows ``g``, evaluated in ``buf``; return the largest
-    ||f(k)||_2. ``M`` holds only the read-out columns that are not all zero and
-    ``agents`` their agents; the others add exactly 0 to every peak and ||f||^2."""
-    f = np.matmul(M.T, g.T, out=buf[:M.shape[1] * len(g)].reshape(M.shape[1], -1))
-    np.abs(f, out=f)
-    np.maximum.at(peak, agents, f.max(axis=1))
-    np.square(f, out=f)
-    return float(np.sqrt(f.sum(axis=0).max()))
+def _at(starts: np.ndarray, powers: np.ndarray, first: int, step: int, out: np.ndarray) -> None:
+    """out[i] = the state first + i step steps after starts[0], from the block
+    starts ``starts`` and the powers [F; ...; F^B]: F^t starts[j] for
+    first + i step = jB + t with 0 <= t < B. The rows' powers are gathered at
+    most BLOCK_FLOATS floats at a time, and each gather takes one product."""
+    dim = starts.shape[1]
+    cube = powers.reshape(-1, dim, dim)
+    chunk = max(1, BLOCK_FLOATS // (dim * dim))
+    j, t = np.divmod(np.arange(first, first + len(out) * step, step), len(cube))
+    out[:] = starts[j]
+    rows = np.flatnonzero(t)
+    for lo in range(0, len(rows), chunk):
+        i = rows[lo:lo + chunk]
+        out[i] = np.matmul(cube[t[i] - 1], starts[j[i], :, None])[:, :, 0]
+
+
+def _state(starts: np.ndarray, powers: np.ndarray, offset: int) -> np.ndarray:
+    """The state ``offset`` steps after starts[0]: F^t starts[j] for
+    offset = jB + t with 0 <= t < B, as ``_at`` gives it for one row."""
+    dim = starts.shape[1]
+    j, t = divmod(offset, len(powers) // dim)
+    return starts[j] if t == 0 else powers[(t - 1) * dim:t * dim] @ starts[j]
+
+
+def _projection(predictor: np.ndarray, error: np.ndarray, Nn: int, M: np.ndarray) -> np.ndarray:
+    """The read-out powers of a regime with block length B, from both systems'
+    powers [F; ...; F^B]: row block t = 1..B holds [C_x F_P^t | C_x F_Q^t],
+    which gives x t steps after a block start [p; q], and [0 | M' F_Q^(t-1)],
+    which gives f one step earlier. ``M`` maps the generator state, the last
+    rows of q, to the live injection columns."""
+    dp, dq = predictor.shape[1], error.shape[1]
+    block = len(predictor) // dp
+    FP, FQ = predictor.reshape(block, dp, dp), error.reshape(block, dq, dq)
+    out = np.zeros((block, Nn + M.shape[1], dp + dq))
+    out[:, :Nn, :dp] = FP[:, :Nn]
+    out[:, :Nn, dp:] = FQ[:, :Nn]
+    g = dq - M.shape[0]
+    out[0, Nn:, dp + g:] = M.T
+    np.matmul(M.T, FQ[:-1, g:], out=out[1:, Nn:, dp:])
+    return out.reshape(-1, dp + dq)
 
 
 def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
@@ -358,80 +392,97 @@ def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
     cols = np.flatnonzero(injection(switches[-2]).any(axis=0)) if size else np.empty(0, int)
     agents = cols // m
 
-    # a window's workspace fills about WINDOW_FLOATS floats: both systems'
-    # states, |x| and the injection rows. No window is longer than the horizon.
-    window = max(1, min(horizon, WINDOW_FLOATS // (dp + dq + Nn + len(cols))))
+    R = Nn + len(cols)  # read-out rows a step: x and the live injection columns
 
+    # a window's workspace fills about WINDOW_FLOATS floats: the read-outs of
+    # its steps, two copies of its block starts and one regime's projected
+    # powers, for blocks of at most B0 steps. No window is longer than the horizon.
+    B0 = _block_length(max(dp, dq), max(1, WINDOW_FLOATS // R))
+    window = max(1, min(horizon, (WINDOW_FLOATS - B0 * R * (dp + dq))
+                        // (R + 2 * -(-(dp + dq) // B0))))
     predictor = _stacked_powers(predictor_step, dp, window)
-    # each regime: its end step, its two levels of stacked powers and its M
-    regimes = [(end, _stacked_powers(lambda z, t=start: error_step(z, t), dq, window),
-                injection(start)[:, cols] if size else None)
-               for start, end in zip(switches, switches[1:])]
-
-    P = np.empty((window + 1, dp))
-    Q = np.empty((window + 1, dq))
-    Xt = np.empty(Nn * window)
-    P_starts = _starts(dp, window, [predictor])
-    Q_starts = _starts(dq, window, [levels for _, levels, _ in regimes])
-    ft = np.empty(len(cols) * window)
+    readout = np.empty(R * (window + B0))
 
     # the stored steps keep their rows of both systems; every stored quantity
     # follows from those after the loop
     stored_ks = np.arange(0, horizon, store_stride)
     store_P = np.empty((len(stored_ks), dp))
     store_Q = np.empty((len(stored_ks), dq))
-    inf_norms = np.empty(horizon + 1)
+    inf_norms = np.empty(horizon + 1 + B0)  # the last block may reach B0 - 1 past the end
     inf_norms[0] = np.abs(x).max()
     per_agent_peak = np.zeros(N)
     attack_bound = 0.0
 
-    first_crossing = None
-    P[0], Q[0] = p, q
-    k0 = si = r = 0
-    while first_crossing is None and k0 < horizon:
-        w = min(window, horizon - k0)
-        # a diverging run overflows here; the crossing check below stops it
-        with np.errstate(over="ignore", invalid="ignore"):
-            _propagate(P, w, predictor, P_starts)
-            segments = []  # (a, b, M): rows a..b-1 of Q lie in a regime read out by M
-            a = 0
-            while a < w:
-                while regimes[r][0] <= k0 + a:
-                    r += 1
-                end, levels, M = regimes[r]
-                b = min(w, end - k0)
-                _propagate(Q[a:], b - a, levels, Q_starts)
-                segments.append((a, b, M))
-                a = b
-            # |x| = |x_hat + e|, laid out one row per state entry and one column
-            # per step, since numpy reduces along short rows slowly
-            X = Xt[:Nn * w].reshape(Nn, w)
-            np.add(P[1:w + 1, :Nn].T, Q[1:w + 1, :Nn].T, out=X)
-            np.abs(X, out=X)
-            X.max(axis=0, out=inf_norms[k0 + 1:k0 + w + 1])
-            # steps k0..k0+w; step k0 was checked by the last window, or is x0
-            norms = inf_norms[k0:k0 + w + 1]
-            within = np.isfinite(norms) & (norms <= divergence_threshold)
-            if not within.all():
-                w = int(within.argmin())
-                first_crossing = k0 + w
+    first_crossing = None if inf_norms[0] <= divergence_threshold else 0
+    k = si = 0
+    for start, end in zip(switches, switches[1:]):
+        if first_crossing is not None:
+            break
+        # the regime's powers, for its length up to a window, and its blocks of
+        # B steps, the shorter of the two systems' blocks
+        span = min(window, end - start)
+        error = _stacked_powers(lambda z: error_step(z, start), dq, span)
+        B = min(len(predictor[0]) // dp, len(error[0]) // dq)
+        P_pow, Q_pow = predictor[0][:B * dp], error[0][:B * dq]
+        P_up, Q_up = _upper(predictor, dp, B, span), _upper(error, dq, B, span)
+        proj = _projection(P_pow, Q_pow, Nn, injection(start)[:, cols] if size
+                           else np.zeros((0, 0)))
+        rows = span // B + 1
+        Zp, Zq, Z = np.empty((rows, dp)), np.empty((rows, dq)), np.empty((rows, dp + dq))
+        while k < end and first_crossing is None:
+            # a segment of ``steps`` steps from step k, in J blocks, the last maybe partial
+            steps = min(span, end - k)
+            J = -(-steps // B)
+            Zp[0], Zq[0] = p, q
+            # a diverging run overflows here; the crossing check below stops it
+            with np.errstate(over="ignore", invalid="ignore"):
+                _propagate(Zp, steps // B, P_up)
+                _propagate(Zq, steps // B, Q_up)
+                Z[:J, :dp], Z[:J, dp:] = Zp[:J], Zq[:J]
+                Y = readout[:B * R * J].reshape(B * R, J)
+                np.matmul(proj, Z[:J].T, out=Y)
+                np.abs(Y, out=Y)
+                # Y[i, :, j]: |x| at step k + jB + i + 1 and |f| at step k + jB + i
+                Y = Y.reshape(B, R, J)
+                # the tail of a partial last block lands past the segment, where the
+                # next segment, or the end of the run, overwrites it
+                inf_norms[k + 1:k + B * J + 1].reshape(J, B)[...] = Y[:, :Nn].max(axis=1).T
+                norms = inf_norms[k + 1:k + steps + 1]
+                lim = steps  # the steps this segment runs: up to its end or the crossing
+                if not norms.max() <= divergence_threshold:  # also when one is NaN
+                    within = np.isfinite(norms) & (norms <= divergence_threshold)
+                    lim = int(within.argmin()) + 1
+                    first_crossing = k + lim
 
-        for a, b, M in segments:
-            if a < w and len(cols):
-                bound = _injection_peaks(M, agents, Q[a:min(b, w), Nn + Nd:], ft, per_agent_peak)
-                attack_bound = max(attack_bound, bound)
+            if len(cols):
+                f = Y[:, Nn:]
+                if lim < B * J:  # only the steps before lim count
+                    f[lim % B:, :, lim // B] = 0.0
+                    f[:, :, lim // B + 1:] = 0.0
+                np.maximum.at(per_agent_peak, agents, f.max(axis=(0, 2)))
+                attack_bound = max(attack_bound,
+                                   float(np.sqrt(np.einsum("icj,icj->ij", f, f).max())))
 
-        rows = slice(-k0 % store_stride, w, store_stride)
-        sl = slice(si, si + len(range(w)[rows]))
-        store_P[sl], store_Q[sl] = P[rows], Q[rows]
-        si = sl.stop
-        k0 += w
-        P[0], Q[0] = P[w], Q[w]
+            first = -k % store_stride  # the first stored step, after step k
+            count = len(range(first, lim, store_stride))
+            if count:
+                for store, starts, powers in ((store_P, Zp, P_pow), (store_Q, Zq, Q_pow)):
+                    out = store[si:si + count]
+                    if store_stride == 1:
+                        out[0] = starts[0]
+                        _fill(out, count - 1, powers, starts)
+                    else:
+                        _at(starts, powers, first, store_stride, out)
+                si += count
+            # the state at step k + lim starts the next segment, or is the final one
+            p, q = _state(Zp, P_pow, lim), _state(Zq, Q_pow, lim)
+            k += lim
+        del error, P_pow, Q_pow, P_up, Q_up, proj, Zp, Zq, Z
 
-    final_x_hat = P[0, :Nn].copy()
-    final_x = final_x_hat + Q[0, :Nn]
-    del P, Q, Xt, X, P_starts, Q_starts, ft  # the workspace ends with the loop
-    steps_run = k0
+    del predictor, readout  # the workspace ends with the loop
+    final_x_hat = p[:Nn].copy()
+    final_x = final_x_hat + q[:Nn]
+    steps_run = k
     stored_ks = stored_ks[:si]
     store_xhat = store_P[:si, :Nn].reshape(-1, N, n)
     e = store_Q[:si, :Nn].reshape(-1, N, n)

@@ -115,7 +115,7 @@ def test_step_law_holds_on_every_stored_step(monkeypatch):
 def test_ramp_crossing_equals_closed_form_inside_a_block(monkeypatch):
     config = load_config("example1_root_attack")
     spectrum, ctrl = _design(config)
-    threshold = 1e4
+    threshold = 2e4
     (attack,) = config.attacks
     v = float(attack.signal.f0[0])
     p = spectrum.left_eigvec_zero
@@ -334,7 +334,7 @@ def test_runs_match_the_one_step_recursion(monkeypatch, block_floats, window_flo
 def test_cut_powers_match_the_one_step_recursion(monkeypatch):
     """A POWER_LIMIT cut shortens the first level of the later regimes, which
     then have no second level, while the first regime keeps both."""
-    monkeypatch.setattr(engine, "BLOCK_FLOATS", 3000)
+    monkeypatch.setattr(engine, "BLOCK_FLOATS", 2000)
     monkeypatch.setattr(engine, "WINDOW_FLOATS", 8000)
     monkeypatch.setattr(engine, "POWER_LIMIT", 1.5)
     levels = _record_levels(monkeypatch)
