@@ -11,7 +11,8 @@ from jsonschema import Draft202012Validator
 
 from . import engine
 from .attacks import AttackGenerator, AttackSpec, constant_signal, sinusoid_signal, ExogenousSignal
-from .design import THETA_BOUND, DesignError, _as_weight, coupling_range, design_controller
+from .design import (THETA_BOUND, DesignError, _as_weight, coupling_range, design_controller,
+                     joint_radius)
 from .dynamics import LtiModel, baseline_radius
 from .graph import DirectedGraph, GraphError, normalized_laplacian
 from .trace import SimulationTrace
@@ -361,6 +362,15 @@ def validate(config: ScenarioConfig) -> list:
             diags.append({"level": "error", "field": "c",
                           "message": (f"supplied c = {ctrl.c:.4g} leaves A - c lam BK unstable: "
                                       f"spectral radius {radius:.4g} >= 1")})
+    if config.controller == "resilient":
+        # every design branch, the last resort included, can return a pair whose
+        # compensating loop is not Schur; the run then diverges whatever the attack
+        radius = joint_radius(config.model, spectrum, ctrl.K, ctrl.c, ctrl.theta)
+        if radius >= 1.0:
+            diags.append({"level": "error", "field": "design",
+                          "message": (f"joint_radius {radius:.4g} >= 1: the compensating loop "
+                                      f"with c = {ctrl.c:.4g}, theta = {ctrl.theta:.4g} is "
+                                      f"not Schur")})
     if not (0 < ctrl.theta < THETA_BOUND):
         diags.append({"level": "error", "field": "theta",
                       "message": f"theta = {ctrl.theta:.4g} outside (0, {THETA_BOUND:.4g})"})

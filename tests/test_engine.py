@@ -467,6 +467,45 @@ def test_injection_peaks_match_a_dense_evaluation(monkeypatch, case):
         assert 61 // window < 150 // window
 
 
+@pytest.mark.parametrize("case", ["auv_resilient", "diverging_ramp"])
+def test_runs_agree_across_store_strides(monkeypatch, case):
+    """Stride 1 takes the stored rows from one GEMM of the block starts with
+    the powers, a longer stride from one gathered product per stored step;
+    the read-outs, and so the verdict, do not depend on the stride. Both runs
+    span several windows."""
+    if case == "auv_resilient":
+        config = dataclasses.replace(load_config("auv_sin_attack_agent3_resilient"),
+                                     horizon=20_000)
+    else:
+        config = dataclasses.replace(load_config("example1_root_attack"), horizon=100_000,
+                                     divergence_threshold=4e4)
+    levels = _record_levels(monkeypatch)
+    traces = {stride: _simulate(config, config.horizon, stride)[0]
+              for stride in (1, 7, config.horizon)}
+    base = traces[1]
+    assert base.steps_run > 2 * levels[0][3]
+    assert (base.first_crossing is None) == (case == "auv_resilient")
+    for stride, trace in traces.items():
+        assert ((trace.prediction, trace.diverged, trace.growth_detected,
+                 trace.prediction_matches_divergence, trace.steps_run, trace.first_crossing)
+                == (base.prediction, base.diverged, base.growth_detected,
+                    base.prediction_matches_divergence, base.steps_run, base.first_crossing))
+        assert trace.intact_agents == base.intact_agents
+        assert trace.attack_bound == pytest.approx(base.attack_bound, rel=1e-12)
+        for actual, expected in ((trace.inf_norms, base.inf_norms),
+                                 (trace.final_x, base.final_x),
+                                 (trace.final_x_hat, base.final_x_hat)):
+            _assert_close(actual, expected, rtol=1e-12)
+        assert list(trace.ks) == list(base.ks[::stride])
+        # u, eps, the consensus error and Gamma are differences of states, whose
+        # rounding scales with |x|
+        scale = np.abs(base.x).max()
+        for name, power in (("x", 0), ("x_hat", 0), ("d", 0), ("f", 0), ("u", 1), ("eps", 1),
+                            ("consensus_err", 1), ("gamma", 2)):
+            _assert_close(getattr(trace, name), getattr(base, name)[::stride], rtol=1e-12,
+                          scale=scale ** power if power else 0.0)
+
+
 def test_a_diverging_run_stops_at_its_crossing_without_warnings():
     raw = copy.deepcopy(BUNDLED_SCENARIOS["example1_consensus"])
     raw.update(c=50, theta=0.3, store_stride=3)

@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
 from resilient_consensus import (BUNDLED_SCENARIOS, ConfigError, ScenarioConfig,
-                                 design_controller, global_performance, list_scenarios,
-                                 load_config, normalized_laplacian, run, validate, write_csv,
-                                 write_plot_data, write_summary)
+                                 design_controller, global_performance, joint_radius,
+                                 list_scenarios, load_config, normalized_laplacian, run, validate,
+                                 write_csv, write_plot_data, write_summary)
 from resilient_consensus import trace as trace_module
 from resilient_consensus.cli import main
 from resilient_consensus.trace import CSV_CHUNK_FLOATS, SUMMARY_SCHEMA, SimulationTrace
@@ -178,6 +178,34 @@ def test_validate_names_a_supplied_coupling_and_its_unstable_loop(tmp_path):
     # a supplied coupling that keeps the loop Schur is no error
     stable = validate(ScenarioConfig.from_dict(small_config(c=2.0, theta=0.3)))
     assert not any(d["level"] == "error" for d in stable)
+
+
+def test_validate_reports_an_unstable_compensating_loop_as_an_error(tmp_path, capsys):
+    """rotation2d on a directed 20-cycle: no (c, theta) pair meets the joint
+    Schur margin, and the last-resort pair leaves the compensating loop
+    unstable. A baseline run of the same network has no such loop."""
+    raw = small_config(name="cycle20", model="rotation2d", controller="resilient",
+                       graph={"n_agents": 20, "edges": [[i, (i + 1) % 20, 1.0] for i in range(20)]},
+                       x0=[0.1] * 40)
+    config = ScenarioConfig.from_dict(raw)
+    spectrum = normalized_laplacian(config.graph)
+    ctrl = design_controller(config.model, spectrum)
+    radius = joint_radius(config.model, spectrum, ctrl.K, ctrl.c, ctrl.theta)
+    assert radius > 1.0
+    (error,) = [d for d in validate(config) if d["level"] == "error"]
+    assert error["field"] == "design"
+    assert error["message"].startswith(f"joint_radius {radius:.4g} >= 1")
+    cfg = tmp_path / "cycle20.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["validate", str(cfg)]) == 2
+    assert "joint_radius" in capsys.readouterr().out
+    baseline = ScenarioConfig.from_dict(dict(raw, controller="baseline"))
+    assert not any(d["level"] == "error" for d in validate(baseline))
+
+
+def test_bundled_scenarios_validate_without_errors():
+    for name in BUNDLED_SCENARIOS:
+        assert not any(d["level"] == "error" for d in validate(load_config(name))), name
 
 
 # joined by an edge too weak for the spectrum to resolve: the zero eigenvalue is double
