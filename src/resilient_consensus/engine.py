@@ -44,7 +44,7 @@ grid of blocks of B steps, B the smaller of their block lengths. A segment
 starting at step k goes in three levels:
 
 - the group starts, C blocks apart, follow one another by F^CB in a Python
-  loop that most segments run once or not at all;
+  loop of about sqrt(J) turns for the segment's J blocks;
 - one product of the group starts with [F^B; ...; F^CB] gives every block
   start, of each system;
 - one GEMM of the stacked block starts [p; q] with the projected powers
@@ -54,21 +54,22 @@ starting at step k goes in three levels:
   block, so that ||x||_inf and the peaks are reductions over contiguous rows.
 
 Each system's powers [F; ...; F^B] and [F^B; ...; F^CB] are those of
-``_stacked_powers``, sized for the regime's length up to a window: B and C
-about its square root, each cut to the powers that fit in BLOCK_FLOATS
-floats and before the first power with an entry above POWER_LIMIT, so that
-no power overflows. The system with the longer blocks takes its group powers
-for the shorter B from its own F^B. A system whose powers are cut that far
-(B = 1 on large networks) steps its block starts one step at a time. Full
-states are formed only at block starts, at stored steps (one product of the
-offset's power with its block start for each offset, a GEMM of all the
-offsets at stride 1), at the end of each segment, and at the crossing. The
-run stops at the first step, step 0 included, where ||x||_inf is non-finite
-or above the divergence threshold (a diverging run may overflow past it, so
-the propagation runs with NumPy's overflow warnings off); the injection
-peaks count only the steps before it. x = x_hat + e, d, the consensus error,
-u and f of the stored steps follow from their rows of both systems in one
-evaluation after the loop, when the workspace has been released.
+``_stacked_powers``, sized for the regime's length up to a window: B about
+its square root and C about that of its blocks, each cut to the powers that
+fit in BLOCK_FLOATS floats and before the first power with an entry above
+POWER_LIMIT, so that no power overflows. The system with the longer blocks
+takes its group powers for the shorter B from its own F^B. A system whose
+powers are cut that far (B = 1 on large networks) steps its block starts one
+step at a time. Full states are formed only at block starts, at stored steps
+(the powers of their offsets gathered and multiplied with their block
+starts; at stride 1, one GEMM of the block starts with all the powers), at
+the end of each segment, and at the crossing. The run stops at the first
+step, step 0 included, where ||x||_inf is non-finite or above the divergence
+threshold (a diverging run may overflow past it, so the propagation runs
+with NumPy's overflow warnings off); the injection peaks count only the
+steps before it. x = x_hat + e, d, the consensus error, u and f of the
+stored steps follow from their rows of both systems in one evaluation after
+the loop, when the workspace has been released.
 
 A window is sized so that its workspace, the read-outs of its steps (about
 N n + live columns floats a step), two copies of its block starts and one
