@@ -416,27 +416,27 @@ def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
 
     first_crossing = None if inf_norms[0] <= divergence_threshold else 0
     k = si = 0
-    for start, end in zip(switches, switches[1:]):
-        if first_crossing is not None:
-            break
-        # the regime's powers, for its length up to a window, and its blocks of
-        # B steps, the shorter of the two systems' blocks
-        span = min(window, end - start)
-        error = _stacked_powers(lambda z: error_step(z, start), dq, span)
-        B = min(len(predictor[0]) // dp, len(error[0]) // dq)
-        P_pow, Q_pow = predictor[0][:B * dp], error[0][:B * dq]
-        P_up, Q_up = _upper(predictor, dp, B, span), _upper(error, dq, B, span)
-        proj = _projection(P_pow, Q_pow, Nn, injection(start)[:, cols] if size
-                           else np.zeros((0, 0)))
-        rows = span // B + 1
-        Zp, Zq, Z = np.empty((rows, dp)), np.empty((rows, dq)), np.empty((rows, dp + dq))
-        while k < end and first_crossing is None:
-            # a segment of ``steps`` steps from step k, in J blocks, the last maybe partial
-            steps = min(span, end - k)
-            J = -(-steps // B)
-            Zp[0], Zq[0] = p, q
-            # a diverging run overflows here; the crossing check below stops it
-            with np.errstate(over="ignore", invalid="ignore"):
+    # a diverging run overflows in the propagation; the crossing check stops it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start, end in zip(switches, switches[1:]):
+            if first_crossing is not None:
+                break
+            # the regime's powers, for its length up to a window, and its blocks of
+            # B steps, the shorter of the two systems' blocks
+            span = min(window, end - start)
+            error = _stacked_powers(lambda z: error_step(z, start), dq, span)
+            B = min(len(predictor[0]) // dp, len(error[0]) // dq)
+            P_pow, Q_pow = predictor[0][:B * dp], error[0][:B * dq]
+            P_up, Q_up = _upper(predictor, dp, B, span), _upper(error, dq, B, span)
+            proj = _projection(P_pow, Q_pow, Nn, injection(start)[:, cols] if size
+                               else np.zeros((0, 0)))
+            rows = span // B + 1
+            Zp, Zq, Z = np.empty((rows, dp)), np.empty((rows, dq)), np.empty((rows, dp + dq))
+            while k < end and first_crossing is None:
+                # a segment of ``steps`` steps from step k, in J blocks, the last maybe partial
+                steps = min(span, end - k)
+                J = -(-steps // B)
+                Zp[0], Zq[0] = p, q
                 _propagate(Zp, steps // B, P_up)
                 _propagate(Zq, steps // B, Q_up)
                 Z[:J, :dp], Z[:J, dp:] = Zp[:J], Zq[:J]
@@ -455,30 +455,30 @@ def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
                     lim = int(within.argmin()) + 1
                     first_crossing = k + lim
 
-            if len(cols):
-                f = Y[:, Nn:]
-                if lim < B * J:  # only the steps before lim count
-                    f[lim % B:, :, lim // B] = 0.0
-                    f[:, :, lim // B + 1:] = 0.0
-                np.maximum.at(per_agent_peak, agents, f.max(axis=(0, 2)))
-                attack_bound = max(attack_bound,
-                                   float(np.sqrt(np.einsum("icj,icj->ij", f, f).max())))
+                if len(cols):
+                    f = Y[:, Nn:]
+                    if lim < B * J:  # only the steps before lim count
+                        f[lim % B:, :, lim // B] = 0.0
+                        f[:, :, lim // B + 1:] = 0.0
+                    np.maximum.at(per_agent_peak, agents, f.max(axis=(0, 2)))
+                    attack_bound = max(attack_bound,
+                                       float(np.sqrt(np.einsum("icj,icj->ij", f, f).max())))
 
-            first = -k % store_stride  # the first stored step, after step k
-            count = len(range(first, lim, store_stride))
-            if count:
-                for store, starts, powers in ((store_P, Zp, P_pow), (store_Q, Zq, Q_pow)):
-                    out = store[si:si + count]
-                    if store_stride == 1:
-                        out[0] = starts[0]
-                        _fill(out, count - 1, powers, starts)
-                    else:
-                        _at(starts, powers, first, store_stride, out)
-                si += count
-            # the state at step k + lim starts the next segment, or is the final one
-            p, q = _state(Zp, P_pow, lim), _state(Zq, Q_pow, lim)
-            k += lim
-        del error, P_pow, Q_pow, P_up, Q_up, proj, Zp, Zq, Z
+                first = -k % store_stride  # the first stored step, after step k
+                count = len(range(first, lim, store_stride))
+                if count:
+                    for store, starts, powers in ((store_P, Zp, P_pow), (store_Q, Zq, Q_pow)):
+                        out = store[si:si + count]
+                        if store_stride == 1:
+                            out[0] = starts[0]
+                            _fill(out, count - 1, powers, starts)
+                        else:
+                            _at(starts, powers, first, store_stride, out)
+                    si += count
+                # the state at step k + lim starts the next segment, or is the final one
+                p, q = _state(Zp, P_pow, lim), _state(Zq, Q_pow, lim)
+                k += lim
+            del error, P_pow, Q_pow, P_up, Q_up, proj, Zp, Zq, Z
 
     del predictor, readout  # the workspace ends with the loop
     final_x_hat = p[:Nn].copy()
