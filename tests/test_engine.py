@@ -253,14 +253,17 @@ def _reference(config, spectrum, ctrl, horizon):
             u.reshape(-1, N, m), f.reshape(-1, N, m))
 
 
+def _simulate_with(config, spectrum, ctrl, horizon, stride):
+    return simulate(config.model, config.graph, spectrum, ctrl, horizon=horizon, x0=config.x0,
+                    attacks=config.attacks, controller=config.controller,
+                    compensator_start=config.compensator_start, leader=config.leader,
+                    predictor_init=config.predictor_init, store_stride=stride,
+                    divergence_threshold=config.divergence_threshold)
+
+
 def _simulate(config, horizon, stride):
     spectrum, ctrl = _design(config)
-    trace = simulate(config.model, config.graph, spectrum, ctrl, horizon=horizon, x0=config.x0,
-                     attacks=config.attacks, controller=config.controller,
-                     compensator_start=config.compensator_start, leader=config.leader,
-                     predictor_init=config.predictor_init, store_stride=stride,
-                     divergence_threshold=config.divergence_threshold)
-    return trace, spectrum, ctrl
+    return _simulate_with(config, spectrum, ctrl, horizon, stride), spectrum, ctrl
 
 
 def _assert_matches_reference(trace, config, spectrum, ctrl, stride, growing=False):
@@ -419,19 +422,10 @@ def test_random_runs_match_the_one_step_recursion(case):
                                         for k, v in sizes.items()}):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            trace, *_ = _simulate_with(config, ctrl, spectrum, horizon, stride)
+            trace = _simulate_with(config, spectrum, ctrl, horizon, stride)
     assert trace.first_crossing == expected
     assert trace.steps_run == (horizon if expected is None else expected)
     _assert_matches_reference(trace, config, spectrum, ctrl, stride, growing=True)
-
-
-def _simulate_with(config, ctrl, spectrum, horizon, stride):
-    trace = simulate(config.model, config.graph, spectrum, ctrl, horizon=horizon, x0=config.x0,
-                     attacks=config.attacks, controller=config.controller,
-                     compensator_start=config.compensator_start, leader=config.leader,
-                     predictor_init=config.predictor_init, store_stride=stride,
-                     divergence_threshold=config.divergence_threshold)
-    return trace, spectrum, ctrl
 
 
 @pytest.mark.parametrize("case", ["zero_amplitude", "sensor_only", "starts_in_two_windows",
