@@ -337,7 +337,7 @@ def test_runs_match_the_one_step_recursion(monkeypatch, block_floats, window_flo
 def test_cut_powers_match_the_one_step_recursion(monkeypatch):
     """A POWER_LIMIT cut shortens the first level of the later regimes, which
     then have no second level, while the first regime keeps both."""
-    monkeypatch.setattr(engine, "BLOCK_FLOATS", 2000)
+    monkeypatch.setattr(engine, "BLOCK_FLOATS", 3000)
     monkeypatch.setattr(engine, "WINDOW_FLOATS", 8000)
     monkeypatch.setattr(engine, "POWER_LIMIT", 1.5)
     levels = _record_levels(monkeypatch)
