@@ -60,24 +60,26 @@ fit in BLOCK_FLOATS floats and before the first power with an entry above
 POWER_LIMIT, so that no power overflows. The system with the longer blocks
 takes its group powers for the shorter B from its own F^B. A system whose
 powers are cut that far (B = 1 on large networks) steps its block starts one
-step at a time. Full states are formed only at block starts, at stored steps
-(the powers of their offsets gathered and multiplied with their block
-starts; at stride 1, one GEMM of the block starts with all the powers), at
-the end of each segment, and at the crossing. The run stops at the first
-step, step 0 included, where ||x||_inf is non-finite or above the divergence
-threshold (a diverging run may overflow past it, so the propagation runs
-with NumPy's overflow warnings off); the injection peaks count only the
-steps before it. x = x_hat + e, d, the consensus error, u and f of the
-stored steps follow from their rows of both systems in one evaluation after
-the loop, when the workspace has been released.
+step at a time, and with B = 1 x and f are read off those states directly.
+Full states are formed only at block starts, at stored steps (the powers of
+their offsets gathered and multiplied with their block starts; at stride 1,
+one GEMM of the block starts with all the powers), at the end of each
+segment, and at the crossing. The run stops at the first step, step 0
+included, where ||x||_inf is non-finite or above the divergence threshold (a
+diverging run may overflow past it, so the propagation runs with NumPy's
+overflow warnings off); the injection peaks count only the steps before it.
+x = x_hat + e, d, the consensus error, u and f of the stored steps follow
+from their rows of both systems in one evaluation after the loop, when the
+workspace has been released.
 
 A window is sized so that its workspace, the read-outs of its steps (about
 N n + live columns floats a step), two copies of its block starts and one
-regime's projected powers, fills about WINDOW_FLOATS floats. Time grows
-linearly with the horizon. Memory grows with it only by the per-step
-inf-norm series (8 bytes a step) and the stored rows; the window, and so
-the workspace and each system's powers, are sized by WINDOW_FLOATS and
-BLOCK_FLOATS, not by the horizon.
+regime's projected powers (blocks of one step need neither the projection
+nor the second copy), fills about WINDOW_FLOATS floats. Time grows linearly
+with the horizon. Memory grows with it only by the per-step inf-norm series
+(8 bytes a step) and the stored rows; the window, and so the workspace and
+each system's powers, are sized by WINDOW_FLOATS and BLOCK_FLOATS, not by
+the horizon.
 """
 
 from __future__ import annotations
@@ -258,8 +260,13 @@ def _propagate(states: np.ndarray, count: int, powers: np.ndarray) -> None:
 def _at(starts: np.ndarray, powers: np.ndarray, first: int, step: int, out: np.ndarray) -> None:
     """out[i] = the state first + i step steps after starts[0], from the block
     starts ``starts`` and the powers [F; ...; F^B]: F^t starts[j] for
-    first + i step = jB + t with 0 <= t < B. The rows' powers are gathered at
-    most BLOCK_FLOATS floats at a time, and each gather takes one product."""
+    first + i step = jB + t with 0 <= t < B. Every state from starts[0] on
+    takes one GEMM (``_fill``); other rows' powers are gathered at most
+    BLOCK_FLOATS floats at a time, and each gather takes one product."""
+    if first == 0 and step == 1:
+        out[0] = starts[0]
+        _fill(out, len(out) - 1, powers, starts)
+        return
     dim = starts.shape[1]
     cube = powers.reshape(-1, dim, dim)
     chunk = max(1, BLOCK_FLOATS // (dim * dim))
@@ -276,7 +283,20 @@ def _state(starts: np.ndarray, powers: np.ndarray, offset: int) -> np.ndarray:
     offset = jB + t with 0 <= t < B, as ``_at`` gives it for one row."""
     dim = starts.shape[1]
     j, t = divmod(offset, len(powers) // dim)
-    return starts[j] if t == 0 else powers[(t - 1) * dim:t * dim] @ starts[j]
+    return starts[j].copy() if t == 0 else powers[(t - 1) * dim:t * dim] @ starts[j]
+
+
+def _peaks(f: np.ndarray, count: int, peak: np.ndarray, agents: np.ndarray) -> float:
+    """Raise the per-agent ``peak`` to the largest |f| of the segment's first
+    ``count`` steps, from the read-outs f[i, :, j] = |f| at step jB + i of the
+    live injection columns of ``agents``; return the largest ||f(k)||_2 among
+    those steps. The other columns add exactly 0 to every peak and ||f||^2."""
+    block, _, blocks = f.shape
+    if count < block * blocks:
+        f[count % block:, :, count // block] = 0.0
+        f[:, :, count // block + 1:] = 0.0
+    np.maximum.at(peak, agents, f.max(axis=(0, 2)))
+    return float(np.sqrt(np.einsum("icj,icj->ij", f, f).max()))
 
 
 def _projection(predictor: np.ndarray, error: np.ndarray, Nn: int, M: np.ndarray) -> np.ndarray:
@@ -397,10 +417,12 @@ def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
 
     # a window's workspace fills about WINDOW_FLOATS floats: the read-outs of
     # its steps, two copies of its block starts and one regime's projected
-    # powers, for blocks of at most B0 steps. No window is longer than the horizon.
+    # powers, for blocks of at most B0 steps; blocks of one step need neither
+    # the projection nor the second copy. No window is longer than the horizon.
     B0 = _block_length(max(dp, dq), max(1, WINDOW_FLOATS // R))
-    window = max(1, min(horizon, (WINDOW_FLOATS - B0 * R * (dp + dq))
-                        // (R + 2 * -(-(dp + dq) // B0))))
+    projected = B0 > 1
+    window = max(1, min(horizon, (WINDOW_FLOATS - projected * B0 * R * (dp + dq))
+                        // (R + (1 + projected) * -(-(dp + dq) // B0))))
     predictor = _stacked_powers(predictor_step, dp, window)
     readout = np.empty(R * (window + B0))
 
@@ -428,10 +450,12 @@ def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
             B = min(len(predictor[0]) // dp, len(error[0]) // dq)
             P_pow, Q_pow = predictor[0][:B * dp], error[0][:B * dq]
             P_up, Q_up = _upper(predictor, dp, B, span), _upper(error, dq, B, span)
-            proj = _projection(P_pow, Q_pow, Nn, injection(start)[:, cols] if size
-                               else np.zeros((0, 0)))
+            M = injection(start)[:, cols] if size else np.zeros((0, 0))
             rows = span // B + 1
-            Zp, Zq, Z = np.empty((rows, dp)), np.empty((rows, dq)), np.empty((rows, dp + dq))
+            Zp, Zq = np.empty((rows, dp)), np.empty((rows, dq))
+            if B > 1:
+                proj = _projection(P_pow, Q_pow, Nn, M)
+                Z = np.empty((rows, dp + dq))
             while k < end and first_crossing is None:
                 # a segment of ``steps`` steps from step k, in J blocks, the last maybe partial
                 steps = min(span, end - k)
@@ -439,9 +463,13 @@ def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
                 Zp[0], Zq[0] = p, q
                 _propagate(Zp, steps // B, P_up)
                 _propagate(Zq, steps // B, Q_up)
-                Z[:J, :dp], Z[:J, dp:] = Zp[:J], Zq[:J]
                 Y = readout[:B * R * J].reshape(B * R, J)
-                np.matmul(proj, Z[:J].T, out=Y)
+                if B > 1:
+                    Z[:J, :dp], Z[:J, dp:] = Zp[:J], Zq[:J]
+                    np.matmul(proj, Z[:J].T, out=Y)
+                else:  # the block starts are the states: x and f are read off them
+                    np.add(Zp[1:J + 1, :Nn].T, Zq[1:J + 1, :Nn].T, out=Y[:Nn])
+                    np.matmul(M.T, Zq[:J, dq - size:].T, out=Y[Nn:])
                 np.abs(Y, out=Y)
                 # Y[i, :, j]: |x| at step k + jB + i + 1 and |f| at step k + jB + i
                 Y = Y.reshape(B, R, J)
@@ -455,30 +483,21 @@ def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
                     lim = int(within.argmin()) + 1
                     first_crossing = k + lim
 
-                if len(cols):
-                    f = Y[:, Nn:]
-                    if lim < B * J:  # only the steps before lim count
-                        f[lim % B:, :, lim // B] = 0.0
-                        f[:, :, lim // B + 1:] = 0.0
-                    np.maximum.at(per_agent_peak, agents, f.max(axis=(0, 2)))
-                    attack_bound = max(attack_bound,
-                                       float(np.sqrt(np.einsum("icj,icj->ij", f, f).max())))
-
+                if len(cols):  # only the steps before the crossing count
+                    attack_bound = max(attack_bound, _peaks(Y[:, Nn:], lim, per_agent_peak,
+                                                            agents))
                 first = -k % store_stride  # the first stored step, after step k
                 count = len(range(first, lim, store_stride))
                 if count:
-                    for store, starts, powers in ((store_P, Zp, P_pow), (store_Q, Zq, Q_pow)):
-                        out = store[si:si + count]
-                        if store_stride == 1:
-                            out[0] = starts[0]
-                            _fill(out, count - 1, powers, starts)
-                        else:
-                            _at(starts, powers, first, store_stride, out)
+                    _at(Zp, P_pow, first, store_stride, store_P[si:si + count])
+                    _at(Zq, Q_pow, first, store_stride, store_Q[si:si + count])
                     si += count
                 # the state at step k + lim starts the next segment, or is the final one
                 p, q = _state(Zp, P_pow, lim), _state(Zq, Q_pow, lim)
                 k += lim
-            del error, P_pow, Q_pow, P_up, Q_up, proj, Zp, Zq, Z
+            del error, P_pow, Q_pow, P_up, Q_up, M, Zp, Zq, Y
+            if B > 1:
+                del proj, Z
 
     del predictor, readout  # the workspace ends with the loop
     final_x_hat = p[:Nn].copy()
