@@ -260,9 +260,10 @@ def _propagate(states: np.ndarray, count: int, powers: np.ndarray) -> None:
 def _at(starts: np.ndarray, powers: np.ndarray, first: int, step: int, out: np.ndarray) -> None:
     """out[i] = the state first + i step steps after starts[0], from the block
     starts ``starts`` and the powers [F; ...; F^B]: F^t starts[j] for
-    first + i step = jB + t with 0 <= t < B. Every state from starts[0] on
-    takes one GEMM (``_fill``); other rows' powers are gathered at most
-    BLOCK_FLOATS floats at a time, and each gather takes one product."""
+    first + i step = jB + t with 0 <= t < B. The rows of every step from
+    starts[0] on (first 0, step 1) take one GEMM (``_fill``); other rows'
+    powers are gathered at most BLOCK_FLOATS floats at a time, and each
+    gather takes one product."""
     if first == 0 and step == 1:
         out[0] = starts[0]
         _fill(out, len(out) - 1, powers, starts)
@@ -280,7 +281,8 @@ def _at(starts: np.ndarray, powers: np.ndarray, first: int, step: int, out: np.n
 
 def _state(starts: np.ndarray, powers: np.ndarray, offset: int) -> np.ndarray:
     """The state ``offset`` steps after starts[0]: F^t starts[j] for
-    offset = jB + t with 0 <= t < B, as ``_at`` gives it for one row."""
+    offset = jB + t with 0 <= t < B, as ``_at`` gives it for one row, without
+    its gathering, which takes several times as long for a single row."""
     dim = starts.shape[1]
     j, t = divmod(offset, len(powers) // dim)
     return starts[j].copy() if t == 0 else powers[(t - 1) * dim:t * dim] @ starts[j]
