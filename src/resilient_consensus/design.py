@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dynamics import LtiModel, baseline_radius
+from .dynamics import LtiModel, baseline_radius, block_eigenvalues
 from .graph import GraphSpectrum
 
 JOINT_RADIUS_LIMIT = 0.98
@@ -191,13 +191,9 @@ def joint_radius(model: LtiModel, spectrum: GraphSpectrum, K, c: float, theta: f
     eigenvalue block carries A's own (marginal) modes and is excluded, exactly
     as in the baseline gain condition.
     """
-    m = model.input_dim
-    worst = 0.0
-    for lam in spectrum.nonzero_eigenvalues():
-        top = np.hstack([model.A - c * lam * model.B @ K, -model.B]).astype(complex)
-        bot = np.hstack([theta * c * lam * K, theta * np.eye(m)]).astype(complex)
-        worst = max(worst, float(np.abs(np.linalg.eigvals(np.vstack([top, bot]))).max()))
-    return worst
+    return max((float(np.abs(eigs).max()) for eigs in
+                block_eigenvalues(model, spectrum.nonzero_eigenvalues(), K, c, theta)),
+               default=0.0)
 
 
 _designs: OrderedDict = OrderedDict()

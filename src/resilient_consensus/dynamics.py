@@ -57,15 +57,22 @@ class LtiModel:
         return self.B.shape[1]
 
 
-def block_eigenvalues(model: LtiModel, eigenvalues, K, c: float):
-    """eig(A - c lam BK) for each Laplacian eigenvalue lam, one array per lam.
+def block_eigenvalues(model: LtiModel, eigenvalues, K, c: float, theta: float | None = None):
+    """eig(A - c lam BK) for each Laplacian eigenvalue lam, one array per lam;
+    with ``theta``, eig of the plant+compensator error block
+    [[A - c lam BK, -B], [theta c lam K, theta I]] instead.
 
     A Schur triangularisation of Lhat makes I (x) A - c Lhat (x) BK block
-    triangular with these blocks, so over every lam they are its spectrum.
+    triangular with these blocks, so over every lam they are its spectrum,
+    and with theta that of the compensated error dynamics.
     """
-    BK = model.B @ K
+    BK, I = model.B @ K, np.eye(model.input_dim)
     for lam in eigenvalues:
-        yield np.linalg.eigvals(model.A - c * lam * BK)
+        block = model.A - c * lam * BK
+        if theta is not None:
+            # complex for every lam, so that a real spectrum takes the same eigen-solver
+            block = np.block([[block, -model.B], [theta * c * lam * K, theta * I]]).astype(complex)
+        yield np.linalg.eigvals(block)
 
 
 def baseline_radius(model: LtiModel, spectrum: GraphSpectrum, K, c: float) -> float:

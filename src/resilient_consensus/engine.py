@@ -39,9 +39,13 @@ once every attack has started.
 The loop does not form the states of most steps, only what is read from
 them: x = x_hat + e, which gives ||x||_inf and the crossing, and the live
 columns of f, which give the injection peaks. Each regime is processed in
-segments of at most a window of steps, and both systems share the segment's
-grid of blocks of B steps, B the smaller of their block lengths. A segment
-starting at step k goes in three levels:
+segments of at most a window of steps, on a grid of blocks of B steps that
+both systems share. ``_grid`` gives each system's powers [F; ...; F^B] and
+[F^B; ...; F^CB] for the regime's length up to a window, B about its square
+root and C about that of its blocks, as BLOCK_FLOATS floats allow; every
+stack is doubled by ``_powers`` and cut before the first power with an
+entry above POWER_LIMIT, so that none overflows, and B is the shorter
+system's after the cut. A segment starting at step k goes in three levels:
 
 - the group starts, C blocks apart, follow one another by F^CB in a Python
   loop of about sqrt(J) turns for the segment's J blocks;
@@ -51,26 +55,21 @@ starting at step k goes in three levels:
   [C_x F_P^t | C_x F_Q^t] and [0 | M' F_Q^(t-1)], t = 1..B (C_x takes the
   first N n rows), gives x at step k + jB + t and f at step k + jB + t - 1
   for every block j, laid out one row per read-out and one column per
-  block, so that ||x||_inf and the peaks are reductions over contiguous rows.
+  block, so that ||x||_inf and the peaks are reductions over contiguous
+  rows. Blocks of one step (large networks) are the states, and x and f are
+  read off them.
 
-Each system's powers [F; ...; F^B] and [F^B; ...; F^CB] are those of
-``_stacked_powers``, sized for the regime's length up to a window: B about
-its square root and C about that of its blocks, each cut to the powers that
-fit in BLOCK_FLOATS floats and before the first power with an entry above
-POWER_LIMIT, so that no power overflows. The system with the longer blocks
-takes its group powers for the shorter B from its own F^B. A system whose
-powers are cut that far (B = 1 on large networks) steps its block starts one
-step at a time, and with B = 1 x and f are read off those states directly.
 Full states are formed only at block starts, at stored steps (the powers of
 their offsets gathered and multiplied with their block starts; at stride 1,
 one GEMM of the block starts with all the powers), at the end of each
 segment, and at the crossing. The run stops at the first step, step 0
-included, where ||x||_inf is non-finite or above the divergence threshold (a
-diverging run may overflow past it, so the propagation runs with NumPy's
-overflow warnings off); the injection peaks count only the steps before it.
-x = x_hat + e, d, the consensus error, u and f of the stored steps follow
-from their rows of both systems in one evaluation after the loop, when the
-workspace has been released.
+included, where ||x||_inf is non-finite or above the divergence threshold;
+the injection peaks count only the steps before it. x = x_hat + e, d, the
+consensus error, u and f of the stored steps follow from their rows of both
+systems in one evaluation after the loop, when the workspace has been
+released. A diverging run may overflow past its crossing, and in that
+evaluation below a threshold near the largest float, so both run with
+NumPy's overflow warnings off.
 
 A window is sized so that its workspace, the read-outs of its steps (about
 N n + live columns floats a step), two copies of its block starts and one
@@ -167,58 +166,39 @@ def _block_length(dim: int, window: int) -> int:
     return max(1, min(math.isqrt(window - 1) + 1, BLOCK_FLOATS // (dim * dim)))
 
 
-def _double(out: np.ndarray) -> int:
-    """out[i] = out[0]^(i+1) by doubling; returns the number of leading powers
-    that stay finite and within POWER_LIMIT, the only ones to be used."""
+def _matrix(step, dim: int) -> np.ndarray:
+    """The matrix of the linear one-step map ``step``, BASIS_CHUNK unit vectors at a time."""
+    F = np.empty((dim, dim))
+    for lo in range(0, dim, BASIS_CHUNK):
+        F[:, lo:lo + BASIS_CHUNK] = step(np.eye(min(BASIS_CHUNK, dim - lo), dim, lo)).T
+    return F
+
+
+def _powers(F: np.ndarray, count: int) -> np.ndarray:
+    """[F; F^2; ...; F^count] by doubling, cut before the first power with an entry
+    above POWER_LIMIT or a non-finite one; a stack of one power is F itself."""
+    out = np.empty((count, *F.shape))
+    out[0] = F
     j = 1
-    while j < len(out):
-        k = min(j, len(out) - j)
-        new = np.matmul(out[:k], out[j - 1], out=out[j:j + k])  # F^i F^j = F^(i+j)
+    while j < count:  # F^i F^j = F^(i+j) for i = 1..j, up to count
+        new = np.matmul(out[:min(j, count - j)], out[j - 1], out=out[j:2 * j])
         fine = (new.max(axis=(1, 2)) <= POWER_LIMIT) & (new.min(axis=(1, 2)) >= -POWER_LIMIT)
         if not fine.all():
-            return j + int(fine.argmin())
-        j += k
-    return len(out)
+            count = j + int(fine.argmin())
+            break
+        j *= 2
+    return F if count == 1 else out[:count].reshape(-1, len(F))
 
 
-def _stacked_powers(step, dim: int, window: int) -> tuple:
-    """The two levels [F; F^2; ...; F^B] and [F^B; F^2B; ...; F^CB] of the
-    linear one-step map ``step``, as (B dim, dim) and (C dim, dim) views of one
-    array that share F^B: the powers within a block, then the powers of F^B
-    that give the block starts of a window.
-
-    F's columns are ``step`` applied to the unit vectors, BASIS_CHUNK at a
-    time; each level follows by doubling. B is ``_block_length`` of the window
-    and C that of its ceil(window / B) blocks, so both are about a square
-    root and at most the powers BLOCK_FLOATS holds. Each level stops short
-    before the first power with an entry above POWER_LIMIT or a non-finite
-    one, and a cut in the first level leaves the second with its last power
-    alone.
-    """
-    block = _block_length(dim, window)
-    groups = _block_length(dim, -(-window // block))
-    out = np.empty((block + groups - 1, dim, dim))
-    for lo in range(0, dim, BASIS_CHUNK):
-        hi = min(lo + BASIS_CHUNK, dim)
-        out[0, :, lo:hi] = step(np.eye(hi - lo, dim, lo)).T
-    count = _double(out[:block])
-    if count == block:
-        count += _double(out[block - 1:]) - 1
-    block = min(block, count)
-    return out[:block].reshape(-1, dim), out[block - 1:count].reshape(-1, dim)
-
-
-def _upper(levels: tuple, dim: int, block: int, window: int) -> np.ndarray:
-    """[F^b; F^2b; ...; F^Cb] for a block length b = ``block`` of at most the B
-    of ``levels`` (a level pair of ``_stacked_powers``): its own second level
-    when b is B, else C = _block_length(dim, ceil(window / b)) powers of its
-    F^b by doubling, cut before the first power above POWER_LIMIT."""
-    first, second = levels
-    if len(first) == block * dim:
-        return second
-    out = np.empty((_block_length(dim, -(-window // block)), dim, dim))
-    out[0] = first[(block - 1) * dim:block * dim]
-    return out[:_double(out)].reshape(-1, dim)
+def _grid(span: int, *systems: np.ndarray) -> list:
+    """[F; ...; F^B] and [F^B; ...; F^CB] of each system's matrix F for segments of ``span``
+    steps: B the largest system's ``_block_length``, cut to the powers all keep, and C
+    each system's for ceil(span / B) blocks."""
+    firsts = [_powers(F, _block_length(max(map(len, systems)), span)) for F in systems]
+    B = min(len(first) // len(F) for first, F in zip(firsts, systems))
+    return [(first[:B * len(F)], _powers(first[(B - 1) * len(F):B * len(F)],
+                                         _block_length(len(F), -(-span // B))))
+            for first, F in zip(firsts, systems)]
 
 
 def _fill(states: np.ndarray, count: int, powers: np.ndarray, chain: np.ndarray) -> None:
@@ -417,15 +397,13 @@ def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
 
     R = Nn + len(cols)  # read-out rows a step: x and the live injection columns
 
-    # a window's workspace fills about WINDOW_FLOATS floats: the read-outs of
-    # its steps, two copies of its block starts and one regime's projected
-    # powers, for blocks of at most B0 steps; blocks of one step need neither
-    # the projection nor the second copy. No window is longer than the horizon.
+    # a window's workspace, for blocks of at most B0 steps, fills about
+    # WINDOW_FLOATS floats (module docstring); no window is longer than the horizon
     B0 = _block_length(max(dp, dq), max(1, WINDOW_FLOATS // R))
     projected = B0 > 1
     window = max(1, min(horizon, (WINDOW_FLOATS - projected * B0 * R * (dp + dq))
                         // (R + (1 + projected) * -(-(dp + dq) // B0))))
-    predictor = _stacked_powers(predictor_step, dp, window)
+    F_P = _matrix(predictor_step, dp)  # the predictor never changes
     readout = np.empty(R * (window + B0))
 
     # the stored steps keep their rows of both systems; every stored quantity
@@ -445,13 +423,10 @@ def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
         for start, end in zip(switches, switches[1:]):
             if first_crossing is not None:
                 break
-            # the regime's powers, for its length up to a window, and its blocks of
-            # B steps, the shorter of the two systems' blocks
-            span = min(window, end - start)
-            error = _stacked_powers(lambda z: error_step(z, start), dq, span)
-            B = min(len(predictor[0]) // dp, len(error[0]) // dq)
-            P_pow, Q_pow = predictor[0][:B * dp], error[0][:B * dq]
-            P_up, Q_up = _upper(predictor, dp, B, span), _upper(error, dq, B, span)
+            span = min(window, end - start)  # the regime's length, up to a window
+            (P_pow, P_up), (Q_pow, Q_up) = _grid(
+                span, F_P, _matrix(lambda z: error_step(z, start), dq))
+            B = len(P_pow) // dp
             M = injection(start)[:, cols] if size else np.zeros((0, 0))
             rows = span // B + 1
             Zp, Zq = np.empty((rows, dp)), np.empty((rows, dq))
@@ -497,11 +472,11 @@ def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
                 # the state at step k + lim starts the next segment, or is the final one
                 p, q = _state(Zp, P_pow, lim), _state(Zq, Q_pow, lim)
                 k += lim
-            del error, P_pow, Q_pow, P_up, Q_up, M, Zp, Zq, Y
+            del P_pow, Q_pow, P_up, Q_up, M, Zp, Zq, Y
             if B > 1:
                 del proj, Z
 
-    del predictor, readout  # the workspace ends with the loop
+    del F_P, readout  # the workspace ends with the loop
     final_x_hat = p[:Nn].copy()
     final_x = final_x_hat + q[:Nn]
     steps_run = k
@@ -515,12 +490,16 @@ def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
                else np.zeros((si, N, m)))
     sens, act = gen.read(store_Q[:si, Nn + Nd:], stored_ks)
     del store_Q, e  # nothing derived keeps the error system's rows, so d is a copy
-    store_u = law(store_x, 0.0 if sens is None else sens, store_d, store_P[:si, Nn:])
-    store_f = effective_injection(sens, act, norm_lap, ctrl.c, ctrl.K)
+    inf_norms = inf_norms[:steps_run + 1]
+    # as the propagation, u, f, eps, Gamma and the tail slope may overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        store_u = law(store_x, 0.0 if sens is None else sens, store_d, store_P[:si, Nn:])
+        store_f = effective_injection(sens, act, norm_lap, ctrl.c, ctrl.K)
+        store_eps = -norm_lap @ store_x
+        gamma = global_performance(store_x, graph)
+        growth = analyze_growth(inf_norms, magnitude_threshold=divergence_threshold)
     if store_f is None:
         store_f = np.zeros((si, N, m))
-    inf_norms = inf_norms[:steps_run + 1]
-    growth = analyze_growth(inf_norms, magnitude_threshold=divergence_threshold)
     prediction = destabilization_verdict(attacks, model, spectrum, ctrl)
     intact = tuple(int(i) for i in range(N) if per_agent_peak[i] <= 1e-12)
 
@@ -539,8 +518,8 @@ def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
         u=store_u,
         d=store_d,
         f=store_f,
-        eps=-norm_lap @ store_x,
-        gamma=global_performance(store_x, graph),
+        eps=store_eps,
+        gamma=gamma,
         consensus_err=store_cerr,
         inf_norms=inf_norms,
         final_x=final_x,

@@ -44,16 +44,24 @@ def _signals(config, channel, length, width):
     return out
 
 
-def _record_levels(monkeypatch):
-    """(dim, B, C, window) of every ``_stacked_powers`` call of later runs."""
+def _record_grids(monkeypatch):
+    """One record per regime of later runs, from its ``engine._grid`` call: the
+    dimensions ``dims`` of (predictor, error system), the segment length
+    ``span`` (the window, for a regime longer than one), the block length
+    ``B``, each system's group count ``C``, and ``arrays``: both matrices F
+    and every stack of powers."""
     seen = []
 
-    def recording(step, dim, window, _original=engine._stacked_powers):
-        first, second = levels = _original(step, dim, window)
-        seen.append((dim, len(first) // dim, len(second) // dim, window))
+    def recording(span, *systems, _original=engine._grid):
+        levels = _original(span, *systems)
+        dims = tuple(len(F) for F in systems)
+        seen.append(types.SimpleNamespace(
+            dims=dims, span=span, B=len(levels[0][0]) // dims[0],
+            C=tuple(len(up) // dim for (_, up), dim in zip(levels, dims)),
+            arrays=[*systems, *(a for pair in levels for a in pair)]))
         return levels
 
-    monkeypatch.setattr(engine, "_stacked_powers", recording)
+    monkeypatch.setattr(engine, "_grid", recording)
     return seen
 
 
@@ -70,13 +78,15 @@ def test_step_law_holds_on_every_stored_step(monkeypatch):
     raw["compensator_start"] = 131
     config = ScenarioConfig.from_dict(raw)
     N, n, m = config.graph.n_agents, config.model.state_dim, config.model.input_dim
-    levels = _record_levels(monkeypatch)
+    grids = _record_grids(monkeypatch)
     trace = run(config)
     # the actuator attack, the compensator and the sensor attack start inside
-    # predictor blocks (N n states and the leader phase), not at their ends
-    (dim, block, _, window), *_ = levels
-    assert dim == N * n + 2 and window == config.horizon
-    assert all(t % block for t in (61, 131, 150))
+    # blocks of the regime before them, not at their ends; every regime is one
+    # segment, and the predictor holds N n states and the leader phase
+    switches = (0, 61, 131, 150, config.horizon)
+    assert [g.dims[0] for g in grids] == [N * n + 2] * 4
+    assert [g.span for g in grids] == np.diff(switches).tolist()
+    assert all(g.span % g.B for g in grids[:3])
     spectrum, ctrl = _design(config)
     assert (trace.gains["c"], trace.gains["theta"]) == (ctrl.c, ctrl.theta)
     A, B, L, K = config.model.A, config.model.B, spectrum.normalized_laplacian, ctrl.K
@@ -132,37 +142,34 @@ def test_ramp_crossing_equals_closed_form_inside_a_block(monkeypatch):
     # no rounding can move the crossing: the ramp passes the threshold mid-step
     assert offset + (step - 1) * rate < threshold - 0.01 < threshold + 0.01 < offset + step * rate
 
-    levels = _record_levels(monkeypatch)
+    grids = _record_grids(monkeypatch)
     trace = simulate(config.model, config.graph, spectrum, ctrl, horizon=50_000, x0=config.x0,
                      attacks=config.attacks, divergence_threshold=threshold, store_stride=1000)
-    # the crossing lies past the first window, strictly inside a predictor block
-    # (4 states) and an error-system block (4 + 1 states: a baseline run carries
-    # no d); both restart at each window
-    (_, predictor_block, _, window), (dim, error_block, _, _) = levels
-    assert dim == 5 and step > window
-    assert step % window % predictor_block and step % window % error_block
+    # the run's one regime is longer than a window. The crossing lies past the
+    # first window, strictly inside a block of the grid that the predictor (4
+    # states) and the error system (4 + 1 states: a baseline run carries no d)
+    # share; blocks restart at each window
+    (grid,) = grids
+    window = grid.span
+    assert grid.dims == (4, 5) and 50_000 > step > window
+    assert step % window % grid.B
     assert trace.first_crossing == step
     assert trace.steps_run == step
     assert trace.inf_norms[step] > threshold >= trace.inf_norms[:step].max()
 
 
 def test_error_system_carries_d_only_when_the_compensator_runs(monkeypatch):
-    widths = []
-
-    def recording(step, dim, limit, _original=engine._stacked_powers):
-        widths.append(dim)
-        return _original(step, dim, limit)
-
-    monkeypatch.setattr(engine, "_stacked_powers", recording)
+    grids = _record_grids(monkeypatch)
     config = load_config("example1_root_attack")
     spectrum, ctrl = _design(config)
 
     def error_widths(**kwargs):
-        widths.clear()
+        grids.clear()
         simulate(config.model, config.graph, spectrum, ctrl, horizon=300, x0=config.x0,
                  attacks=config.attacks, **kwargs)
-        assert widths[0] == 4  # the predictor: the four agent states
-        return set(widths[1:])
+        # the predictor: the four agent states
+        assert {g.dims[0] for g in grids} == {4}
+        return {g.dims[1] for g in grids}
 
     # e (4 states) and the attack generator (1); d (4) only while it can move
     assert error_widths() == {5}
@@ -317,7 +324,7 @@ def test_runs_match_the_one_step_recursion(monkeypatch, block_floats, window_flo
     if block_floats is not None:
         monkeypatch.setattr(engine, "BLOCK_FLOATS", block_floats)
         monkeypatch.setattr(engine, "WINDOW_FLOATS", window_floats)
-    levels = _record_levels(monkeypatch)
+    grids = _record_grids(monkeypatch)
     config = _two_channel_config()
     trace, spectrum, ctrl = _simulate(config, horizon, stride)
     assert trace.steps_run == horizon and trace.first_crossing is None
@@ -326,12 +333,16 @@ def test_runs_match_the_one_step_recursion(monkeypatch, block_floats, window_flo
     if horizon > 150:
         assert reached.sum() > 1
     if window_floats == 5900:
-        window = levels[0][3]
-        assert all(block > 1 and block * groups < window for _, block, groups, _ in levels)
-        assert window % stride and window < 150 < 2 * window
-        # the error system's groups start at each window and at each switch
-        group = levels[1][1] * levels[1][2]
-        assert 61 % group and (150 - window) % group
+        # the last regime, from the sensor attack's start at 150, is longer than
+        # a window
+        window = grids[-1].span
+        assert window < horizon - 150 and window % stride
+        assert all(g.B > 1 and g.B * max(g.C) < g.span for g in grids)
+        # the error system's groups start at each window and at each switch; the
+        # regimes before the switches at 61 and 150 are one segment each, and
+        # the switches fall inside groups
+        assert [g.span for g in grids[:2]] == [61, 150 - 61]
+        assert all(g.span % (g.B * g.C[1]) for g in grids[:2])
 
 
 def test_cut_powers_match_the_one_step_recursion(monkeypatch):
@@ -340,13 +351,15 @@ def test_cut_powers_match_the_one_step_recursion(monkeypatch):
     monkeypatch.setattr(engine, "BLOCK_FLOATS", 3000)
     monkeypatch.setattr(engine, "WINDOW_FLOATS", 8000)
     monkeypatch.setattr(engine, "POWER_LIMIT", 1.5)
-    levels = _record_levels(monkeypatch)
+    grids = _record_grids(monkeypatch)
     config = _two_channel_config()
     trace, spectrum, ctrl = _simulate(config, 500, 7)
     _assert_matches_reference(trace, config, spectrum, ctrl, 7)
-    (_, block, groups, window), *cut = levels[1:]
-    assert groups > 1 and block * groups < window
-    assert all(b < block and g == 1 for _, b, g, _ in cut)
+    first, *cut = grids
+    assert first.B == engine._block_length(max(first.dims), first.span)
+    assert first.C[1] > 1 and first.B * first.C[1] < first.span
+    assert cut and all(g.B < engine._block_length(max(g.dims), g.span) and g.C[1] == 1
+                       for g in cut)
 
 
 @st.composite
@@ -441,7 +454,7 @@ def test_injection_peaks_match_a_dense_evaluation(monkeypatch, case):
     else:
         monkeypatch.setattr(engine, "WINDOW_FLOATS", 2000)
         config = _two_channel_config()
-    levels = _record_levels(monkeypatch)
+    grids = _record_grids(monkeypatch)
     trace, spectrum, ctrl = _simulate(config, 400, 3)
     reached = _assert_matches_reference(trace, config, spectrum, ctrl, 3)
     if case == "zero_amplitude":
@@ -451,14 +464,18 @@ def test_injection_peaks_match_a_dense_evaluation(monkeypatch, case):
         heard = config.graph.adjacency[:, 2] > 0
         assert heard.any() and list(reached) == list(heard | (np.arange(5) == 2))
     elif case == "starts_after_the_crossing":
-        # the sensor attack on agent 4 starts at 150, after the crossing but
-        # inside the run's one window: its generator rows are propagated, yet
-        # only the actuator attack on agent 2 may count
-        assert levels[0][3] == 400 and 61 < trace.first_crossing == trace.steps_run < 150
+        # the sensor attack on agent 4 starts at 150, after the crossing, which
+        # lies inside the one segment of the regime before it: its generator
+        # rows are propagated and its columns read out, yet only the actuator
+        # attack on agent 2 may count
+        assert [g.span for g in grids] == [61, 150 - 61]
+        assert 61 < trace.first_crossing == trace.steps_run < 150
         assert list(np.flatnonzero(reached)) == [2] and 4 in trace.intact_agents
     else:
-        window = levels[0][3]
-        assert 61 // window < 150 // window
+        # the last regime is longer than a window, and the two attacks' starts
+        # are more than a window apart
+        window = grids[-1].span
+        assert window < 400 - 150 and window < 150 - 61
 
 
 @pytest.mark.parametrize("case", ["auv_resilient", "diverging_ramp"])
@@ -473,11 +490,12 @@ def test_runs_agree_across_store_strides(monkeypatch, case):
     else:
         config = dataclasses.replace(load_config("example1_root_attack"), horizon=100_000,
                                      divergence_threshold=4e4)
-    levels = _record_levels(monkeypatch)
+    grids = _record_grids(monkeypatch)
     traces = {stride: _simulate(config, config.horizon, stride)[0]
               for stride in (1, 7, config.horizon)}
     base = traces[1]
-    assert base.steps_run > 2 * levels[0][3]
+    # the last regime runs to the end, so its segments are windows
+    assert base.steps_run > 2 * grids[-1].span
     assert (base.first_crossing is None) == (case == "auv_resilient")
     for stride, trace in traces.items():
         assert ((trace.prediction, trace.diverged, trace.growth_detected,
@@ -517,6 +535,19 @@ def test_a_diverging_run_stops_at_its_crossing_without_warnings():
     spectrum, ctrl = _design(config)
     _assert_matches_reference(trace, config, spectrum, ctrl, 3)
     assert list(trace.ks) == [0, 3, 6]
+    # below a threshold near the largest float the stored u or Gamma of the
+    # compensated loop overflow after the loop, and that warns no more than
+    # the propagation does
+    for c, threshold in ((1e3, 1e300), (1e6, 1e307)):
+        raw = copy.deepcopy(BUNDLED_SCENARIOS["example1_consensus"])
+        raw.update(c=c, theta=0.3, controller="resilient", divergence_threshold=threshold)
+        config = ScenarioConfig.from_dict(raw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = run(config)
+        assert trace.first_crossing == trace.steps_run < trace.horizon and trace.diverged
+        assert np.abs(trace.x).max() <= threshold < trace.inf_norms[-1]
+        assert not (np.isfinite(trace.u).all() and np.isfinite(trace.gamma).all())
 
 
 def _out_star(n_agents):
@@ -541,15 +572,9 @@ def test_workspace_stays_within_its_budget(monkeypatch, case, horizons):
                       controller="resilient")
         spectrum = normalized_laplacian(graph)
         ctrl = design_controller(model, spectrum, c=1.0, theta=0.3)
-    powers = []
-
-    def recording(step, dim, limit, _original=engine._stacked_powers):
-        powers.append(_original(step, dim, limit))
-        return powers[-1]
-
-    monkeypatch.setattr(engine, "_stacked_powers", recording)
+    grids = _record_grids(monkeypatch)
     for horizon in horizons:
-        powers.clear()
+        grids.clear()
         tracemalloc.start()
         try:
             trace = simulate(model, graph, spectrum, ctrl, horizon=horizon, x0=x0,
@@ -558,10 +583,123 @@ def test_workspace_stays_within_its_budget(monkeypatch, case, horizons):
         finally:
             tracemalloc.stop()
         assert trace.steps_run == horizon
-        # the inf-norm series (8 bytes a step) and the stacked powers
-        # (bounded by BLOCK_FLOATS, or one operator; the levels share F^B)
-        # come on top of the workspace
-        extra = 8 * (horizon + 1) + sum(first.nbytes + second[1:].nbytes
-                                        for first, second in powers)
+        # the inf-norm series (8 bytes a step), the matrices F and the stacked
+        # powers (bounded by BLOCK_FLOATS, or one operator), each buffer counted
+        # once since stacks of one power and F^B are views, come on top of the
+        # workspace
+        buffers = {id(b): b for g in grids for b in (a if a.base is None else a.base
+                                                     for a in g.arrays)}
+        extra = 8 * (horizon + 1) + sum(b.nbytes for b in buffers.values())
 
         assert peak - extra <= 8 * engine.WINDOW_FLOATS + 256 * 1024
+
+
+def _metamorphic_run(rng, graph, compensator_start=70):
+    """A leader-free resilient rotation2d run on ``graph`` with two attacks,
+    an actuator constant on agent 2 from step 40 and a sensor sinusoid on the
+    last agent from step 90, and its (model, spectrum, ctrl, kwargs). The
+    coupling and theta are supplied, so that the design is the same for every
+    graph with the same Laplacian spectrum."""
+    model = load_config("rotation2d_imp_nonroot").model
+    N, n = graph.n_agents, model.state_dim
+    spectrum = normalized_laplacian(graph)
+    ctrl = design_controller(model, spectrum, c=0.6, theta=0.3)
+    attacks = [AttackSpec(agent=2, channel="actuator", start_step=40,
+                          signal=constant_signal(rng.normal(size=1))),
+               AttackSpec(agent=N - 1, channel="sensor", start_step=90,
+                          signal=sinusoid_signal(rng.normal(size=n), 0.4, phase=rng.normal()))]
+    kwargs = dict(x0=rng.normal(size=N * n), predictor_init=rng.normal(size=N * n),
+                  attacks=attacks, controller="resilient", compensator_start=compensator_start)
+    return model, spectrum, ctrl, kwargs
+
+
+# the stored arrays and final states that are linear in the run's initial states
+_LINEAR = ("x", "x_hat", "u", "d", "f", "eps", "final_x", "final_x_hat")
+
+
+def test_runs_are_linear_in_their_initial_states():
+    """Superposition: on a leader-free graph the run is linear in (x0,
+    predictor_init, f0), f0 the initial states of the attack generators."""
+    rng = np.random.default_rng(5)
+    graph = random_spanning_tree_digraph(6, rng)
+    model, spectrum, ctrl, kwargs = _metamorphic_run(rng, graph)
+
+    def run_from(x0, predictor_init, *f0):
+        attacks = [dataclasses.replace(spec, signal=dataclasses.replace(spec.signal, f0=f))
+                   for spec, f in zip(kwargs["attacks"], f0)]
+        return simulate(model, graph, spectrum, ctrl, horizon=300,
+                        **dict(kwargs, x0=x0, predictor_init=predictor_init, attacks=attacks))
+
+    first = [kwargs["x0"], kwargs["predictor_init"], *(s.signal.f0 for s in kwargs["attacks"])]
+    second = [rng.normal(size=v.shape) for v in first]
+    a, b = 0.7, -1.3
+    one, other, total = traces = [run_from(*first), run_from(*second),
+                                  run_from(*(a * u + b * v for u, v in zip(first, second)))]
+    assert all(t.steps_run == 300 and t.first_crossing is None for t in traces)
+    scale = max(np.abs(t.x).max() for t in traces)
+    for name in _LINEAR:
+        expected = a * getattr(one, name) + b * getattr(other, name)
+        _assert_close(getattr(total, name), expected, rtol=1e-12, scale=scale)
+
+
+def test_relabelling_the_agents_permutes_the_run():
+    rng = np.random.default_rng(8)
+    graph = random_spanning_tree_digraph(6, rng)
+    model, spectrum, ctrl, kwargs = _metamorphic_run(rng, graph)
+    N, n = graph.n_agents, model.state_dim
+    label = rng.permutation(N)  # agent i is agent label[i] after relabelling
+    adjacency = np.empty_like(graph.adjacency)
+    adjacency[np.ix_(label, label)] = graph.adjacency
+    relabelled = DirectedGraph(adjacency)
+    spectrum_r = normalized_laplacian(relabelled)
+    ctrl_r = design_controller(model, spectrum_r, c=ctrl.c, theta=ctrl.theta)
+    assert np.array_equal(ctrl_r.K, ctrl.K) and (ctrl_r.c, ctrl_r.theta) == (ctrl.c, ctrl.theta)
+
+    def permuted(v):
+        out = np.empty_like(v.reshape(N, -1))
+        out[label] = v.reshape(N, -1)
+        return out.ravel()
+
+    kwargs_r = dict(kwargs, x0=permuted(kwargs["x0"]),
+                    predictor_init=permuted(kwargs["predictor_init"]),
+                    attacks=[dataclasses.replace(spec, agent=int(label[spec.agent]))
+                             for spec in kwargs["attacks"]])
+    trace = simulate(model, graph, spectrum, ctrl, horizon=300, **kwargs)
+    trace_r = simulate(model, relabelled, spectrum_r, ctrl_r, horizon=300, **kwargs_r)
+    # the sensor attack reaches more agents than the two attacked ones
+    assert trace.steps_run == 300 and len(trace.intact_agents) < N - 2
+    assert trace_r.intact_agents == tuple(sorted(int(label[i]) for i in trace.intact_agents))
+    assert ((trace_r.prediction, trace_r.diverged, trace_r.steps_run, trace_r.first_crossing)
+            == (trace.prediction, trace.diverged, trace.steps_run, trace.first_crossing))
+    assert trace_r.attack_bound == pytest.approx(trace.attack_bound, rel=1e-12)
+    _assert_close(trace_r.inf_norms, trace.inf_norms, rtol=1e-12)
+    scale = np.abs(trace.x).max()
+    for name in _LINEAR + ("consensus_err",):
+        original = getattr(trace, name)
+        if name.startswith("final"):
+            expected = permuted(original)
+        else:
+            expected = np.empty_like(original)
+            expected[:, label] = original
+        _assert_close(getattr(trace_r, name), expected, rtol=1e-12, scale=scale)
+    _assert_close(trace_r.gamma, trace.gamma, rtol=1e-12, scale=scale ** 2)
+
+
+def test_predictor_is_the_same_with_and_without_attacks(monkeypatch):
+    """x_hat follows the predictor, which no attack touches: on the same block
+    grid it is the same bit for bit."""
+    config = dataclasses.replace(load_config("auv_sin_attack_agent3_resilient"), horizon=2000)
+    spectrum, ctrl = _design(config)
+    grids = _record_grids(monkeypatch)
+    attacked, clean = (_simulate_with(dataclasses.replace(config, attacks=attacks), spectrum,
+                                      ctrl, config.horizon, 7)
+                       for attacks in (config.attacks, []))
+    # the attack starts with the compensator, so both runs have the same
+    # regimes; only the error system's size differs
+    first, second = grids[:2], grids[2:]
+    assert [(g.span, g.B, g.C[0]) for g in first] == [(g.span, g.B, g.C[0]) for g in second]
+    assert [g.dims[1] for g in first] != [g.dims[1] for g in second]
+    assert attacked.attack_bound > 0.0 and clean.attack_bound == 0.0
+    assert np.abs(attacked.x - clean.x).max() > 1e-3
+    assert np.array_equal(attacked.x_hat, clean.x_hat)
+    assert np.array_equal(attacked.final_x_hat, clean.final_x_hat)
