@@ -66,12 +66,15 @@ def block_eigenvalues(model: LtiModel, eigenvalues, K, c: float, theta: float | 
     triangular with these blocks, so over every lam they are its spectrum,
     and with theta that of the compensated error dynamics.
     """
-    BK, I = model.B @ K, np.eye(model.input_dim)
+    n, BK = model.state_dim, model.B @ K
+    if theta is not None:  # complex for every lam, so that a real spectrum takes the same solver
+        joint = np.zeros((n + model.input_dim,) * 2, complex)
+        joint[:n, n:], joint[n:, n:] = -model.B, theta * np.eye(model.input_dim)
     for lam in eigenvalues:
         block = model.A - c * lam * BK
         if theta is not None:
-            # complex for every lam, so that a real spectrum takes the same eigen-solver
-            block = np.block([[block, -model.B], [theta * c * lam * K, theta * I]]).astype(complex)
+            joint[:n, :n], joint[n:, :n] = block, theta * c * lam * K
+            block = joint
         yield np.linalg.eigvals(block)
 
 

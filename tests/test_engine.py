@@ -3,8 +3,9 @@
 The step law is checked on the stored arrays with the model matrices, the
 designed gains and ``signal_series``; whole runs are compared with a one-step
 recursion of the Kronecker-form closed loop, on hand-picked cases and on
-random ones; the ramp crossing is pinned to its closed form; memory is
-measured with ``tracemalloc``.
+random ones, and with each other under superposition, relabelling and the
+removal of attacks; the ramp crossing is pinned to its closed form; memory
+is measured with ``tracemalloc``.
 """
 
 import copy
