@@ -593,6 +593,12 @@ def test_workspace_stays_within_its_budget(monkeypatch, case, horizons):
         extra = 8 * (horizon + 1) + sum(b.nbytes for b in buffers.values())
 
         assert peak - extra <= 8 * engine.WINDOW_FLOATS + 256 * 1024
+        if case == "network200":
+            # blocks of one step: every stack is its system's F, not a copy
+            for g in grids:
+                F_P, F_Q, *stacks = g.arrays
+                assert g.B == 1 and all(stack.base is F for stack, F in
+                                        zip(stacks, (F_P, F_P, F_Q, F_Q)))
 
 
 def _metamorphic_run(rng, graph, compensator_start=70):
