@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +38,14 @@ def global_performance(x, graph: DirectedGraph) -> float | np.ndarray:
     x = np.asarray(x, dtype=float)
     X = x if x.ndim == 3 else x.reshape(1, graph.n_agents, -1)
     i, j = np.nonzero(graph.adjacency > 0)
-    diffs = X[:, i] - X[:, j]
-    gamma = (diffs ** 2).sum(axis=2).sum(axis=1)
+    # summed one (S, N) slice per state entry, since numpy reduces along short
+    # rows slowly; the entries are added in the same order as a row sum would
+    per_edge = None
+    for coord in X.transpose(2, 0, 1):
+        diff = coord[:, i] - coord[:, j]
+        diff *= diff
+        per_edge = diff if per_edge is None else np.add(per_edge, diff, out=per_edge)
+    gamma = per_edge.sum(axis=1)
     return gamma if x.ndim == 3 else float(gamma[0])
 
 
@@ -144,23 +151,38 @@ def analyze_growth(inf_norms: np.ndarray, magnitude_threshold: float = 1e9) -> G
 def _slope(y: np.ndarray) -> float:
     """Least-squares slope of the finite entries of ``y`` against their index
     (0.0 with fewer than two), from running sums over chunks. The index is
-    centred on the middle of ``y``, which keeps the sums small."""
+    centred on the middle of ``y``, which keeps the sums small. Above 1, ``y``
+    is scaled down by the power of two of its largest finite |y|, which keeps
+    the sums finite near the largest float: a power of two scales the fit
+    exactly, so the slope is the one the unscaled sums give where they stay
+    finite."""
+    peak = 0.0
+    for lo in range(0, y.size, GROWTH_CHUNK):
+        seg = y[lo:lo + GROWTH_CHUNK]
+        top = max(seg.max(initial=0.0), -seg.min(initial=0.0))
+        if not np.isfinite(top):
+            top = np.abs(seg).max(where=np.isfinite(seg), initial=0.0)
+        peak = max(peak, float(top))
+    scale = max(math.frexp(peak)[1], 0)
+    factor = math.ldexp(1.0, -scale)
     count = sj = sy = sjj = sjy = 0.0
     mid = 0.5 * (y.size - 1)
     for lo in range(0, y.size, GROWTH_CHUNK):
         seg = y[lo:lo + GROWTH_CHUNK]
-        j = np.arange(lo, lo + seg.size, dtype=float) - mid
+        j = np.arange(lo, lo + seg.size, dtype=float)
+        j -= mid
         finite = np.isfinite(seg)
         if not finite.all():
             j, seg = j[finite], seg[finite]
         count += j.size
         sj += j.sum()
-        sy += seg.sum()
-        sjj += (j * j).sum()
-        sjy += (j * seg).sum()
+        work = j * j  # then the scaled y, then its products with j
+        sjj += work.sum()
+        sy += np.multiply(seg, factor, out=work).sum()
+        sjy += np.multiply(work, j, out=work).sum()
     if count < 2:
         return 0.0
-    return float((count * sjy - sj * sy) / (count * sjj - sj * sj))
+    return float((count * sjy - sj * sy) / (count * sjj - sj * sj) / factor)
 
 
 @dataclass(frozen=True)

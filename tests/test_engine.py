@@ -549,6 +549,14 @@ def test_a_diverging_run_stops_at_its_crossing_without_warnings():
         assert trace.first_crossing == trace.steps_run < trace.horizon and trace.diverged
         assert np.abs(trace.x).max() <= threshold < trace.inf_norms[-1]
         assert not (np.isfinite(trace.u).all() and np.isfinite(trace.gamma).all())
+        # the tail slope is a finite least-squares fit, even where the plain
+        # running sums of a tail near the largest float overflow
+        tail = trace.inf_norms[len(trace.inf_norms) - len(trace.inf_norms) // 2:]
+        k = np.nonzero(np.isfinite(tail))[0]
+        peak = np.abs(tail[k]).max()
+        slope = np.polyfit(k, tail[k] / peak, 1)[0] * peak
+        assert np.isfinite(trace.tail_slope)
+        assert abs(trace.tail_slope - slope) <= 1e-12 * abs(slope)
 
 
 def _out_star(n_agents):

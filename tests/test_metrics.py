@@ -1,10 +1,11 @@
 import numpy as np
 
-from resilient_consensus import (AttackSpec, DirectedGraph, Verdict, analyze_growth,
+from resilient_consensus import (BUNDLED_SCENARIOS, AttackSpec, DirectedGraph, ScenarioConfig,
+                                 Verdict, analyze_growth,
                                  constant_signal, design_controller, design_gain,
                                  destabilization_verdict, deviation_bound, effective_attack,
                                  global_performance, hinf_bypass_report, normalized_laplacian,
-                                 simulate, sinusoid_signal, tracking_error)
+                                 run, simulate, sinusoid_signal, tracking_error)
 from resilient_consensus.dynamics import baseline_radius
 from resilient_consensus.metrics import GROWTH_CHUNK
 
@@ -35,6 +36,16 @@ def test_global_performance_stacked_matches_single_states():
     single = np.array([global_performance(s, graph) for s in states])
     assert all(isinstance(global_performance(s.ravel(), graph), float) for s in states[:3])
     np.testing.assert_allclose(stacked, single, rtol=1e-12, atol=0.0)
+
+
+def test_global_performance_is_the_row_sum_of_every_bundled_run():
+    # summed slice by slice, Gamma keeps the bits of the per-edge row sums
+    for name, raw in BUNDLED_SCENARIOS.items():
+        config = ScenarioConfig.from_dict(raw)
+        trace = run(config)
+        i, j = np.nonzero(config.graph.adjacency > 0)
+        row_sums = ((trace.x[:, i] - trace.x[:, j]) ** 2).sum(axis=2).sum(axis=1)
+        assert trace.gamma.tobytes() == row_sums.tobytes(), name
 
 
 def test_deviation_bound_cases(integrator, rotation2d, auv_model, example1_spectrum,
@@ -113,6 +124,10 @@ def test_growth_analysis_shapes():
 
     crossing = np.array([1.0, 2.0, 3.0, 2e9, 2e9])
     assert analyze_growth(crossing).first_crossing == 3
+
+    # a ramp near the largest float: the unscaled sums of j * y overflow
+    near_max = 1e305 * (1.0 + 0.5 * np.arange(400.0))
+    assert abs(analyze_growth(near_max).tail_slope - 5e304) <= 1e-9 * 5e304
 
 
 def test_growth_analysis_of_long_series_matches_full_length_references():

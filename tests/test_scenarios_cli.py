@@ -301,12 +301,18 @@ def _bits(*values):
 
 
 ZERO, MINUS_ZERO = _bits(0.0, -0.0)
+# the values either side of 1e-4, 1e-5 and 1e16, where repr and JSON number
+# notation part
+NOTATION_BITS = _bits(1e-4, np.nextafter(1e-4, 0.0), 1e-05, 9.999999999999999e-06, -2.5e-07,
+                      1e-09, 1e16, 9999999999999998.0, 1.2345678901234568e+17)
 # signed zeros, infinities, subnormals, extremes, short and 17-digit reprs,
-# and NaNs with different signs and payloads (quiet, payload 1, signalling)
-SPECIAL_BITS = _bits(0.0, -0.0, np.inf, -np.inf, 5e-324, -2.5e-320, 2.2250738585072014e-308,
-                     1.7976931348623157e308, 1e300, 1e-05, 0.1, 3.0, -2.0,
-                     1.0000000000000002) + [0x7FF8000000000000, 0x7FF8000000000001,
-                                            -0x0008000000000000, 0x7FF0000000000001]
+# the notation boundaries, and NaNs with different signs and payloads (quiet,
+# payload 1, signalling)
+SPECIAL_BITS = (_bits(0.0, -0.0, np.inf, -np.inf, 5e-324, -2.5e-320, 2.2250738585072014e-308,
+                      1.7976931348623157e308, 1e300, 0.1, 3.0, -2.0, 1.0000000000000002)
+                + NOTATION_BITS
+                + [0x7FF8000000000000, 0x7FF8000000000001, -0x0008000000000000,
+                   0x7FF0000000000001])
 
 
 def _table_trace(cells, n_agents, state_dim, input_dim):
@@ -344,6 +350,8 @@ def _repr_rows(ks, blocks):
 # 0.0 beside -0.0 in one chunk: a formatter keyed on values prints one of them wrong
 @example(palette=[ZERO, MINUS_ZERO], n_agents=2, state_dim=1, input_dim=1, steps=3,
          chunk=CSV_CHUNK_FLOATS, seed=0)
+# every notation boundary, each in several rows and chunks
+@example(palette=NOTATION_BITS, n_agents=2, state_dim=1, input_dim=1, steps=12, chunk=64, seed=0)
 def test_emitted_bytes_equal_per_value_repr(palette, n_agents, state_dim, input_dim, steps,
                                             chunk, seed):
     # a small palette repeats values across rows, columns and chunks; chunks of
