@@ -38,8 +38,8 @@ def global_performance(x, graph: DirectedGraph) -> float | np.ndarray:
     x = np.asarray(x, dtype=float)
     X = x if x.ndim == 3 else x.reshape(1, graph.n_agents, -1)
     i, j = np.nonzero(graph.adjacency > 0)
-    # summed one (S, N) slice per state entry, since numpy reduces along short
-    # rows slowly; the entries are added in the same order as a row sum would
+    # summed one (S, edges) slice per state entry, since numpy reduces along
+    # short rows slowly; the entries are added in the order a row sum adds them
     per_edge = None
     for coord in X.transpose(2, 0, 1):
         diff = coord[:, i] - coord[:, j]
