@@ -74,7 +74,9 @@ NumPy's overflow warnings off.
 A window is sized so that its workspace, the read-outs of its steps (about
 N n + live columns floats a step), two copies of its block starts and one
 regime's projected powers (blocks of one step need neither the projection
-nor the second copy), fills about WINDOW_FLOATS floats. Time grows linearly
+nor the second copy), fills about WINDOW_FLOATS floats; where that budget
+would hold less than one block of the longest B, B is capped at the length
+that gives the longest window. Time grows linearly
 with the horizon. Memory grows with it only by the per-step inf-norm series
 (8 bytes a step) and the stored rows; the window, and so the workspace and
 each system's powers, are sized by WINDOW_FLOATS and BLOCK_FLOATS, not by
@@ -190,11 +192,12 @@ def _powers(F: np.ndarray, count: int) -> np.ndarray:
     return F if count == 1 else out[:count].reshape(-1, len(F))
 
 
-def _grid(span: int, *systems: np.ndarray) -> list:
+def _grid(span: int, longest: int, *systems: np.ndarray) -> list:
     """[F; ...; F^B] and [F^B; ...; F^CB] of each system's matrix F for segments of ``span``
-    steps: B the largest system's ``_block_length``, cut to the powers all keep, and C
-    each system's for ceil(span / B) blocks."""
-    firsts = [_powers(F, _block_length(max(map(len, systems)), span)) for F in systems]
+    steps: B the largest system's ``_block_length``, at most ``longest``, cut to the powers
+    all keep, and C each system's for ceil(span / B) blocks."""
+    firsts = [_powers(F, min(_block_length(max(map(len, systems)), span), longest))
+              for F in systems]
     B = min(len(first) // len(F) for first, F in zip(firsts, systems))
     return [(first[:B * len(F)], _powers(first[(B - 1) * len(F):B * len(F)],
                                          _block_length(len(F), -(-span // B))))
@@ -397,12 +400,20 @@ def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
 
     R = Nn + len(cols)  # read-out rows a step: x and the live injection columns
 
-    # a window's workspace, for blocks of at most B0 steps, fills about
-    # WINDOW_FLOATS floats (module docstring); no window is longer than the horizon
+    def window_for(B):
+        """The steps of a window whose workspace, for blocks of at most B steps,
+        fills about WINDOW_FLOATS floats (module docstring)."""
+        projected = B > 1
+        return ((WINDOW_FLOATS - projected * B * R * (dp + dq))
+                // (R + (1 + projected) * -(-(dp + dq) // B)))
+
+    # B0 is the longest block of any regime. Where the window would be shorter
+    # than one such block, B0 becomes the block that gives the longest window;
+    # no window is longer than the horizon
     B0 = _block_length(max(dp, dq), max(1, WINDOW_FLOATS // R))
-    projected = B0 > 1
-    window = max(1, min(horizon, (WINDOW_FLOATS - projected * B0 * R * (dp + dq))
-                        // (R + (1 + projected) * -(-(dp + dq) // B0))))
+    if window_for(B0) < B0:
+        B0 = max(range(1, B0 + 1), key=window_for)
+    window = max(1, min(horizon, window_for(B0)))
     F_P = _matrix(predictor_step, dp)  # the predictor never changes
     readout = np.empty(R * (window + B0))
 
@@ -425,7 +436,7 @@ def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
                 break
             span = min(window, end - start)  # the regime's length, up to a window
             (P_pow, P_up), (Q_pow, Q_up) = _grid(
-                span, F_P, _matrix(lambda z: error_step(z, start), dq))
+                span, B0, F_P, _matrix(lambda z: error_step(z, start), dq))
             B = len(P_pow) // dp
             M = injection(start)[:, cols] if size else np.zeros((0, 0))
             rows = span // B + 1

@@ -167,19 +167,24 @@ def _slope(y: np.ndarray) -> float:
     factor = math.ldexp(1.0, -scale)
     count = sj = sy = sjj = sjy = 0.0
     mid = 0.5 * (y.size - 1)
+    # one chunk's centred index, advanced a chunk at a time, and one work buffer
+    # serve every chunk; the index stays exact, whole or half numbers below 2^52
+    index = np.arange(min(y.size, GROWTH_CHUNK), dtype=float)
+    index -= mid
+    buffer = np.empty_like(index)
     for lo in range(0, y.size, GROWTH_CHUNK):
         seg = y[lo:lo + GROWTH_CHUNK]
-        j = np.arange(lo, lo + seg.size, dtype=float)
-        j -= mid
+        j = index[:seg.size]
         finite = np.isfinite(seg)
         if not finite.all():
             j, seg = j[finite], seg[finite]
         count += j.size
         sj += j.sum()
-        work = j * j  # then the scaled y, then its products with j
+        work = np.multiply(j, j, out=buffer[:j.size])  # then the scaled y, then its products with j
         sjj += work.sum()
         sy += np.multiply(seg, factor, out=work).sum()
         sjy += np.multiply(work, j, out=work).sum()
+        index += GROWTH_CHUNK
     if count < 2:
         return 0.0
     return float((count * sjy - sj * sy) / (count * sjj - sj * sj) / factor)

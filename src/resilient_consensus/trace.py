@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import tempfile
 from dataclasses import dataclass, field
 
@@ -13,8 +14,8 @@ import orjson
 TAIL_FRACTION = 0.1
 # values formatted and written at a time (in whole rows), so that emission
 # memory does not grow with the number of stored steps: a chunk's table and
-# its text stay a few hundred KiB. Chunks of 2^13 floats wrote the bundled
-# stride-1 CSVs no faster, and chunks of 2^14 a third slower.
+# its text stay a few hundred KiB. Chunks of 2^11 or 2^13 floats wrote the
+# bundled stride-1 CSVs no faster, and chunks of 2^14 about 15 % slower.
 CSV_CHUNK_FLOATS = 1 << 12
 
 SUMMARY_SCHEMA = {
@@ -195,36 +196,54 @@ def _lines(header: list, ks: np.ndarray, blocks):
     """The CSV header line, then one line per step k: k, then each block's row
     flattened, as repr floats; encoded about CSV_CHUNK_FLOATS values at a time.
 
-    Each chunk is one ``orjson.dumps`` of its table. orjson formats floats with
-    Ryu, which gives the shortest round-trip digits, the digits of ``repr``;
-    for zero and for 1e-4 <= |v| < 1e16 it writes them in repr's notation
-    too. It writes the rest otherwise: non-finite values as ``null``, 2.14e-05
-    as 0.0000214, 1e-07 as 1e-7 and 1e+16 as 1e16. Those cells go through
-    ``repr`` instead, once per distinct float64 bit pattern, are dumped as NaN,
-    and their texts take the place of the ``null``s in order.
+    A chunk's steps and its table are each one ``orjson.dumps``. orjson formats
+    floats with Ryu, which gives the shortest round-trip digits, the digits of
+    ``repr``, and it writes zero, 1e-4 <= |v| < 1e16 and |v| < 1e-9 in repr's
+    notation too. The other cells, 1e-9 <= |v| < 1e-4, |v| >= 1e16 and the
+    non-finite ones, are dumped as NaN, which orjson writes as ``null``; their
+    texts come from ``_repr_texts`` and take the place of the ``null``s in order.
     """
     yield (",".join(header) + "\n").encode()
     per_chunk = max(1, CSV_CHUNK_FLOATS // sum(int(np.prod(b.shape[1:])) for b in blocks))
+    ks = np.ascontiguousarray(ks)  # orjson dumps only contiguous arrays
     for lo in range(0, len(ks), per_chunk):
-        steps = ks[lo:lo + per_chunk].tolist()
+        steps = orjson.dumps(ks[lo:lo + per_chunk], option=orjson.OPT_SERIALIZE_NUMPY)
+        steps = steps[1:-1].split(b",")
         table = np.concatenate([b[lo:lo + len(steps)].reshape(len(steps), -1) for b in blocks],
                                axis=1, dtype=np.float64)
         size = np.abs(table)
-        odd = ~((size >= 1e-4) & (size < 1e16)) & (table != 0.0)
+        odd = ((size >= 1e-9) & (size < 1e-4)) | ~(size < 1e16)  # NaN is not < 1e16
         texts = []
         if odd.any():
-            bits, inverse = np.unique(table[odd].view(np.int64), return_inverse=True)
-            text = np.array([repr(v).encode() for v in bits.view(np.float64).tolist()],
-                            dtype=object)
-            texts = text[inverse].tolist()
+            texts = _repr_texts(table[odd])
             table[odd] = np.nan
         rows = orjson.dumps(table, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].split(b"],[")
-        body = b"".join(b"%d,%s\n" % line for line in zip(steps, rows))
+        body = b"\n".join(map(b",".join, zip(steps, rows))) + b"\n"
         if texts:
             pieces = body.split(b"null")
             texts.append(b"")
             body = b"".join([piece for pair in zip(pieces, texts) for piece in pair])
         yield body
+
+
+# orjson's notation for 1e-5 <= |v| < 1e-4: 0.0000214, 0.00003
+_FIFTH_DECIMAL = re.compile(rb"0\.0000(\d)(\d*)")
+
+
+def _repr_texts(values: np.ndarray) -> list:
+    """repr's text of each of ``values``, a 1-D array whose finite entries all
+    lie in 1e-9 <= |v| < 1e-4 or at |v| >= 1e16, from one ``orjson.dumps``.
+    orjson writes repr's digits there, so only its notation is rewritten:
+    0.0000214 to 2.14e-05, 1e-7 to 1e-07 and 1e16 to 1e+16. Non-finite values,
+    which orjson writes as ``null``, go through ``repr``."""
+    text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
+    # every negative exponent here has one digit: -6 to -9
+    text = text.replace(b"e", b"e+").replace(b"e+-", b"e-0")
+    text = _FIFTH_DECIMAL.sub(lambda m: b"%s.%se-05" % m.groups(), text).replace(b".e", b"e")
+    texts = text.split(b",")
+    for i in np.flatnonzero(~np.isfinite(values)).tolist():
+        texts[i] = repr(float(values[i])).encode()
+    return texts
 
 
 def write_csv(trace: SimulationTrace, path: str) -> None:

@@ -53,8 +53,8 @@ def _record_grids(monkeypatch):
     and every stack of powers."""
     seen = []
 
-    def recording(span, *systems, _original=engine._grid):
-        levels = _original(span, *systems)
+    def recording(span, longest, *systems, _original=engine._grid):
+        levels = _original(span, longest, *systems)
         dims = tuple(len(F) for F in systems)
         seen.append(types.SimpleNamespace(
             dims=dims, span=span, B=len(levels[0][0]) // dims[0],
@@ -361,6 +361,21 @@ def test_cut_powers_match_the_one_step_recursion(monkeypatch):
     assert first.C[1] > 1 and first.B * first.C[1] < first.span
     assert cut and all(g.B < engine._block_length(max(g.dims), g.span) and g.C[1] == 1
                        for g in cut)
+
+
+def test_a_budget_short_of_one_block_keeps_windows_of_many_blocks(monkeypatch):
+    """At 2^15 floats the projected powers of the AUV run's longest block
+    alone would overfill the window budget, which left windows of one step;
+    the longest block shrinks to the one that gives the longest window."""
+    monkeypatch.setattr(engine, "WINDOW_FLOATS", 1 << 15)
+    grids = _record_grids(monkeypatch)
+    config = load_config("auv_sin_attack_agent3_resilient")
+    trace, spectrum, ctrl = _simulate(config, 2000, 7)
+    _assert_matches_reference(trace, config, spectrum, ctrl, 7)
+    # the last regime runs in windows
+    window = grids[-1].span
+    assert window < 2000 - sum(g.span for g in grids[:-1])
+    assert all(g.B > 1 for g in grids) and window >= 10 * grids[-1].B
 
 
 @st.composite

@@ -301,10 +301,11 @@ def _bits(*values):
 
 
 ZERO, MINUS_ZERO = _bits(0.0, -0.0)
-# the values either side of 1e-4, 1e-5 and 1e16, where repr and JSON number
-# notation part
+# the values either side of 1e-4, 1e-5, 1e-9 and 1e16, where repr and JSON
+# number notation part, and one- and many-digit values of orjson's 0.0000...
 NOTATION_BITS = _bits(1e-4, np.nextafter(1e-4, 0.0), 1e-05, 9.999999999999999e-06, -2.5e-07,
-                      1e-09, 1e16, 9999999999999998.0, 1.2345678901234568e+17)
+                      1e-09, 9.999999999999999e-10, 1.5e-10, -1e-05, -3e-05, 1.234e-05,
+                      1e16, 9999999999999998.0, 1.2345678901234568e+17)
 # signed zeros, infinities, subnormals, extremes, short and 17-digit reprs,
 # the notation boundaries, and NaNs with different signs and payloads (quiet,
 # payload 1, signalling)
@@ -371,6 +372,22 @@ def test_emitted_bytes_equal_per_value_repr(palette, n_agents, state_dim, input_
     assert body == _repr_rows(trace.ks, (trace.x, trace.x_hat, trace.u, trace.d, trace.eps,
                                          trace.gamma))
     assert plot_body == _repr_rows(trace.ks, (norms, trace.gamma))
+
+
+def test_bundled_runs_emit_the_bytes_of_per_value_repr(tmp_path):
+    # the bundled runs at stride 1 hold cells of every notation, and runs
+    # longer than 500 steps give the plot data a strided k column
+    for name, raw in BUNDLED_SCENARIOS.items():
+        trace = run(ScenarioConfig.from_dict(dict(raw, store_stride=1)))
+        write_csv(trace, str(tmp_path / "t.csv"))
+        write_plot_data(trace, str(tmp_path / "t.plot.csv"))
+        body = (tmp_path / "t.csv").read_bytes().split(b"\n", 1)[1]
+        plot_body = (tmp_path / "t.plot.csv").read_bytes().split(b"\n", 1)[1]
+        assert body == _repr_rows(trace.ks, (trace.x, trace.x_hat, trace.u, trace.d, trace.eps,
+                                             trace.gamma)), name
+        idx = slice(None, None, -(-len(trace.ks) // 500))
+        assert plot_body == _repr_rows(trace.ks[idx], (np.abs(trace.x[idx]).max(axis=2),
+                                                       trace.gamma[idx])), name
 
 
 def test_csv_write_peak_stays_under_one_mib(tmp_path):
