@@ -173,18 +173,20 @@ def _slope(y: np.ndarray) -> float:
     index -= mid
     buffer = np.empty_like(index)
     for lo in range(0, y.size, GROWTH_CHUNK):
+        if lo:
+            index += GROWTH_CHUNK
         seg = y[lo:lo + GROWTH_CHUNK]
-        j = index[:seg.size]
+        j, work = index[:seg.size], buffer[:seg.size]
         finite = np.isfinite(seg)
         if not finite.all():
             j, seg = j[finite], seg[finite]
+            work = work[:j.size]
         count += j.size
         sj += j.sum()
-        work = np.multiply(j, j, out=buffer[:j.size])  # then the scaled y, then its products with j
-        sjj += work.sum()
+        # work holds j * j, then the scaled y, then its products with j
+        sjj += np.multiply(j, j, out=work).sum()
         sy += np.multiply(seg, factor, out=work).sum()
         sjy += np.multiply(work, j, out=work).sum()
-        index += GROWTH_CHUNK
     if count < 2:
         return 0.0
     return float((count * sjy - sj * sy) / (count * sjj - sj * sj) / factor)

@@ -239,6 +239,7 @@ def _repr_texts(values: np.ndarray) -> list:
     text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
     # every negative exponent here has one digit: -6 to -9
     text = text.replace(b"e", b"e+").replace(b"e+-", b"e-0")
+    # 0.00003 becomes 3.e-05, then 3e-05
     text = _FIFTH_DECIMAL.sub(lambda m: b"%s.%se-05" % m.groups(), text).replace(b".e", b"e")
     texts = text.split(b",")
     for i in np.flatnonzero(~np.isfinite(values)).tolist():
