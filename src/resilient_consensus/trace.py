@@ -15,7 +15,7 @@ TAIL_FRACTION = 0.1
 # values formatted and written at a time (in whole rows), so that emission
 # memory does not grow with the number of stored steps: a chunk's table and
 # its text stay a few hundred KiB. Chunks of 2^11 or 2^13 floats wrote the
-# bundled stride-1 CSVs no faster, and chunks of 2^14 about 15 % slower.
+# bundled stride-1 CSVs about as fast, and chunks of 2^14 10-15 % slower.
 CSV_CHUNK_FLOATS = 1 << 12
 
 SUMMARY_SCHEMA = {
