@@ -114,11 +114,10 @@ def _print_lines(outcomes) -> bool:
 
 
 def _describe(trace) -> str:
-    tail = trace.to_summary()["tail"]
     status = "DIVERGED" if trace.diverged else "bounded"
     return (f"{trace.name}: {status}, prediction={trace.prediction}, "
-            f"steps={trace.steps_run}, tail gamma={tail['gamma']:.4g}, "
-            f"tail consensus err={tail['consensus_err']:.4g}")
+            f"steps={trace.steps_run}, tail gamma={trace.tail_gamma():.4g}, "
+            f"tail consensus err={trace.tail_consensus_error():.4g}")
 
 
 def main(argv=None) -> int:

@@ -14,6 +14,9 @@ from .design import THETA_BOUND, ControllerConfig
 from .dynamics import LtiModel
 from .graph import GraphSpectrum
 
+# impulse-response terms summed before the threshold's series counts as divergent
+MAX_TERMS = 20_000
+
 
 def dtilde_bound(ctrl: ControllerConfig, spectrum: GraphSpectrum, attack_bound: float,
                  zeta: float = 1.0, channel: str = "actuator") -> float:
@@ -53,8 +56,7 @@ def dtilde_bound(ctrl: ControllerConfig, spectrum: GraphSpectrum, attack_bound: 
 
 
 def consensus_error_threshold(model: LtiModel, spectrum: GraphSpectrum,
-                              ctrl: ControllerConfig, d_bound: float,
-                              max_terms: int = 20_000) -> float:
+                              ctrl: ControllerConfig, d_bound: float) -> float:
     """Peak consensus-error bound implied by ||d - f|| <= d_bound.
 
     The error x - x_hat obeys e(k+1) = A_c e(k) - (I (x) B)(d - f). On the
@@ -63,8 +65,14 @@ def consensus_error_threshold(model: LtiModel, spectrum: GraphSpectrum,
     bounded by the l1 impulse-response gain, summed here until the geometric
     tail is negligible. Along the marginal modes themselves no bound exists;
     root-directed attacks drive those modes regardless of the compensator.
-    A series that has not converged after ``max_terms`` terms would
+    A series that has not converged after MAX_TERMS terms would
     underestimate the bound, so it raises ValueError instead.
+
+    With a leader, A_c is not the run's error operator: row 0 of Lhat is zero,
+    so A_c leaves agent 0 in open loop, while the run applies u_0 = r - K0 x_0
+    (``engine._Law``). On ``auv_const_attack_agent2_resilient`` and
+    ``auv_sin_attack_agent3_resilient`` the two differ by up to 1.37 in one
+    entry, with spectral radii 1.579 (A_c) and 0.715 (the run's).
     """
     if spectrum.left_eigvec_zero is None:
         raise ValueError("threshold needs a spanning-tree graph")
@@ -90,7 +98,7 @@ def consensus_error_threshold(model: LtiModel, spectrum: GraphSpectrum,
 
     gain = 0.0
     term = proj @ b_big
-    for _ in range(max_terms):
+    for _ in range(MAX_TERMS):
         rows = np.sqrt((np.abs(term) ** 2).sum(axis=1)).max()
         gain += rows
         if rows <= 1e-12 * max(gain, 1.0):
@@ -99,6 +107,6 @@ def consensus_error_threshold(model: LtiModel, spectrum: GraphSpectrum,
         # modes would otherwise grow and corrupt the tail of the series
         term = proj @ (a_c @ term)
     else:
-        raise ValueError(f"impulse-response series did not converge in {max_terms} terms; "
+        raise ValueError(f"impulse-response series did not converge in {MAX_TERMS} terms; "
                          "the closed loop is too close to marginal stability")
     return float(gain * d_bound)

@@ -56,8 +56,7 @@ system's after the cut. A segment starting at step k goes in three levels:
   first N n rows), gives x at step k + jB + t and f at step k + jB + t - 1
   for every block j, laid out one row per read-out and one column per
   block, so that ||x||_inf and the peaks are reductions over contiguous
-  rows. Blocks of one step (large networks) are the states, and x and f are
-  read off them.
+  rows.
 
 Full states are formed only at block starts, at stored steps (the powers of
 their offsets gathered and multiplied with their block starts; at stride 1,
@@ -73,11 +72,11 @@ NumPy's overflow warnings off.
 
 A window is sized so that its workspace, the read-outs of its steps (about
 N n + live columns floats a step), two copies of its block starts and one
-regime's projected powers (blocks of one step need neither the projection
-nor the second copy), fills about WINDOW_FLOATS floats; where that budget
+regime's projected powers, fills about WINDOW_FLOATS floats; where that budget
 would hold less than one block of the longest B, B is capped at the length
-that gives the longest window. Time grows linearly
-with the horizon. Memory grows with it only by the per-step inf-norm series
+that gives the longest window. Projected powers of one-step blocks larger
+than the budget (several hundred states) leave windows of one step. Time
+grows linearly with the horizon. Memory grows with it only by the per-step inf-norm series
 (8 bytes a step) and the stored rows; the window, and so the workspace and
 each system's powers, are sized by WINDOW_FLOATS and BLOCK_FLOATS, not by
 the horizon.
@@ -403,9 +402,7 @@ def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
     def window_for(B):
         """The steps of a window whose workspace, for blocks of at most B steps,
         fills about WINDOW_FLOATS floats (module docstring)."""
-        projected = B > 1
-        return ((WINDOW_FLOATS - projected * B * R * (dp + dq))
-                // (R + (1 + projected) * -(-(dp + dq) // B)))
+        return (WINDOW_FLOATS - B * R * (dp + dq)) // (R + 2 * -(-(dp + dq) // B))
 
     # B0 is the longest block of any regime. Where the window would be shorter
     # than one such block, B0 becomes the block that gives the longest window;
@@ -441,9 +438,8 @@ def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
             M = injection(start)[:, cols] if size else np.zeros((0, 0))
             rows = span // B + 1
             Zp, Zq = np.empty((rows, dp)), np.empty((rows, dq))
-            if B > 1:
-                proj = _projection(P_pow, Q_pow, Nn, M)
-                Z = np.empty((rows, dp + dq))
+            proj = _projection(P_pow, Q_pow, Nn, M)
+            Z = np.empty((rows, dp + dq))
             while k < end and first_crossing is None:
                 # a segment of ``steps`` steps from step k, in J blocks, the last maybe partial
                 steps = min(span, end - k)
@@ -452,12 +448,8 @@ def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
                 _propagate(Zp, steps // B, P_up)
                 _propagate(Zq, steps // B, Q_up)
                 Y = readout[:B * R * J].reshape(B * R, J)
-                if B > 1:
-                    Z[:J, :dp], Z[:J, dp:] = Zp[:J], Zq[:J]
-                    np.matmul(proj, Z[:J].T, out=Y)
-                else:  # the block starts are the states: x and f are read off them
-                    np.add(Zp[1:J + 1, :Nn].T, Zq[1:J + 1, :Nn].T, out=Y[:Nn])
-                    np.matmul(M.T, Zq[:J, dq - size:].T, out=Y[Nn:])
+                Z[:J, :dp], Z[:J, dp:] = Zp[:J], Zq[:J]
+                np.matmul(proj, Z[:J].T, out=Y)
                 np.abs(Y, out=Y)
                 # Y[i, :, j]: |x| at step k + jB + i + 1 and |f| at step k + jB + i
                 Y = Y.reshape(B, R, J)
@@ -483,9 +475,7 @@ def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
                 # the state at step k + lim starts the next segment, or is the final one
                 p, q = _state(Zp, P_pow, lim), _state(Zq, Q_pow, lim)
                 k += lim
-            del P_pow, Q_pow, P_up, Q_up, M, Zp, Zq, Y
-            if B > 1:
-                del proj, Z
+            del P_pow, Q_pow, P_up, Q_up, M, Zp, Zq, Y, proj, Z
 
     del F_P, readout  # the workspace ends with the loop
     final_x_hat = p[:Nn].copy()
@@ -508,7 +498,7 @@ def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
         store_f = effective_injection(sens, act, norm_lap, ctrl.c, ctrl.K)
         store_eps = -norm_lap @ store_x
         gamma = global_performance(store_x, graph)
-        growth = analyze_growth(inf_norms, magnitude_threshold=divergence_threshold)
+        growth = analyze_growth(inf_norms)
     if store_f is None:
         store_f = np.zeros((si, N, m))
     prediction = destabilization_verdict(attacks, model, spectrum, ctrl)

@@ -102,33 +102,26 @@ def destabilization_verdict(specs, model: LtiModel, spectrum: GraphSpectrum,
 
 @dataclass(frozen=True)
 class GrowthAnalysis:
-    """Empirical divergence decision from the ||x(k)||_inf series."""
+    """Sustained-growth test and tail slope of the ||x(k)||_inf series."""
 
-    diverged: bool
-    first_crossing: int | None
     growth_detected: bool
     tail_slope: float
 
 
-def analyze_growth(inf_norms: np.ndarray, magnitude_threshold: float = 1e9) -> GrowthAnalysis:
-    """Magnitude guard plus sustained-growth detection on windowed maxima.
+def analyze_growth(inf_norms: np.ndarray) -> GrowthAnalysis:
+    """Sustained growth and tail slope of a run's ||x(k)||_inf series.
 
-    A run is divergent when the state norm crosses the magnitude threshold
-    (or went non-finite upstream), or when the last two 20% windows show a
-    sustained relative increase: a linear ramp keeps growing window over
-    window, while converging or steadily oscillating runs do not. The tail
-    slope is the least-squares slope of the finite entries of the last half.
-    Long series are scanned in chunks of GROWTH_CHUNK entries, so that no
-    temporary grows with the series.
+    Growth is detected when the largest finite entry of the last 20% window
+    exceeds that of the window before it by more than GROWTH_REL_TOL (relative
+    to the larger of that maximum and 1): a linear ramp keeps growing window
+    over window, while converging or steadily oscillating runs do not. The
+    tail slope is the least-squares slope of the finite entries of the last
+    half. A series of fewer than 10 entries shows neither. The magnitude
+    crossing is not tested here: ``engine.simulate`` stops a run at its first
+    step whose norm is non-finite or above the divergence threshold, and a run
+    has diverged when it crossed there or when growth is detected here.
     """
     s = np.asarray(inf_norms, dtype=float)
-    crossing = None
-    for lo in range(0, s.size, GROWTH_CHUNK):
-        seg = s[lo:lo + GROWTH_CHUNK]
-        within = np.isfinite(seg) & (seg <= magnitude_threshold)
-        if not within.all():
-            crossing = lo + int(within.argmin())
-            break
     growth = False
     slope = 0.0
     T = s.size
@@ -140,12 +133,7 @@ def analyze_growth(inf_norms: np.ndarray, magnitude_threshold: float = 1e9) -> G
         m2 = float(np.max(w2, where=np.isfinite(w2), initial=0.0))
         growth = (m2 - m1) > GROWTH_REL_TOL * max(m1, 1.0)
         slope = _slope(s[T - T // 2:])
-    return GrowthAnalysis(
-        diverged=bool(crossing is not None or growth),
-        first_crossing=crossing,
-        growth_detected=growth,
-        tail_slope=slope,
-    )
+    return GrowthAnalysis(growth_detected=growth, tail_slope=slope)
 
 
 def _slope(y: np.ndarray) -> float:

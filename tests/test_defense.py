@@ -197,7 +197,7 @@ def test_consensus_error_stays_under_derived_threshold(integrator, example1_grap
 def test_consensus_error_threshold_rejects_unconverged_series(integrator, example1_spectrum,
                                                              example1_ctrl):
     # a coupling that leaves the slowest block at radius 0.9999 needs far more
-    # than max_terms impulse-response terms; a truncated sum would underestimate
+    # than MAX_TERMS impulse-response terms; a truncated sum would underestimate
     lam_m = example1_spectrum.nonzero_eigenvalues().real.min()
     c = 1e-4 / (lam_m * example1_ctrl.K[0, 0])
     ctrl = design_controller(integrator, example1_spectrum, c=c, theta=0.5)

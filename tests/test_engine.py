@@ -574,6 +574,25 @@ def test_a_diverging_run_stops_at_its_crossing_without_warnings():
         assert abs(trace.tail_slope - slope) <= 1e-12 * abs(slope)
 
 
+@pytest.mark.parametrize("a, threshold, step", [(2.0, 1e9, 30),
+                                                (1e200, np.finfo(float).max, 2)])
+def test_the_run_stops_at_its_first_crossing(example1_graph, example1_spectrum, example1_ctrl,
+                                             a, threshold, step):
+    # agents that start together never couple, so each state is a^k: 2^30 is the
+    # first power of two above 1e9, and 1e400 overflows to a non-finite norm
+    model = LtiModel(A=[[a]], B=[[1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = simulate(model, example1_graph, example1_spectrum, example1_ctrl, horizon=200,
+                         x0=np.ones(4), divergence_threshold=threshold)
+    assert trace.first_crossing == trace.steps_run == step and trace.diverged
+    assert len(trace.inf_norms) == step + 1
+    assert not trace.inf_norms[step] <= threshold
+    assert np.isfinite(trace.inf_norms[:step]).all()
+    assert trace.inf_norms[:step].max() <= threshold
+    assert np.isfinite(trace.inf_norms[step]) == (a == 2.0)
+
+
 def _out_star(n_agents):
     """Agent 0 feeds every other agent: a spanning tree with Lhat eigenvalues 0 and 1/2."""
     return DirectedGraph.from_edges(n_agents, [[0, i] for i in range(1, n_agents)])

@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 
-from resilient_consensus import (BUNDLED_SCENARIOS, AttackSpec, DirectedGraph, ScenarioConfig,
-                                 Verdict, analyze_growth,
+from resilient_consensus import (BUNDLED_SCENARIOS, AttackSpec, DirectedGraph, GrowthAnalysis,
+                                 ScenarioConfig, Verdict, analyze_growth,
                                  constant_signal, design_controller, design_gain,
                                  destabilization_verdict, deviation_bound, effective_attack,
                                  global_performance, hinf_bypass_report, normalized_laplacian,
@@ -112,18 +114,19 @@ def test_verdict_nonimp_and_sensor_cases(rotation2d, chain5_graph, integrator,
 
 def test_growth_analysis_shapes():
     decaying = 5.0 * 0.97 ** np.arange(400)
-    assert not analyze_growth(decaying).diverged
+    assert not analyze_growth(decaying).growth_detected
 
     ramp = 0.5 * np.arange(400.0)
     g = analyze_growth(ramp)
-    assert g.diverged and g.growth_detected and g.first_crossing is None
+    assert g.growth_detected
     assert abs(g.tail_slope - 0.5) < 1e-9
 
     oscillating = 2.0 + np.sin(0.2 * np.arange(800))
-    assert not analyze_growth(oscillating).diverged
+    assert not analyze_growth(oscillating).growth_detected
 
-    crossing = np.array([1.0, 2.0, 3.0, 2e9, 2e9])
-    assert analyze_growth(crossing).first_crossing == 3
+    # the magnitude crossing is the engine's alone
+    assert [f.name for f in dataclasses.fields(GrowthAnalysis)] == ["growth_detected",
+                                                                     "tail_slope"]
 
     # a ramp near the largest float: the unscaled sums of j * y overflow
     near_max = 1e305 * (1.0 + 0.5 * np.arange(400.0))
@@ -131,7 +134,7 @@ def test_growth_analysis_shapes():
 
 
 def test_growth_analysis_of_long_series_matches_full_length_references():
-    # series longer than one scan chunk, with the events beyond the first chunk
+    # series longer than one slope chunk, with the events beyond the first chunk
     rng = np.random.default_rng(5)
     T = 3 * GROWTH_CHUNK + 123
     k = np.arange(T, dtype=float)
@@ -144,12 +147,6 @@ def test_growth_analysis_of_long_series_matches_full_length_references():
         finite = np.isfinite(tail)
         slope = np.polyfit(tail_k[finite], tail[finite], 1)[0]
         assert abs(g.tail_slope - slope) <= 1e-9 * max(abs(slope), 1e-6)
-        over = np.nonzero(~np.isfinite(series) | (series > 1e9))[0]
-        assert g.first_crossing == (int(over[0]) if over.size else None)
-    for at in (GROWTH_CHUNK - 1, GROWTH_CHUNK, 2 * GROWTH_CHUNK + 5):
-        series = np.ones(T)
-        series[at:] = 2e9
-        assert analyze_growth(series).first_crossing == at
 
 
 def run_chain5(integrator, chain5_graph, controller="baseline", attacks=(), horizon=2500):
