@@ -14,7 +14,7 @@ from .design import THETA_BOUND, ControllerConfig
 from .dynamics import LtiModel
 from .graph import GraphSpectrum
 
-# impulse-response terms summed before the threshold's series counts as divergent
+# most impulse-response terms consensus_error_threshold sums before it gives up
 MAX_TERMS = 20_000
 
 
