@@ -18,6 +18,7 @@ from .dynamics import LtiModel
 from .graph import GraphError, GraphSpectrum
 
 IMP_TOL = 1e-8
+ROOT_TARGET_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -178,14 +179,14 @@ class ImpClassification:
         return self.verdict == "IMP"
 
 
-def classify_imp(spec: AttackSpec, model: LtiModel, tol: float = IMP_TOL) -> ImpClassification:
+def classify_imp(spec: AttackSpec, model: LtiModel) -> ImpClassification:
     lam_w = np.linalg.eigvals(spec.signal.W)
     lam_a = np.linalg.eigvals(model.A)
     matched = []
     all_matched = True
     for lw in lam_w:
         dist = np.abs(lam_a - lw).min()
-        if dist <= tol:
+        if dist <= IMP_TOL:
             matched.append(complex(lw))
         else:
             all_matched = False
@@ -239,13 +240,12 @@ def attack_projection(f_agents: np.ndarray, spectrum: GraphSpectrum) -> np.ndarr
     return spectrum.left_eigvec_zero @ f
 
 
-def root_targeted(specs, model: LtiModel, spectrum: GraphSpectrum, ctrl,
-                  tol: float = 1e-12) -> bool:
-    """True when S(k) = p' f(k) is nonzero at some step where every attack is
-    live, decided exactly from ``AttackGenerator.live_window``."""
+def root_targeted(specs, model: LtiModel, spectrum: GraphSpectrum, ctrl) -> bool:
+    """True when S(k) = p' f(k) exceeds ROOT_TARGET_TOL at some step where every
+    attack is live, decided exactly from ``AttackGenerator.live_window``."""
     lap = spectrum.normalized_laplacian
     gen = AttackGenerator(specs, lap.shape[0], model.state_dim, model.input_dim)
     f = effective_injection(*gen.live_window(), lap, ctrl.c, ctrl.K)
     if f is None:
         return False
-    return bool((np.linalg.norm(attack_projection(f, spectrum), axis=1) > tol).any())
+    return bool((np.linalg.norm(attack_projection(f, spectrum), axis=1) > ROOT_TARGET_TOL).any())

@@ -3,7 +3,8 @@
 The predictor, the compensator and the resilient law themselves run inside
 ``engine.simulate``. This module holds the bounds that go with them: the
 ultimate bound on the attack-rejection error d - f, and the consensus-error
-threshold that bound implies.
+threshold that bound implies, summed on ``engine._Law``'s attack-free step
+without the leader's law.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import numpy as np
 
 from .design import THETA_BOUND, ControllerConfig
 from .dynamics import LtiModel
+from .engine import _Law, _matrix
 from .graph import GraphSpectrum
 
 # most impulse-response terms consensus_error_threshold sums before it gives up
@@ -59,27 +61,34 @@ def consensus_error_threshold(model: LtiModel, spectrum: GraphSpectrum,
                               ctrl: ControllerConfig, d_bound: float) -> float:
     """Peak consensus-error bound implied by ||d - f|| <= d_bound.
 
-    The error x - x_hat obeys e(k+1) = A_c e(k) - (I (x) B)(d - f). On the
-    complement of the marginal consensus modes (the lam = 0 block carrying A's
-    non-Schur eigenvalues) the response to a bounded rejection error is
-    bounded by the l1 impulse-response gain, summed here until the geometric
-    tail is negligible. Along the marginal modes themselves no bound exists;
+    The error x - x_hat obeys e(k+1) = A_c e(k) - (I (x) B)(d - f), where A_c
+    is the matrix of ``engine._Law``'s attack-free step e -> A e + B u(e) run
+    without a leader: A_c = I (x) A - c Lhat (x) BK. On the complement of the
+    marginal consensus modes (the lam = 0 block carrying A's non-Schur
+    eigenvalues) the response to a bounded rejection error is bounded by the
+    l1 impulse-response gain, summed here until the geometric tail is
+    negligible. Along the marginal modes themselves no bound exists;
     root-directed attacks drive those modes regardless of the compensator.
     A series that has not converged after MAX_TERMS terms would
     underestimate the bound, so it raises ValueError instead.
 
     With a leader, A_c is not the run's error operator: row 0 of Lhat is zero,
     so A_c leaves agent 0 in open loop, while the run applies u_0 = r - K0 x_0
-    (``engine._Law``). On ``auv_const_attack_agent2_resilient`` and
-    ``auv_sin_attack_agent3_resilient`` the two differ by up to 1.37 in one
+    (``engine._Law`` with the leader). On ``auv_const_attack_agent2_resilient``
+    and ``auv_sin_attack_agent3_resilient`` the two differ by up to 1.37 in one
     entry, with spectral radii 1.579 (A_c) and 0.715 (the run's).
     """
     if spectrum.left_eigvec_zero is None:
         raise ValueError("threshold needs a spanning-tree graph")
-    n, m = model.state_dim, model.input_dim
+    n = model.state_dim
     N = spectrum.normalized_laplacian.shape[0]
-    a_c = np.kron(np.eye(N), model.A) - ctrl.c * np.kron(
-        spectrum.normalized_laplacian, model.B @ ctrl.K)
+    law = _Law(None, spectrum.normalized_laplacian, ctrl, None)
+
+    def step(e):  # e -> A e + B u(e) for stacked flat errors, attack-free, d = 0
+        e = e.reshape(-1, N, n)
+        return (e @ model.A.T + law(e, 0.0, 0.0, None) @ model.B.T).reshape(-1, N * n)
+
+    a_c = _matrix(step, N * n)
     b_big = np.kron(np.eye(N), model.B)
 
     # spectral projector removing the lam = 0 block's marginal modes; built from

@@ -36,6 +36,8 @@ THETA_BOUND = 1.0 / np.sqrt(2.0)
 COUPLING_GRID = np.linspace(0.02, 4.0, 200)
 # distinct design inputs remembered by ``design_controller``, least recently used evicted
 DESIGN_MEMO_SIZE = 64
+# most doubling steps ``_dare_doubling`` takes before it gives up
+DARE_ITERS = 120
 
 
 class DesignError(RuntimeError):
@@ -46,7 +48,8 @@ class DesignError(RuntimeError):
 class ControllerConfig:
     """Designed consensus controller: gain K, coupling c, compensator parameter theta.
 
-    ``T`` caches K'B'P1BK, used by the analytic coupling and theta ranges.
+    ``T`` caches K'B'P1BK, which only ``coupling_range`` reads; the theta range
+    is the constant THETA_BOUND.
     ``notes`` records how c and theta were selected.
     """
 
@@ -78,14 +81,14 @@ def _as_weight(value, dim: int, name: str) -> np.ndarray:
     return w
 
 
-def _dare_doubling(A, B, Q, R, iters=120):
+def _dare_doubling(A, B, Q, R):
     # structured doubling: A_{k+1} = A_k W^-1 A_k, W = I + G_k H_k,
     # G_{k+1} = G_k + A_k W^-1 G_k A_k', H_{k+1} = H_k + A_k' H_k W^-1 A_k; H -> P
     n = A.shape[0]
     G = B @ np.linalg.solve(R, B.T)
     Ak, Hk = A.copy(), Q.copy()
     eye = np.eye(n)
-    for _ in range(iters):
+    for _ in range(DARE_ITERS):
         W = eye + G @ Hk
         try:
             W_inv_A = np.linalg.solve(W, Ak)

@@ -133,15 +133,17 @@ class _Law:
     holding (sin omega j, cos omega j). Each follower applies
     u = c K eps_bar - d with eps_bar = -Lhat (x + s). With a leader,
     u_0 = r(j) - K0 x_0 replaces agent 0's input, so agent 0's sensors and d
-    do not enter it, and each follower adds (1+h_i)^-1 a_i0 u_0.
+    do not enter it, and each follower adds (1+h_i)^-1 a_i0 u_0. Only these
+    feed-forward weights read ``graph``, so it may be None without a leader.
     """
 
-    def __init__(self, graph: DirectedGraph, norm_lap: np.ndarray, ctrl: ControllerConfig,
-                 leader: LeaderSpec | None):
+    def __init__(self, graph: DirectedGraph | None, norm_lap: np.ndarray,
+                 ctrl: ControllerConfig, leader: LeaderSpec | None):
         self.lap = norm_lap
         self.ctrl = ctrl
         self.leader = leader
-        self.ff = (graph.adjacency[1:, 0] / (1.0 + graph.in_degrees[1:]))[:, None]
+        if leader is not None:
+            self.ff = (graph.adjacency[1:, 0] / (1.0 + graph.in_degrees[1:]))[:, None]
 
     def gain(self, x):
         """c K eps = c K (-Lhat x) for measured states x, as for a sensor attack."""
@@ -501,7 +503,7 @@ def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
         growth = analyze_growth(inf_norms)
     if store_f is None:
         store_f = np.zeros((si, N, m))
-    prediction = destabilization_verdict(attacks, model, spectrum, ctrl)
+    prediction = destabilization_verdict(attacks, model, spectrum, ctrl, compensating)
     intact = tuple(int(i) for i in range(N) if per_agent_peak[i] <= 1e-12)
 
     return SimulationTrace(

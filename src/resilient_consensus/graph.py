@@ -75,7 +75,6 @@ class GraphSpectrum:
     repeated (no spanning tree); the root set is then empty.
     """
 
-    laplacian: np.ndarray
     normalized_laplacian: np.ndarray
     eigenvalues: np.ndarray
     left_eigvec_zero: np.ndarray | None
@@ -129,11 +128,9 @@ def normalized_laplacian(g: DirectedGraph) -> GraphSpectrum:
         left.setflags(write=False)
         roots = frozenset(np.nonzero(left > ROOT_SET_REL_TOL * left.max())[0].tolist())
 
-    lap.setflags(write=False)
     norm_lap.setflags(write=False)
     eigvals.setflags(write=False)
     return GraphSpectrum(
-        laplacian=lap,
         normalized_laplacian=norm_lap,
         eigenvalues=eigvals,
         left_eigvec_zero=left,

@@ -9,12 +9,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attacks import AttackGenerator, AttackSpec, classify_imp
+from .design import joint_radius
 from .dynamics import LtiModel, baseline_radius, block_eigenvalues
 from .graph import DirectedGraph, GraphSpectrum
 
 GROWTH_WINDOW_FRACTION = 0.2
 GROWTH_REL_TOL = 0.05
 GROWTH_CHUNK = 1 << 16
+BYPASS_EPS_FLOOR = 1e-6
+BYPASS_GAMMA_FLOOR = 0.1
 
 
 def tracking_error(x, spectrum: GraphSpectrum) -> np.ndarray:
@@ -80,11 +83,13 @@ def _signal_is_nonzero(spec: AttackSpec, model: LtiModel, n_agents: int) -> bool
 
 
 def destabilization_verdict(specs, model: LtiModel, spectrum: GraphSpectrum,
-                            ctrl=None) -> Verdict:
+                            ctrl=None, compensating: bool = False) -> Verdict:
     """Predicts DESTABILIZE iff some IMP-classified attack excites a root node,
-    or, given the controller ``ctrl``, its loop is not stable: some block
-    A - c lam BK of a nonzero Laplacian eigenvalue has spectral radius >= 1,
-    so the run diverges whatever the attack.
+    or, given the controller ``ctrl``, its loop is not stable, so the run
+    diverges whatever the attack: some block A - c lam BK of a nonzero
+    Laplacian eigenvalue has spectral radius >= 1, or, when the run's
+    compensator starts inside its horizon (``compensating``), the joint
+    plant+compensator blocks do (``design.joint_radius`` >= 1).
 
     Sensor attacks enter the network through the Laplacian, whose left kernel
     is exactly the root eigenvector, so their projection S(k) vanishes
@@ -95,7 +100,9 @@ def destabilization_verdict(specs, model: LtiModel, spectrum: GraphSpectrum,
     if any(s.channel == "actuator" and s.agent in spectrum.root_set
            and classify_imp(s, model).is_imp for s in live):
         return Verdict.DESTABILIZE
-    if ctrl is not None and baseline_radius(model, spectrum, ctrl.K, ctrl.c) >= 1.0:
+    if ctrl is not None and (
+            baseline_radius(model, spectrum, ctrl.K, ctrl.c) >= 1.0
+            or compensating and joint_radius(model, spectrum, ctrl.K, ctrl.c, ctrl.theta) >= 1.0):
         return Verdict.DESTABILIZE
     return Verdict.BOUNDED_DEVIATION if live else Verdict.CONSENSUS
 
@@ -198,12 +205,13 @@ class HinfBypassReport:
     bypassed: bool
 
 
-def hinf_bypass_report(trace, eps_floor: float = 1e-6, gamma_floor: float = 0.1) -> HinfBypassReport:
+def hinf_bypass_report(trace) -> HinfBypassReport:
     """Energies and tail levels from a completed trace.
 
     Intact agents are the trace's ``intact_agents``: those whose effective
     injection f_i stayed identically zero over every step of the run, stored
-    or not.
+    or not. The trace is ``bypassed`` when their tail |eps| is below
+    BYPASS_EPS_FLOOR while the tail Gamma is above BYPASS_GAMMA_FLOOR.
     """
     f = trace.f  # (S, N, m)
     intact = trace.intact_agents
@@ -220,5 +228,5 @@ def hinf_bypass_report(trace, eps_floor: float = 1e-6, gamma_floor: float = 0.1)
         attack_energy=attack_energy,
         tail_eps_intact=tail_eps,
         tail_gamma=tail_gamma,
-        bypassed=bool(tail_eps < eps_floor and tail_gamma > gamma_floor),
+        bypassed=bool(tail_eps < BYPASS_EPS_FLOOR and tail_gamma > BYPASS_GAMMA_FLOOR),
     )

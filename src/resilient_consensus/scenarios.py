@@ -362,9 +362,10 @@ def validate(config: ScenarioConfig) -> list:
             diags.append({"level": "error", "field": "c",
                           "message": (f"supplied c = {ctrl.c:.4g} leaves A - c lam BK unstable: "
                                       f"spectral radius {radius:.4g} >= 1")})
-    if config.controller == "resilient":
+    if config.controller == "resilient" and config.compensator_start < config.horizon:
         # every design branch, the last resort included, can return a pair whose
-        # compensating loop is not Schur; the run then diverges whatever the attack
+        # compensating loop is not Schur; the run then diverges whatever the attack,
+        # and its verdict predicts DESTABILIZE by the same condition
         radius = joint_radius(config.model, spectrum, ctrl.K, ctrl.c, ctrl.theta)
         if radius >= 1.0:
             diags.append({"level": "error", "field": "design",

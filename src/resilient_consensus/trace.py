@@ -12,6 +12,7 @@ import numpy as np
 import orjson
 
 TAIL_FRACTION = 0.1
+PLOT_MAX_ROWS = 500
 # values formatted and written at a time (in whole rows), so that emission
 # memory does not grow with the number of stored steps: a chunk's table and
 # its text stay a few hundred KiB. Chunks of 2^11 or 2^13 floats wrote the
@@ -109,9 +110,9 @@ class SimulationTrace:
     seed: int | None = None
     attack_bound: float = 0.0
 
-    def tail_slice(self, fraction: float = TAIL_FRACTION) -> slice:
-        """Indices of stored steps inside the last ``fraction`` of the run."""
-        cutoff = self.steps_run * (1.0 - fraction)
+    def tail_slice(self) -> slice:
+        """Indices of stored steps inside the last TAIL_FRACTION of the run."""
+        cutoff = self.steps_run * (1.0 - TAIL_FRACTION)
         start = int(np.searchsorted(self.ks, cutoff))
         return slice(min(start, max(len(self.ks) - 1, 0)), None)
 
@@ -258,9 +259,9 @@ def write_summary(trace: SimulationTrace, path: str) -> None:
     _atomic_write(path, [payload.encode()])
 
 
-def write_plot_data(trace: SimulationTrace, path: str, max_rows: int = 500) -> None:
-    """Downsampled per-agent state magnitudes for external plotting."""
-    idx = slice(None, None, max(1, -(-len(trace.ks) // max_rows)))  # ceil: at most max_rows
+def write_plot_data(trace: SimulationTrace, path: str) -> None:
+    """Per-agent state magnitudes for plotting, downsampled to PLOT_MAX_ROWS rows."""
+    idx = slice(None, None, max(1, -(-len(trace.ks) // PLOT_MAX_ROWS)))  # ceil
     header = ["k"] + [f"x_a{a}_norm" for a in range(trace.n_agents)] + ["gamma"]
     _atomic_write(path, _lines(header, trace.ks[idx],
                                (np.abs(trace.x[idx]).max(axis=2), trace.gamma[idx])))

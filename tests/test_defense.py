@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
 
-from resilient_consensus import (THETA_BOUND, AttackSpec, consensus_error_threshold,
-                                 constant_signal, design_controller, dtilde_bound,
-                                 effective_attack, load_config, normalized_laplacian, run,
-                                 signal_series, simulate, sinusoid_signal, tracking_error)
+import copy
+
+from resilient_consensus import (BUNDLED_SCENARIOS, THETA_BOUND, AttackSpec, DirectedGraph,
+                                 ScenarioConfig, consensus_error_threshold, constant_signal,
+                                 design_controller, dtilde_bound, effective_attack, load_config,
+                                 normalized_laplacian, run, signal_series, simulate,
+                                 sinusoid_signal, tracking_error)
+from resilient_consensus.defense import MAX_TERMS
 from resilient_consensus.design import baseline_radius
 
-from test_dynamics import unit_gain_ctrl
+from conftest import random_spanning_tree_digraph
+from test_dynamics import kron_closed_loop, unit_gain_ctrl
 
 X0_HAND = [1.0, 3.0, 0.0, 0.0]
 
@@ -194,6 +199,66 @@ def test_consensus_error_stays_under_derived_threshold(integrator, example1_grap
     assert trace.tail_consensus_error() < threshold
 
 
+def kron_threshold(model, spectrum, ctrl, d_bound):
+    """The l1 impulse-response sum of I (x) A - c Lhat (x) BK on the complement
+    of the lam = 0 block's marginal modes, on dense Kronecker matrices."""
+    N, n = spectrum.normalized_laplacian.shape[0], model.state_dim
+    a_c = kron_closed_loop(model, spectrum, ctrl)
+    proj = np.eye(N * n, dtype=complex)
+    vals, right = np.linalg.eig(model.A)
+    vals_l, left = np.linalg.eig(model.A.T)
+    for lam in model.marginal_eigenvalues:
+        rv = np.kron(np.ones(N), right[:, np.argmin(np.abs(vals - lam))])
+        lv = np.kron(spectrum.left_eigvec_zero, left[:, np.argmin(np.abs(vals_l - lam))])
+        proj -= np.outer(rv, lv) / (lv @ rv)
+    term = proj @ np.kron(np.eye(N), model.B)
+    gain = 0.0
+    for _ in range(MAX_TERMS):
+        rows = np.linalg.norm(term, axis=1).max()
+        gain += rows
+        if rows <= 1e-12 * max(gain, 1.0):
+            return gain * d_bound
+        term = proj @ (a_c @ term)
+    raise AssertionError("reference series did not converge")
+
+
+def with_leader_row(graph, rng):
+    """``graph`` behind a new agent 0 that hears nobody (row 0 of Lhat is zero)
+    and pins every root of ``graph`` plus a random follower."""
+    n = graph.n_agents + 1
+    a = np.zeros((n, n))
+    a[1:, 1:] = graph.adjacency
+    pinned = [1 + r for r in normalized_laplacian(graph).root_set]
+    a[pinned + [int(rng.integers(1, n))], 0] = 1.0
+    return DirectedGraph(a)
+
+
+def test_threshold_equals_the_dense_kronecker_sum(integrator, rotation2d):
+    """The threshold sums the matrix of ``engine._Law``'s attack-free step; it
+    equals the sum on the dense Kronecker A_c to 1e-12, on the bundled
+    resilient scenarios and on random graphs with and without a leader row."""
+    cases = []
+    for name, raw in BUNDLED_SCENARIOS.items():
+        if raw["controller"] == "resilient":
+            config = load_config(name)
+            spectrum = normalized_laplacian(config.graph)
+            cases.append((config.model, spectrum,
+                          design_controller(config.model, spectrum, Q1=config.q1, R1=config.r1)))
+    assert len(cases) == 4
+    rng = np.random.default_rng(22)
+    for n in (3, 5, 8):
+        for model in (integrator, rotation2d):
+            graph = random_spanning_tree_digraph(n, rng, weighted=True)
+            for g in (graph, with_leader_row(graph, rng)):
+                spectrum = normalized_laplacian(g)
+                cases.append((model, spectrum, design_controller(model, spectrum)))
+    assert sum(not s.normalized_laplacian[0].any() for _, s, _ in cases) >= 6
+    for model, spectrum, ctrl in cases:
+        got = consensus_error_threshold(model, spectrum, ctrl, 2.5)
+        want = kron_threshold(model, spectrum, ctrl, 2.5)
+        assert abs(got - want) <= 1e-12 * want, (got, want)
+
+
 def test_consensus_error_threshold_rejects_unconverged_series(integrator, example1_spectrum,
                                                              example1_ctrl):
     # a coupling that leaves the slowest block at radius 0.9999 needs far more
@@ -241,3 +306,38 @@ def test_sensor_attack_containment(integrator, chain5_graph):
     assert dev[0] == 0.0 and dev[1] == 0.0
     assert np.isfinite(attacked.inf_norms).all()
     assert not attacked.diverged
+
+
+def sensor_case(base, agent, signal, start, controller):
+    """Bundled scenario ``base`` with its attacks replaced by one unit sensor
+    attack on every state of ``agent`` from ``start``, run under ``controller``
+    (the compensator starts with the attack)."""
+    raw = copy.deepcopy(BUNDLED_SCENARIOS[base])
+    raw.update(name=f"{base}_sensor", controller=controller,
+               attacks=[{"agent": agent, "channel": "sensor", "signal": signal,
+                         "start": start}])
+    if controller == "resilient":
+        raw["compensator_start"] = start
+    return run(ScenarioConfig.from_dict(raw))
+
+
+@pytest.mark.parametrize("base, agent, signal, start, tails, intact", [
+    ("auv_healthy", 3, {"type": "constant", "value": [1.0] * 4}, 61,
+     (21.8913, 22.0293), (0, 1, 2, 5)),
+    ("auv_healthy", 3, {"type": "sin", "amplitude": [1.0] * 4, "omega": 1.0}, 61,
+     (26.8753, 230.9822), (0, 1, 2, 5)),
+    ("example1_nonroot_attack", 2, {"type": "constant", "value": [1.0]}, 0,
+     (1.0, 1.0), (0, 1, 3)),
+    ("chain5_nonroot_attack", 2, {"type": "constant", "value": [1.0]}, 0,
+     (1.0, 1.0), (0, 1, 4)),
+], ids=["auv_const", "auv_sin", "example1", "chain5"])
+def test_sensor_attacks_reach_the_same_agents_under_both_controllers(base, agent, signal,
+                                                                     start, tails, intact):
+    """README "Known limits" 5: the compensator leaves a sensor attack's reach
+    as it is, keeps a constant one's tail level and amplifies an omega = 1 one
+    about 8.6x, as for actuator attacks."""
+    for controller, tail in zip(("baseline", "resilient"), tails):
+        trace = sensor_case(base, agent, signal, start, controller)
+        assert abs(trace.tail_consensus_error() - tail) <= 1e-3 * tail, controller
+        assert trace.intact_agents == intact, controller
+        assert not trace.diverged and trace.prediction == "BOUNDED_DEVIATION"

@@ -203,6 +203,55 @@ def test_validate_reports_an_unstable_compensating_loop_as_an_error(tmp_path, ca
     assert not any(d["level"] == "error" for d in validate(baseline))
 
 
+CYCLE20 = {"n_agents": 20, "edges": [[i, (i + 1) % 20, 1.0] for i in range(20)]}
+
+
+def cycle20_config(model, **overrides):
+    """A resilient 20-cycle of ``model`` with a 0.1 constant actuator attack on
+    agent 3, seed 3, over 20,000 steps; its design is the last resort."""
+    raw = small_config(name=f"cycle20_{model}", model=model, controller="resilient",
+                       graph=CYCLE20, horizon=20_000, seed=3,
+                       attacks=[{"agent": 3, "channel": "actuator",
+                                 "signal": {"type": "constant", "value": [0.1]}}])
+    del raw["x0"]  # drawn from the seed
+    return ScenarioConfig.from_dict(dict(raw, **overrides))
+
+
+def test_an_unstable_compensating_loop_predicts_destabilize():
+    """rotation2d: the last-resort pair c = 1.36, theta = 0.1414 has joint
+    radius 1.0043, so the run diverges whatever the attack. Its verdict reads
+    the compensating loop by the condition ``validate`` reports an error on."""
+    config = cycle20_config("rotation2d")
+    spectrum = normalized_laplacian(config.graph)
+    ctrl = design_controller(config.model, spectrum)
+    assert (ctrl.c, round(ctrl.theta, 4)) == (1.36, 0.1414)
+    assert abs(joint_radius(config.model, spectrum, ctrl.K, ctrl.c, ctrl.theta) - 1.0043) < 1e-4
+    trace = run(config)
+    assert trace.prediction == "DESTABILIZE"
+    assert trace.diverged and trace.first_crossing == 6097
+    assert trace.prediction_matches_divergence
+    assert any(d["level"] == "error" for d in validate(config))
+    # a compensator that never starts leaves the baseline loop, which is stable
+    idle = cycle20_config("rotation2d", horizon=2000, compensator_start=2000)
+    assert not any(d["level"] == "error" for d in validate(idle))
+    assert run(idle).prediction == "BOUNDED_DEVIATION"
+
+
+def test_a_stable_last_resort_loop_keeps_running():
+    """single_integrator: the last-resort pair has joint radius 0.9935 < 1, so
+    the run goes the whole horizon, and its verdict stays the root attack's."""
+    config = cycle20_config("single_integrator")
+    spectrum = normalized_laplacian(config.graph)
+    ctrl = design_controller(config.model, spectrum)
+    assert "warning: no (c, theta) pair met the joint Schur margin" in ctrl.notes
+    assert abs(joint_radius(config.model, spectrum, ctrl.K, ctrl.c, ctrl.theta) - 0.9935) < 1e-4
+    assert not any(d["level"] == "error" for d in validate(config))
+    trace = run(config)
+    assert trace.steps_run == 20_000 and trace.first_crossing is None
+    assert trace.prediction == "DESTABILIZE"  # a constant attack on a root of the cycle
+    assert trace.diverged and trace.prediction_matches_divergence
+
+
 def test_bundled_scenarios_validate_without_errors():
     for name in BUNDLED_SCENARIOS:
         assert not any(d["level"] == "error" for d in validate(load_config(name))), name
