@@ -180,13 +180,15 @@ def test_validate_names_a_supplied_coupling_and_its_unstable_loop(tmp_path):
     assert not any(d["level"] == "error" for d in stable)
 
 
+CYCLE20 = {"n_agents": 20, "edges": [[i, (i + 1) % 20, 1.0] for i in range(20)]}
+
+
 def test_validate_reports_an_unstable_compensating_loop_as_an_error(tmp_path, capsys):
     """rotation2d on a directed 20-cycle: no (c, theta) pair meets the joint
     Schur margin, and the last-resort pair leaves the compensating loop
     unstable. A baseline run of the same network has no such loop."""
     raw = small_config(name="cycle20", model="rotation2d", controller="resilient",
-                       graph={"n_agents": 20, "edges": [[i, (i + 1) % 20, 1.0] for i in range(20)]},
-                       x0=[0.1] * 40)
+                       graph=CYCLE20, x0=[0.1] * 40)
     config = ScenarioConfig.from_dict(raw)
     spectrum = normalized_laplacian(config.graph)
     ctrl = design_controller(config.model, spectrum)
@@ -201,9 +203,6 @@ def test_validate_reports_an_unstable_compensating_loop_as_an_error(tmp_path, ca
     assert "joint_radius" in capsys.readouterr().out
     baseline = ScenarioConfig.from_dict(dict(raw, controller="baseline"))
     assert not any(d["level"] == "error" for d in validate(baseline))
-
-
-CYCLE20 = {"n_agents": 20, "edges": [[i, (i + 1) % 20, 1.0] for i in range(20)]}
 
 
 def cycle20_config(model, **overrides):
