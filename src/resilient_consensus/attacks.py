@@ -23,7 +23,7 @@ ROOT_TARGET_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ExogenousSignal:
-    """f(j) = output @ W^j f0 (output defaults to identity)."""
+    """f(j) = output @ W^j f0 (output is the identity when none is given)."""
 
     W: np.ndarray
     f0: np.ndarray
@@ -34,21 +34,19 @@ class ExogenousSignal:
         f0 = np.asarray(self.f0, dtype=float).ravel()
         if W.shape[0] != W.shape[1] or W.shape[0] != f0.size:
             raise ValueError("W must be square and match f0")
-        out = self.output
-        if out is not None:
-            out = np.atleast_2d(np.asarray(out, dtype=float))
-            if out.shape[1] != W.shape[0]:
-                raise ValueError("output map must have as many columns as W")
-            out.setflags(write=False)
-        W.setflags(write=False)
-        f0.setflags(write=False)
+        out = np.atleast_2d(np.asarray(np.eye(f0.size) if self.output is None else self.output,
+                                       dtype=float))
+        if out.shape[1] != W.shape[0]:
+            raise ValueError("output map must have as many columns as W")
+        for a in (W, f0, out):
+            a.setflags(write=False)
         object.__setattr__(self, "W", W)
         object.__setattr__(self, "f0", f0)
         object.__setattr__(self, "output", out)
 
     @property
     def dim(self) -> int:
-        return self.f0.size if self.output is None else self.output.shape[0]
+        return self.output.shape[0]
 
 
 def constant_signal(value) -> ExogenousSignal:
@@ -101,7 +99,7 @@ def signal_series(spec: AttackSpec, length: int) -> np.ndarray:
     C = spec.signal.output
     W = spec.signal.W
     for k in range(spec.start_step, length):
-        out[k] = v if C is None else C @ v
+        out[k] = C @ v
         v = W @ v
     return out
 
@@ -111,9 +109,10 @@ class AttackGenerator:
 
     W is block diagonal and g0 stacks the attacks' f0. State i holds (the
     identity replaces its block) and reads out nothing before its attack's
-    ``starts[i]``. ``readouts[channel]`` (dim, N, width) maps g into the
-    agents' signal slots of each channel some attack uses. Construction raises
-    ValueError for an agent out of range or a signal of the wrong width.
+    ``starts[i]``. ``readout`` (dim, N (n + m)) maps g into every agent's n
+    sensor slots followed by its m actuator slots; a slot no attack writes
+    reads zero. Construction raises ValueError for an agent out of range or a
+    signal of the wrong width.
     """
 
     def __init__(self, specs, n_agents: int, state_dim: int, input_dim: int):
@@ -122,7 +121,10 @@ class AttackGenerator:
         self.starts = np.array([s.start_step for s in specs for _ in s.signal.f0], dtype=int)
         size = len(self.g0)
         self.W = np.zeros((size, size))
-        self.readouts = {}
+        self.slots = (n_agents, state_dim + input_dim)
+        self.readout = np.zeros((size, n_agents * (state_dim + input_dim)))
+        agent_slots = self.readout.reshape(size, *self.slots)  # a view, (dim, N, n + m)
+        self.state_dim = state_dim
         lo = 0
         for spec in specs:
             sig, width = spec.signal, state_dim if spec.channel == "sensor" else input_dim
@@ -134,8 +136,8 @@ class AttackGenerator:
                                  f"dimension {sig.dim}, expected {width}")
             hi = lo + sig.f0.size
             self.W[lo:hi, lo:hi] = sig.W
-            R = self.readouts.setdefault(spec.channel, np.zeros((size, n_agents, width)))
-            R[lo:hi, spec.agent] = (np.eye(width) if sig.output is None else sig.output).T
+            slot = 0 if spec.channel == "sensor" else state_dim
+            agent_slots[lo:hi, spec.agent, slot:slot + width] = sig.output.T
             lo = hi
 
     def held(self, k: int) -> np.ndarray:
@@ -150,27 +152,31 @@ class AttackGenerator:
             g = np.linalg.matrix_power(self.held(a), b - a) @ g
         return g
 
+    def live(self, states: np.ndarray, ks) -> np.ndarray:
+        """``states`` (rows, dim), one row per step of ``ks`` (or all at step
+        ``ks``), with the entries of attacks not yet started set to zero."""
+        return np.where(self.starts <= np.asarray(ks)[..., None], states, 0.0)
+
     def read(self, states: np.ndarray, ks):
-        """(sensor, actuator) signals (rows, N, width) of ``states``, one row per
-        step of ``ks`` (or all at step ``ks``); None for an unused channel."""
-        live = np.where(self.starts <= np.asarray(ks)[..., None], states, 0.0)
-        return tuple(None if R is None else np.tensordot(live, R, 1)
-                     for R in map(self.readouts.get, ("sensor", "actuator")))
+        """(sensor, actuator) signals (rows, N, n) and (rows, N, m) of ``states``
+        (rows, dim), one row per step of ``ks`` (or all at step ``ks``), from
+        one product with ``readout``."""
+        out = (self.live(states, ks) @ self.readout).reshape(len(states), *self.slots)
+        return out[..., :self.state_dim], out[..., self.state_dim:]
 
     def live_window(self):
         """``read`` of the dim W steps from the last start on, where g follows W
         alone. By Cayley-Hamilton every later W^j is a combination of these
         powers, so a linear read-out that vanishes here vanishes for good."""
-        last = int(self.starts.max(initial=0))
-        return self.read(np.array([self.state(last + j) for j in range(len(self.g0))]), last)
+        last, size = int(self.starts.max(initial=0)), len(self.g0)
+        return self.read(np.array([self.state(last + j) for j in range(size)]).reshape(size, size),
+                         last)
 
 
 @dataclass(frozen=True)
 class ImpClassification:
     """Internal-model verdict: IMP iff every generator eigenvalue matches one of A's."""
 
-    lambda_W: tuple
-    lambda_A: tuple
     verdict: str  # "IMP" | "non-IMP"
     matched_eigenvalues: tuple
 
@@ -191,8 +197,6 @@ def classify_imp(spec: AttackSpec, model: LtiModel) -> ImpClassification:
         else:
             all_matched = False
     return ImpClassification(
-        lambda_W=tuple(complex(l) for l in lam_w),
-        lambda_A=tuple(complex(l) for l in lam_a),
         verdict="IMP" if all_matched else "non-IMP",
         matched_eigenvalues=tuple(matched),
     )
@@ -202,20 +206,14 @@ def effective_injection(sensor, actuator, norm_lap: np.ndarray, c: float,
                         K: np.ndarray):
     """Per-agent injection f = (Lhat s)(-c K') + a over stacked series.
 
-    ``sensor`` is (T, N, n) and ``actuator`` (T, N, m); either is None when
-    that channel is unused. The sensor corruption propagates through the
-    corrupted tracking error, the actuator signal enters directly. With no
-    sensor series the actuator array itself is returned, uncopied, and with
-    neither the result is None. The sensor term is the control law's
+    ``sensor`` is (T, N, n) and ``actuator`` (T, N, m), zero in the slots no
+    attack writes, as ``AttackGenerator.read`` gives them. The sensor
+    corruption propagates through the corrupted tracking error, the actuator
+    signal enters directly. The sensor term is the control law's
     c K eps = c K (-Lhat x) applied to s; ``engine._Law.gain`` evaluates the
-    law through this function, so the product is written only here.
+    law through this function with a = 0, so the product is written only here.
     """
-    if sensor is None:
-        return actuator
-    f = (norm_lap @ sensor) @ (-c * K.T)
-    if actuator is not None:
-        f += actuator
-    return f
+    return (norm_lap @ sensor) @ (-c * K.T) + actuator
 
 
 def effective_attack(specs, model: LtiModel, spectrum: GraphSpectrum, ctrl,
@@ -228,8 +226,7 @@ def effective_attack(specs, model: LtiModel, spectrum: GraphSpectrum, ctrl,
     """
     lap = spectrum.normalized_laplacian
     gen = AttackGenerator(specs, lap.shape[0], model.state_dim, model.input_dim)
-    f = effective_injection(*gen.read(gen.state(k)[None], k), lap, ctrl.c, ctrl.K)
-    return np.zeros((lap.shape[0], model.input_dim)) if f is None else f[0]
+    return effective_injection(*gen.read(gen.state(k)[None], k), lap, ctrl.c, ctrl.K)[0]
 
 
 def attack_projection(f_agents: np.ndarray, spectrum: GraphSpectrum) -> np.ndarray:
@@ -246,6 +243,4 @@ def root_targeted(specs, model: LtiModel, spectrum: GraphSpectrum, ctrl) -> bool
     lap = spectrum.normalized_laplacian
     gen = AttackGenerator(specs, lap.shape[0], model.state_dim, model.input_dim)
     f = effective_injection(*gen.live_window(), lap, ctrl.c, ctrl.K)
-    if f is None:
-        return False
     return bool((np.linalg.norm(attack_projection(f, spectrum), axis=1) > ROOT_TARGET_TOL).any())

@@ -89,7 +89,6 @@ def consensus_error_threshold(model: LtiModel, spectrum: GraphSpectrum,
         return (e @ model.A.T + law(e, 0.0, 0.0, None) @ model.B.T).reshape(-1, N * n)
 
     a_c = _matrix(step, N * n)
-    b_big = np.kron(np.eye(N), model.B)
 
     # spectral projector removing the lam = 0 block's marginal modes; built from
     # the right modes 1 (x) w and left modes r (x) wl of A_c (bilinear pairing)
@@ -106,7 +105,7 @@ def consensus_error_threshold(model: LtiModel, spectrum: GraphSpectrum,
         proj = proj - np.outer(rv, lv) / (lv @ rv)
 
     gain = 0.0
-    term = proj @ b_big
+    term = (proj.reshape(N * n, N, n) @ model.B).reshape(N * n, -1)  # proj (I (x) B)
     for _ in range(MAX_TERMS):
         rows = np.sqrt((np.abs(term) ** 2).sum(axis=1)).max()
         gain += rows

@@ -30,11 +30,11 @@ The predictor's operator is fixed. The error system's switches at each
 attack's ``start_step`` (before it, the attack's block of g holds at f0 and
 reads out nothing) and, for the resilient controller, at ``compensator_start``
 (before it, d is held at zero): each stretch between switch times is a
-regime with its own operator F_Q and its own injection read-out
-f(k) = M' g(k), which ``AttackGenerator.read`` gives at the regime's start
-(so f's sensor product is still written once, in
-``attacks.effective_injection``), cut to the columns that are not all zero
-once every attack has started.
+regime with its own operator F_Q. The injection is f(k) = M' g(k) of the
+rows of g whose attacks have started (``AttackGenerator.live``); M, read
+through ``attacks.effective_injection`` (so f's sensor product is still
+written once) in the last regime, where every attack has started, is cut to
+its columns that are not all zero.
 
 The loop does not form the states of most steps, only what is read from
 them: x = x_hat + e, which gives ||x||_inf and the crossing, and the live
@@ -64,11 +64,11 @@ one GEMM of the block starts with all the powers), at the end of each
 segment, and at the crossing. The run stops at the first step, step 0
 included, where ||x||_inf is non-finite or above the divergence threshold;
 the injection peaks count only the steps before it. x = x_hat + e, d, the
-consensus error, u and f of the stored steps follow from their rows of both
+consensus error and u of the stored steps follow from their rows of both
 systems in one evaluation after the loop, when the workspace has been
-released. A diverging run may overflow past its crossing, and in that
-evaluation below a threshold near the largest float, so both run with
-NumPy's overflow warnings off.
+released, and f as M' g of their live generator rows. A diverging run may
+overflow past its crossing, and in that evaluation below a threshold near
+the largest float, so both run with NumPy's overflow warnings off.
 
 A window is sized so that its workspace, the read-outs of its steps (about
 N n + live columns floats a step), two copies of its block starts and one
@@ -147,7 +147,7 @@ class _Law:
 
     def gain(self, x):
         """c K eps = c K (-Lhat x) for measured states x, as for a sensor attack."""
-        return effective_injection(x, None, self.lap, self.ctrl.c, self.ctrl.K)
+        return effective_injection(x, 0.0, self.lap, self.ctrl.c, self.ctrl.K)
 
     def __call__(self, x, s, d, phase):
         U = self.gain(x + s) - d
@@ -367,10 +367,9 @@ def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
         d = q[:, Nn:Nn + Nd].reshape(-1, N, m) if compensating else 0.0
         g = q[:, Nn + Nd:]
         s, a = gen.read(g, t)
-        s = 0.0 if s is None else s
         U = law(e, s, d, np.zeros((len(q), 2)))  # U - U_hat: the reference cancels
         out = np.empty_like(q)
-        out[:, :Nn] = (e @ A_T + (U if a is None else U + a) @ B_T).reshape(-1, Nn)
+        out[:, :Nn] = (e @ A_T + (U + a) @ B_T).reshape(-1, Nn)
         if compensating:
             if compensator_start <= t:
                 d = law.compensate(d, e + s)
@@ -382,21 +381,17 @@ def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
     dp = len(p)
     q = np.concatenate([(x - x_hat).ravel(), np.zeros(Nd), gen.g0])
     dq = len(q)
-    size = len(gen.g0)
-
-    def injection(t):
-        """M with f(k) = M' g(k) in the regime of step t: the read-out of every
-        generator state that has started by then."""
-        return effective_injection(*gen.read(np.eye(size), t), norm_lap, ctrl.c,
-                                   ctrl.K).reshape(size, Nm)
 
     switches = {0, horizon, *gen.starts[gen.starts < horizon].tolist()}
     if compensating:
         switches.add(compensator_start)
     switches = sorted(switches)
-    # only the columns of M that are not all zero in the last regime, where
-    # every attack of the run has started, can move a peak
-    cols = np.flatnonzero(injection(switches[-2]).any(axis=0)) if size else np.empty(0, int)
+    # f(k) = M' g(k) of the live generator rows, with M read in the last regime,
+    # where every attack of the run has started; only the columns of M that are
+    # not all zero can move a peak
+    M = effective_injection(*gen.read(np.eye(len(gen.g0)), switches[-2]), norm_lap, ctrl.c,
+                            ctrl.K).reshape(-1, Nm)
+    cols = np.flatnonzero(M.any(axis=0))
     agents = cols // m
 
     R = Nn + len(cols)  # read-out rows a step: x and the live injection columns
@@ -437,10 +432,9 @@ def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
             (P_pow, P_up), (Q_pow, Q_up) = _grid(
                 span, B0, F_P, _matrix(lambda z: error_step(z, start), dq))
             B = len(P_pow) // dp
-            M = injection(start)[:, cols] if size else np.zeros((0, 0))
             rows = span // B + 1
             Zp, Zq = np.empty((rows, dp)), np.empty((rows, dq))
-            proj = _projection(P_pow, Q_pow, Nn, M)
+            proj = _projection(P_pow, Q_pow, Nn, gen.live(M[:, cols].T, start).T)
             Z = np.empty((rows, dp + dq))
             while k < end and first_crossing is None:
                 # a segment of ``steps`` steps from step k, in J blocks, the last maybe partial
@@ -465,9 +459,8 @@ def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
                     lim = int(within.argmin()) + 1
                     first_crossing = k + lim
 
-                if len(cols):  # only the steps before the crossing count
-                    attack_bound = max(attack_bound, _peaks(Y[:, Nn:], lim, per_agent_peak,
-                                                            agents))
+                # only the steps before the crossing count
+                attack_bound = max(attack_bound, _peaks(Y[:, Nn:], lim, per_agent_peak, agents))
                 first = -k % store_stride  # the first stored step, after step k
                 count = len(range(first, lim, store_stride))
                 if count:
@@ -477,7 +470,7 @@ def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
                 # the state at step k + lim starts the next segment, or is the final one
                 p, q = _state(Zp, P_pow, lim), _state(Zq, Q_pow, lim)
                 k += lim
-            del P_pow, Q_pow, P_up, Q_up, M, Zp, Zq, Y, proj, Z
+            del P_pow, Q_pow, P_up, Q_up, Zp, Zq, Y, proj, Z
 
     del F_P, readout  # the workspace ends with the loop
     final_x_hat = p[:Nn].copy()
@@ -491,18 +484,17 @@ def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
     store_cerr = np.abs(e.transpose(2, 0, 1), order="C").max(axis=0)
     store_d = (store_Q[:si, Nn:Nn + Nd].reshape(-1, N, m).copy() if compensating
                else np.zeros((si, N, m)))
-    sens, act = gen.read(store_Q[:si, Nn + Nd:], stored_ks)
+    g = gen.live(store_Q[:si, Nn + Nd:], stored_ks)
+    sens = gen.read(g, stored_ks)[0]
     del store_Q, e  # nothing derived keeps the error system's rows, so d is a copy
     inf_norms = inf_norms[:steps_run + 1]
     # as the propagation, u, f, eps, Gamma and the tail slope may overflow
     with np.errstate(over="ignore", invalid="ignore"):
-        store_u = law(store_x, 0.0 if sens is None else sens, store_d, store_P[:si, Nn:])
-        store_f = effective_injection(sens, act, norm_lap, ctrl.c, ctrl.K)
+        store_u = law(store_x, sens, store_d, store_P[:si, Nn:])
+        store_f = (g @ M).reshape(-1, N, m)
         store_eps = -norm_lap @ store_x
         gamma = global_performance(store_x, graph)
         growth = analyze_growth(inf_norms)
-    if store_f is None:
-        store_f = np.zeros((si, N, m))
     prediction = destabilization_verdict(attacks, model, spectrum, ctrl, compensating)
     intact = tuple(int(i) for i in range(N) if per_agent_peak[i] <= 1e-12)
 

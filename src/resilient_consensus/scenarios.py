@@ -146,6 +146,17 @@ def _schema_errors(raw: dict) -> list:
     return errors
 
 
+def _check_finite(value, path: str = "") -> None:
+    """Raise ConfigError("<dotted path> must be finite") at the first NaN or
+    infinity in the raw JSON ``value``; Python's json reads both, and the
+    schema's number checks let NaN through."""
+    if isinstance(value, float) and not np.isfinite(value):
+        raise ConfigError(f"{path} must be finite")
+    for key, item in (value.items() if isinstance(value, dict)
+                      else enumerate(value) if isinstance(value, list) else ()):
+        _check_finite(item, f"{path}.{key}" if path else str(key))
+
+
 def _parse_signal(raw: dict) -> ExogenousSignal:
     kind = raw["type"]
     if kind == "constant":
@@ -184,6 +195,7 @@ class ScenarioConfig:
         errors = _schema_errors(raw)
         if errors:
             raise ConfigError("; ".join(errors))
+        _check_finite(raw)
 
         model_raw = raw["model"]
         if isinstance(model_raw, str):
@@ -224,7 +236,7 @@ class ScenarioConfig:
             x0 = np.asarray(x0_raw, dtype=float).ravel()
             if x0.size != n_total:
                 raise ConfigError(f"x0: expected {n_total} values, got {x0.size}")
-        if not np.isfinite(x0).all():
+        if not np.isfinite(x0).all():  # a finite scale can still overflow
             raise ConfigError("x0: every value must be finite")
 
         attacks = []
@@ -261,8 +273,6 @@ class ScenarioConfig:
             predictor_init = np.asarray(pred_raw, dtype=float).ravel()
             if predictor_init.size != n_total:
                 raise ConfigError(f"predictor_init: expected {n_total} values")
-            if not np.isfinite(predictor_init).all():
-                raise ConfigError("predictor_init: every value must be finite")
 
         return cls(
             name=raw["name"],

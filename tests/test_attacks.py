@@ -8,6 +8,7 @@ from resilient_consensus import (AttackSpec, DirectedGraph, ExogenousSignal, Lti
                                  attack_projection, classify_imp, constant_signal,
                                  destabilization_verdict, effective_attack, normalized_laplacian,
                                  root_targeted, signal_series, sinusoid_signal)
+from resilient_consensus.attacks import AttackGenerator
 
 
 def test_constant_signal_values():
@@ -76,9 +77,36 @@ def test_classification_is_scale_invariant(rotation2d):
         assert classify_imp(spec, rotation2d).verdict == classify_imp(base, rotation2d).verdict
 
 
+def test_a_signal_without_an_output_map_reads_its_whole_state():
+    sig = ExogenousSignal(W=np.diag([1.0, 0.5, -1.0]), f0=[1.0, -2.0, 0.5])
+    np.testing.assert_array_equal(sig.output, np.eye(3))
+    assert sig.dim == sig.f0.size == 3
+
+
+def test_unused_channels_read_as_zeros():
+    """N = 3 agents, n = 2, m = 1: a channel no attack uses, and both channels
+    of a run with no attack, read zero arrays of the channel's shape."""
+    act = AttackSpec(agent=1, channel="actuator", signal=sinusoid_signal([2.0], 0.3),
+                     start_step=4)
+    sens = AttackSpec(agent=2, channel="sensor", signal=constant_signal([0.5, -1.0]))
+    ks = np.arange(7)
+    for specs in ([act], [sens], []):
+        gen = AttackGenerator(specs, 3, 2, 1)
+        states = np.array([gen.state(k) for k in ks]).reshape(len(ks), len(gen.g0))
+        sensor, actuator = gen.read(states, ks)
+        assert sensor.shape == (7, 3, 2) and actuator.shape == (7, 3, 1)
+        expected_a = np.zeros((7, 3, 1))
+        expected_s = np.zeros((7, 3, 2))
+        for spec in specs:
+            target = expected_s if spec.channel == "sensor" else expected_a
+            target[:, spec.agent] = signal_series(spec, 7)
+        np.testing.assert_allclose(actuator, expected_a, atol=1e-15)
+        np.testing.assert_allclose(sensor, expected_s, atol=1e-15)
+
+
 def test_effective_attack_examples(integrator, example1_spectrum, example1_ctrl):
     no_attacks = effective_attack([], integrator, example1_spectrum, example1_ctrl, 0)
-    assert np.abs(no_attacks).max() == 0.0
+    assert no_attacks.shape == (4, 1) and np.abs(no_attacks).max() == 0.0
 
     act = AttackSpec(agent=2, channel="actuator", signal=constant_signal([1.5]))
     f = effective_attack([act], integrator, example1_spectrum, example1_ctrl, 5)

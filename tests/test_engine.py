@@ -27,6 +27,7 @@ from resilient_consensus import (BUNDLED_SCENARIOS, AttackSpec, ControllerConfig
                                  normalized_laplacian, run, signal_series, simulate,
                                  sinusoid_signal)
 from resilient_consensus import engine
+from resilient_consensus.attacks import AttackGenerator, effective_injection
 
 
 def _design(config):
@@ -458,9 +459,11 @@ def test_random_runs_match_the_one_step_recursion(case):
 
 
 @pytest.mark.parametrize("case", ["zero_amplitude", "sensor_only", "starts_in_two_windows",
-                                  "starts_after_the_crossing"])
+                                  "starts_after_the_crossing", "no_attack"])
 def test_injection_peaks_match_a_dense_evaluation(monkeypatch, case):
-    if case == "zero_amplitude":
+    if case == "no_attack":
+        config = dataclasses.replace(_two_channel_config(), attacks=[])
+    elif case == "zero_amplitude":
         # every read-out column of the injection is zero
         config = _two_channel_config(sensor=(0.0, 0.0), actuator=0.0)
     elif case == "sensor_only":
@@ -473,7 +476,14 @@ def test_injection_peaks_match_a_dense_evaluation(monkeypatch, case):
     grids = _record_grids(monkeypatch)
     trace, spectrum, ctrl = _simulate(config, 400, 3)
     reached = _assert_matches_reference(trace, config, spectrum, ctrl, 3)
-    if case == "zero_amplitude":
+    # the stored f, which the loop's injection matrix reads off the stored
+    # generator rows, is the injection of the signals read at those steps
+    gen = AttackGenerator(config.attacks, 5, 2, 1)
+    g = np.array([gen.state(int(k)) for k in trace.ks]).reshape(len(trace.ks), len(gen.g0))
+    _assert_close(trace.f, effective_injection(*gen.read(g, trace.ks),
+                                               spectrum.normalized_laplacian, ctrl.c, ctrl.K),
+                  rtol=1e-12)
+    if case in ("zero_amplitude", "no_attack"):
         assert trace.attack_bound == 0.0 and not reached.any()
     elif case == "sensor_only":
         # the sensor attack on agent 2 reaches its out-neighbours through Lhat

@@ -105,6 +105,39 @@ def test_non_finite_initial_states_rejected(tmp_path, capsys):
         assert field in capsys.readouterr().err
 
 
+_SIN = {"agent": 2, "channel": "actuator", "signal": {"type": "sin", "omega": 0.5}}
+
+
+@pytest.mark.parametrize("overrides, field", [
+    ({"c": float("nan")}, "c"),
+    ({"controller": "resilient", "theta": float("nan")}, "theta"),
+    ({"divergence_threshold": float("nan")}, "divergence_threshold"),
+    ({"attacks": [{"agent": 2, "channel": "actuator",
+                   "signal": {"type": "constant", "value": [float("nan")]}}]},
+     "attacks.0.signal.value.0"),
+    ({"attacks": [{**_SIN, "signal": {"type": "sin", "omega": float("inf")}}]},
+     "attacks.0.signal.omega"),
+    ({"attacks": [{**_SIN, "signal": {"type": "sin", "omega": 0.5,
+                                      "amplitude": [float("nan")]}}]},
+     "attacks.0.signal.amplitude.0"),
+    ({"attacks": [{"agent": 2, "channel": "actuator",
+                   "signal": {"type": "exogenous", "W": [[float("inf")]], "f0": [1.0]}}]},
+     "attacks.0.signal.W.0.0"),
+    ({"leader": {"K0": [[1.0]], "omega": float("inf")}}, "leader.omega"),
+    ({"leader": {"K0": [[float("nan")]]}}, "leader.K0.0.0"),
+])
+def test_non_finite_numbers_are_config_errors(tmp_path, capsys, overrides, field):
+    raw = small_config(**overrides)
+    with pytest.raises(ConfigError, match=f"^{field} must be finite$"):
+        ScenarioConfig.from_dict(raw)
+    cfg = tmp_path / "non_finite.json"
+    cfg.write_text(json.dumps(raw))  # json writes NaN and Infinity, and reads them back
+    for argv in (["run", str(cfg), "--out", str(tmp_path)], ["validate", str(cfg)]):
+        assert main(argv) == 2, argv
+        assert f"{field} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "smoke.summary.json").exists()
+
+
 def test_bad_weights_are_config_errors(tmp_path, capsys):
     cases = (("r1", [[1.0, 0.0], [0.0, -1.0]], "r1 must be positive definite"),
              ("r1", [[1.0, 0.1], [-0.1, 1.0]], "r1 must be symmetric"),
