@@ -51,32 +51,36 @@ system's after the cut. A segment starting at step k goes in three levels:
   loop of about sqrt(J) turns for the segment's J blocks;
 - one product of the group starts with [F^B; ...; F^CB] gives every block
   start, of each system;
-- one GEMM of the stacked block starts [p; q] with the projected powers
-  [C_x F_P^t | C_x F_Q^t] and [0 | M' F_Q^(t-1)], t = 1..B (C_x takes the
-  first N n rows), gives x at step k + jB + t and f at step k + jB + t - 1
-  for every block j, laid out one row per read-out and one column per
-  block, so that ||x||_inf and the peaks are reductions over contiguous
-  rows.
+- each block start [p; q] gives x = x_hat + e and f = M' g at its own step,
+  and one GEMM of the stacked block starts with the projected powers
+  [C_x F_P^t | C_x F_Q^t] and [0 | M' F_Q^t], t = 1..B-1 (C_x takes the
+  first N n rows), gives both at step k + jB + t for every block j. The
+  read-outs are laid out one row per read-out and one column per block,
+  so that ||x||_inf and the peaks are reductions over contiguous rows.
 
-Full states are formed only at block starts, at stored steps (the powers of
-their offsets gathered and multiplied with their block starts; at stride 1,
-one GEMM of the block starts with all the powers), at the end of each
-segment, and at the crossing. The run stops at the first step, step 0
-included, where ||x||_inf is non-finite or above the divergence threshold;
-the injection peaks count only the steps before it. x = x_hat + e, d, the
-consensus error and u of the stored steps follow from their rows of both
+A segment of s steps has s // B + 1 block starts, so its read-outs reach
+the state that ends it, at step k + s. Full states are formed only at block
+starts, at stored steps (the powers of their offsets gathered and
+multiplied with their block starts; at stride 1, one GEMM of the block
+starts with all the powers), at the end of each segment, and at the
+crossing. The run stops at the first step where ||x||_inf is non-finite or
+above the divergence threshold; each segment tests its steps k..k + s by
+this one rule, so step 0 and the horizon are tested like any other. The
+injection peaks count only the steps before the crossing. x = x_hat + e, d,
+the consensus error and u of the stored steps follow from their rows of both
 systems in one evaluation after the loop, when the workspace has been
 released, and f as M' g of their live generator rows. A diverging run may
 overflow past its crossing, and in that evaluation below a threshold near
 the largest float, so both run with NumPy's overflow warnings off.
 
-A window is sized so that its workspace, the read-outs of its steps (about
-N n + live columns floats a step), two copies of its block starts and one
-regime's projected powers, fills about WINDOW_FLOATS floats; where that budget
-would hold less than one block of the longest B, B is capped at the length
-that gives the longest window. Projected powers of one-step blocks larger
-than the budget (several hundred states) leave windows of one step. Time
-grows linearly with the horizon. Memory grows with it only by the per-step inf-norm series
+A window is sized so that its workspace, the read-outs of its steps (R, about
+N n + live columns, floats a step), two copies of its block starts and one
+regime's projected powers ((B - 1) R D floats for the D states of both
+systems), fills about WINDOW_FLOATS floats; where that budget would hold less
+than one block of the longest B, B is capped at the length that gives the
+longest window. One-step blocks have no projected powers, so even runs of
+several hundred states keep windows of many steps. Time grows linearly with the
+horizon. Memory grows with it only by the per-step inf-norm series
 (8 bytes a step) and the stored rows; the window, and so the workspace and
 each system's powers, are sized by WINDOW_FLOATS and BLOCK_FLOATS, not by
 the horizon.
@@ -179,7 +183,10 @@ def _matrix(step, dim: int) -> np.ndarray:
 
 def _powers(F: np.ndarray, count: int) -> np.ndarray:
     """[F; F^2; ...; F^count] by doubling, cut before the first power with an entry
-    above POWER_LIMIT or a non-finite one; a stack of one power is F itself."""
+    above POWER_LIMIT or a non-finite one; a stack of one power is F itself, and
+    asking for one allocates nothing."""
+    if count == 1:
+        return F
     out = np.empty((count, *F.shape))
     out[0] = F
     j = 1
@@ -277,29 +284,25 @@ def _peaks(f: np.ndarray, count: int, peak: np.ndarray, agents: np.ndarray) -> f
     ``count`` steps, from the read-outs f[i, :, j] = |f| at step jB + i of the
     live injection columns of ``agents``; return the largest ||f(k)||_2 among
     those steps. The other columns add exactly 0 to every peak and ||f||^2."""
-    block, _, blocks = f.shape
-    if count < block * blocks:
-        f[count % block:, :, count // block] = 0.0
-        f[:, :, count // block + 1:] = 0.0
+    block = len(f)
+    f[count % block:, :, count // block] = 0.0
+    f[:, :, count // block + 1:] = 0.0
     np.maximum.at(peak, agents, f.max(axis=(0, 2)))
     return float(np.sqrt(np.einsum("icj,icj->ij", f, f).max()))
 
 
 def _projection(predictor: np.ndarray, error: np.ndarray, Nn: int, M: np.ndarray) -> np.ndarray:
     """The read-out powers of a regime with block length B, from both systems'
-    powers [F; ...; F^B]: row block t = 1..B holds [C_x F_P^t | C_x F_Q^t],
-    which gives x t steps after a block start [p; q], and [0 | M' F_Q^(t-1)],
-    which gives f one step earlier. ``M`` maps the generator state, the last
-    rows of q, to the live injection columns."""
+    powers [F; ...; F^B]: row block t = 1..B-1 holds [C_x F_P^t | C_x F_Q^t],
+    which gives x t steps after a block start [p; q], and [0 | M' F_Q^t], which
+    gives f at the same step; one-step blocks have none. ``M`` maps the
+    generator state, the last rows of q, to the live injection columns."""
     dp, dq = predictor.shape[1], error.shape[1]
-    block = len(predictor) // dp
-    FP, FQ = predictor.reshape(block, dp, dp), error.reshape(block, dq, dq)
-    out = np.zeros((block, Nn + M.shape[1], dp + dq))
+    FP, FQ = predictor.reshape(-1, dp, dp)[:-1], error.reshape(-1, dq, dq)[:-1]
+    out = np.zeros((len(FP), Nn + M.shape[1], dp + dq))
     out[:, :Nn, :dp] = FP[:, :Nn]
     out[:, :Nn, dp:] = FQ[:, :Nn]
-    g = dq - M.shape[0]
-    out[0, Nn:, dp + g:] = M.T
-    np.matmul(M.T, FQ[:-1, g:], out=out[1:, Nn:, dp:])
+    np.matmul(M.T, FQ[:, dq - M.shape[0]:], out=out[:, Nn:, dp:])
     return out.reshape(-1, dp + dq)
 
 
@@ -399,7 +402,7 @@ def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
     def window_for(B):
         """The steps of a window whose workspace, for blocks of at most B steps,
         fills about WINDOW_FLOATS floats (module docstring)."""
-        return (WINDOW_FLOATS - B * R * (dp + dq)) // (R + 2 * -(-(dp + dq) // B))
+        return (WINDOW_FLOATS - (B - 1) * R * (dp + dq)) // (R + 2 * -(-(dp + dq) // B))
 
     # B0 is the longest block of any regime. Where the window would be shorter
     # than one such block, B0 becomes the block that gives the longest window;
@@ -416,12 +419,11 @@ def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
     stored_ks = np.arange(0, horizon, store_stride)
     store_P = np.empty((len(stored_ks), dp))
     store_Q = np.empty((len(stored_ks), dq))
-    inf_norms = np.empty(horizon + 1 + B0)  # the last block may reach B0 - 1 past the end
-    inf_norms[0] = np.abs(x).max()
+    inf_norms = np.empty(horizon + B0)  # the last block may reach B0 - 1 past the end
     per_agent_peak = np.zeros(N)
     attack_bound = 0.0
 
-    first_crossing = None if inf_norms[0] <= divergence_threshold else 0
+    first_crossing = None
     k = si = 0
     # a diverging run overflows in the propagation; the crossing check stops it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -434,29 +436,34 @@ def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
             B = len(P_pow) // dp
             rows = span // B + 1
             Zp, Zq = np.empty((rows, dp)), np.empty((rows, dq))
-            proj = _projection(P_pow, Q_pow, Nn, gen.live(M[:, cols].T, start).T)
+            M_live = gen.live(M[:, cols].T, start).T
+            proj = _projection(P_pow, Q_pow, Nn, M_live)
             Z = np.empty((rows, dp + dq))
             while k < end and first_crossing is None:
-                # a segment of ``steps`` steps from step k, in J blocks, the last maybe partial
+                # a segment of ``steps`` steps from step k: its J block starts reach
+                # step k + steps, the state that ends it
                 steps = min(span, end - k)
-                J = -(-steps // B)
+                J = steps // B + 1
                 Zp[0], Zq[0] = p, q
                 _propagate(Zp, steps // B, P_up)
                 _propagate(Zq, steps // B, Q_up)
                 Y = readout[:B * R * J].reshape(B * R, J)
                 Z[:J, :dp], Z[:J, dp:] = Zp[:J], Zq[:J]
-                np.matmul(proj, Z[:J].T, out=Y)
+                # t = 0 reads the block starts themselves, t = 1..B-1 their projection
+                np.add(Zp[:J, :Nn], Zq[:J, :Nn], out=Y[:Nn].T)
+                np.matmul(M_live.T, Zq[:J, dq - len(M_live):].T, out=Y[Nn:R])
+                np.matmul(proj, Z[:J].T, out=Y[R:])
                 np.abs(Y, out=Y)
-                # Y[i, :, j]: |x| at step k + jB + i + 1 and |f| at step k + jB + i
+                # Y[t, :, j]: |x| and |f| at step k + jB + t
                 Y = Y.reshape(B, R, J)
-                # the tail of a partial last block lands past the segment, where the
-                # next segment, or the end of the run, overwrites it
-                inf_norms[k + 1:k + B * J + 1].reshape(J, B)[...] = Y[:, :Nn].max(axis=1).T
-                norms = inf_norms[k + 1:k + steps + 1]
+                # the last block reaches past the segment, where the next segment
+                # overwrites it or the end of the run cuts it off
+                inf_norms[k:k + B * J].reshape(J, B)[...] = Y[:, :Nn].max(axis=1).T
+                norms = inf_norms[k:k + steps + 1]
                 lim = steps  # the steps this segment runs: up to its end or the crossing
                 if not norms.max() <= divergence_threshold:  # also when one is NaN
                     within = np.isfinite(norms) & (norms <= divergence_threshold)
-                    lim = int(within.argmin()) + 1
+                    lim = int(within.argmin())
                     first_crossing = k + lim
 
                 # only the steps before the crossing count

@@ -97,7 +97,8 @@ SCENARIO_SCHEMA = {
             },
         },
         "horizon": {"type": "integer", "minimum": 1},
-        "x0": {"type": ["array", "object"]},
+        "x0": {"type": ["array", "object"], "properties": {"scale": {"type": "number"}},
+               "additionalProperties": False},
         "controller": {"enum": ["baseline", "resilient"]},
         "q1": {"type": ["number", "array"]},
         "r1": {"type": ["number", "array"]},
@@ -227,11 +228,10 @@ class ScenarioConfig:
 
         seed = raw.get("seed")
         n_total = graph.n_agents * model.state_dim
-        x0_raw = raw.get("x0")
-        if x0_raw is None or isinstance(x0_raw, dict):
-            scale = 1.0 if x0_raw is None else float(x0_raw.get("scale", 1.0))
+        x0_raw = raw.get("x0", {})
+        if isinstance(x0_raw, dict):
             rng = np.random.default_rng(0 if seed is None else seed)
-            x0 = scale * rng.normal(size=n_total)
+            x0 = x0_raw.get("scale", 1.0) * rng.normal(size=n_total)
         else:
             x0 = np.asarray(x0_raw, dtype=float).ravel()
             if x0.size != n_total:

@@ -212,14 +212,16 @@ def _two_channel_config(sensor=(0.3, -0.2), actuator=1.0, sensor_agent=4):
     """rotation2d, resilient, with the bundled actuator attack (from step 61) and a
     sensor attack on agent 4 from step 150: both channels, three regimes. The
     amplitudes and the sensor's agent can be changed; ``actuator=None`` leaves
-    the actuator attack out."""
+    the actuator attack out. The sensor sinusoid's phase is not 0, so its held
+    generator state would read out a nonzero f before it starts."""
     raw = copy.deepcopy(BUNDLED_SCENARIOS["rotation2d_imp_nonroot_resilient"])
     if actuator is None:
         raw["attacks"].clear()
     else:
         raw["attacks"][0]["signal"]["amplitude"] = [actuator]
     raw["attacks"].append({"agent": sensor_agent, "channel": "sensor", "start": 150,
-                           "signal": {"type": "sin", "amplitude": list(sensor), "omega": 0.4}})
+                           "signal": {"type": "sin", "amplitude": list(sensor), "omega": 0.4,
+                                      "phase": 0.7}})
     return ScenarioConfig.from_dict(raw)
 
 
@@ -589,18 +591,20 @@ def test_a_diverging_run_stops_at_its_crossing_without_warnings():
 def test_the_run_stops_at_its_first_crossing(example1_graph, example1_spectrum, example1_ctrl,
                                              a, threshold, step):
     # agents that start together never couple, so each state is a^k: 2^30 is the
-    # first power of two above 1e9, and 1e400 overflows to a non-finite norm
+    # first power of two above 1e9, and 1e400 overflows to a non-finite norm; a
+    # crossing at the horizon, in the end state, stops the run too
     model = LtiModel(A=[[a]], B=[[1.0]])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        trace = simulate(model, example1_graph, example1_spectrum, example1_ctrl, horizon=200,
-                         x0=np.ones(4), divergence_threshold=threshold)
-    assert trace.first_crossing == trace.steps_run == step and trace.diverged
-    assert len(trace.inf_norms) == step + 1
-    assert not trace.inf_norms[step] <= threshold
-    assert np.isfinite(trace.inf_norms[:step]).all()
-    assert trace.inf_norms[:step].max() <= threshold
-    assert np.isfinite(trace.inf_norms[step]) == (a == 2.0)
+    for horizon in (200, step):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = simulate(model, example1_graph, example1_spectrum, example1_ctrl,
+                             horizon=horizon, x0=np.ones(4), divergence_threshold=threshold)
+        assert trace.first_crossing == trace.steps_run == step and trace.diverged
+        assert len(trace.inf_norms) == step + 1
+        assert not trace.inf_norms[step] <= threshold
+        assert np.isfinite(trace.inf_norms[:step]).all()
+        assert trace.inf_norms[:step].max() <= threshold
+        assert np.isfinite(trace.inf_norms[step]) == (a == 2.0)
 
 
 def _out_star(n_agents):
@@ -609,8 +613,12 @@ def _out_star(n_agents):
 
 
 @pytest.mark.parametrize("case, horizons", [("auv", (5_000, 40_000)),
-                                            ("network200", (200, 2_000))])
+                                            ("network200", (200, 2_000)),
+                                            ("network200_in_2^16_floats", (200, 2_000))])
 def test_workspace_stays_within_its_budget(monkeypatch, case, horizons):
+    if case == "network200_in_2^16_floats":
+        # one step's projection, 201 x 601 floats, alone would overfill this budget
+        monkeypatch.setattr(engine, "WINDOW_FLOATS", 1 << 16)
     if case == "auv":
         config = load_config("auv_sin_attack_agent3_resilient")
         model, graph, x0 = config.model, config.graph, config.x0
@@ -645,12 +653,14 @@ def test_workspace_stays_within_its_budget(monkeypatch, case, horizons):
         extra = 8 * (horizon + 1) + sum(b.nbytes for b in buffers.values())
 
         assert peak - extra <= 8 * engine.WINDOW_FLOATS + 256 * 1024
-        if case == "network200":
+        if case != "auv":
             # blocks of one step: every stack is its system's F, not a copy
             for g in grids:
                 F_P, F_Q, *stacks = g.arrays
                 assert g.B == 1 and all(stack.base is F for stack, F in
                                         zip(stacks, (F_P, F_P, F_Q, F_Q)))
+            # one-step blocks read their block starts alone, so windows stay long
+            assert grids[-1].span > 1
 
 
 def _metamorphic_run(rng, graph, compensator_start=70):

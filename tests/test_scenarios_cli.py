@@ -105,6 +105,22 @@ def test_non_finite_initial_states_rejected(tmp_path, capsys):
         assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("x0", [{"scale": "abc"}, {"scale": [1, 2]}, {"scale": None},
+                                {"scal": 2.0}, {"scale": True}],
+                         ids=["text_scale", "list_scale", "null_scale", "misspelt_key",
+                              "boolean_scale"])
+def test_malformed_x0_objects_are_config_errors(tmp_path, capsys, x0):
+    # a generated x0 takes one number, its scale, and nothing else
+    with pytest.raises(ConfigError, match="^x0"):
+        ScenarioConfig.from_dict(small_config(x0=x0))
+    cfg = tmp_path / "bad_x0.json"
+    cfg.write_text(json.dumps(small_config(x0=x0)))
+    for argv in (["run", str(cfg), "--out", str(tmp_path)], ["validate", str(cfg)]):
+        assert main(argv) == 2, argv
+        assert "x0" in capsys.readouterr().err
+    assert not (tmp_path / "smoke.summary.json").exists()
+
+
 _SIN = {"agent": 2, "channel": "actuator", "signal": {"type": "sin", "omega": 0.5}}
 
 
