@@ -4,8 +4,8 @@ The convention throughout: ``adjacency[i, j] > 0`` means agent ``i`` receives
 information from agent ``j`` (an edge j -> i). The weighted in-degree of agent
 ``i`` is the row sum ``h_i``, and the normalized Laplacian is
 ``(I + H)^-1 (H - A)`` with ``H = diag(h)``.
-Reachability, reachable sets and the spanning-tree test all read one boolean
-reachability closure.
+Reachability, reachable sets, the spanning-tree test and the root set all read
+one boolean reachability closure.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 ZERO_EIG_TOL = 1e-9
-ROOT_SET_REL_TOL = 1e-9
 
 
 class GraphError(ValueError):
@@ -70,9 +69,9 @@ class DirectedGraph:
 class GraphSpectrum:
     """Spectral data of the normalized Laplacian.
 
-    ``left_eigvec_zero`` is the nonnegative left eigenvector of the zero
-    eigenvalue normalized to unit sum, or None when the zero eigenvalue is
-    repeated (no spanning tree); the root set is then empty.
+    ``left_eigvec_zero`` is the zero eigenvalue's left eigenvector at unit sum:
+    positive on ``root_set``, the agents that reach every agent, and exactly zero
+    elsewhere. It is None, and the root set empty, when the zero is repeated.
     """
 
     normalized_laplacian: np.ndarray
@@ -92,14 +91,12 @@ class GraphSpectrum:
 def normalized_laplacian(g: DirectedGraph) -> GraphSpectrum:
     """Compute L, (I+H)^-1 L, its spectrum, and the zero-eigenvalue left eigenvector.
 
-    The left eigenvector is obtained as the kernel vector of the transposed
-    normalized Laplacian (via SVD) and scaled to unit sum, so the consensus
-    value predicted for the nominal network is a weighted average of initial states.
+    A spanning tree counts only when the zero eigenvalue is simple. The roots R then
+    come from the reachability closure, and p from the root-block solve
+    ``p_R' L_RR = 0``, ``1'p_R = 1``, which weights the predicted consensus value.
     """
-    a = g.adjacency
     h = g.in_degrees
-    lap = np.diag(h) - a
-    norm_lap = (1.0 / (1.0 + h))[:, None] * lap
+    norm_lap = (1.0 / (1.0 + h))[:, None] * (np.diag(h) - g.adjacency)
     try:
         eigvals = np.linalg.eigvals(norm_lap)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails here
@@ -111,22 +108,20 @@ def normalized_laplacian(g: DirectedGraph) -> GraphSpectrum:
     order = np.lexsort((eigvals.imag, eigvals.real, ~zero_mask))
     eigvals = eigvals[order]
 
-    left = None
-    roots: frozenset = frozenset()
+    left, roots = None, frozenset()
     if zero_multiplicity == 1:
-        _, svals, vt = np.linalg.svd(norm_lap.T)
-        kernel = vt[-1].real
-        total = kernel.sum()
-        if abs(total) < 1e-12:
-            raise GraphError("degenerate kernel vector for the zero eigenvalue")
-        kernel = kernel / total
-        # eigen-solver noise on structurally-zero entries
-        kernel[np.abs(kernel) < ROOT_SET_REL_TOL * np.abs(kernel).max()] = 0.0
-        if (kernel < 0).any():
-            raise GraphError("left eigenvector of the zero eigenvalue is not nonnegative")
-        left = kernel / kernel.sum()
+        # no edge enters the roots R from outside, so p'L = 0 reads p_R' L_RR = 0
+        # with p = 0 off R; the first of those equations gives way to 1'p_R = 1
+        r = np.flatnonzero(_roots(g))
+        system = norm_lap[np.ix_(r, r)].T
+        system[0] = 1.0
+        p_r = np.linalg.solve(system, np.eye(r.size)[0])
+        if not (p_r > 0).all():
+            raise GraphError("the root weights are ill-conditioned: a weight is not positive")
+        left = np.zeros(g.n_agents)
+        left[r] = p_r
         left.setflags(write=False)
-        roots = frozenset(np.nonzero(left > ROOT_SET_REL_TOL * left.max())[0].tolist())
+        roots = frozenset(r.tolist())
 
     norm_lap.setflags(write=False)
     eigvals.setflags(write=False)
@@ -169,6 +164,11 @@ def reachable_set(g: DirectedGraph, from_agent: int) -> frozenset:
     return frozenset(np.nonzero(_reach(g)[from_agent])[0].tolist())
 
 
+def _roots(g: DirectedGraph) -> np.ndarray:
+    """Mask of the roots: the agents that reach every agent through directed paths."""
+    return (_reach(g) | np.eye(g.n_agents, dtype=bool)).all(axis=1)
+
+
 def has_spanning_tree(g: DirectedGraph) -> bool:
     """True iff some agent reaches every other agent through directed paths."""
-    return bool((_reach(g) | np.eye(g.n_agents, dtype=bool)).all(axis=1).any())
+    return bool(_roots(g).any())

@@ -87,7 +87,7 @@ SCENARIO_SCHEMA = {
         "graph": {
             "type": "object",
             "properties": {
-                "n_agents": {"type": "integer", "minimum": 2},
+                "n_agents": {"type": "integer", "minimum": 2, "maximum": 2**63 - 1},
                 "edges": {
                     "type": "array",
                     "items": {"type": "array", "minItems": 2, "maxItems": 3,
@@ -96,7 +96,7 @@ SCENARIO_SCHEMA = {
                 "adjacency": {"type": "array"},
             },
         },
-        "horizon": {"type": "integer", "minimum": 1},
+        "horizon": {"type": "integer", "minimum": 1, "maximum": 2**63 - 1},
         "x0": {"type": ["array", "object"], "properties": {"scale": {"type": "number"}},
                "additionalProperties": False},
         "controller": {"enum": ["baseline", "resilient"]},
@@ -111,10 +111,10 @@ SCENARIO_SCHEMA = {
                 "required": ["agent", "channel", "signal"],
                 "additionalProperties": False,
                 "properties": {
-                    "agent": {"type": "integer", "minimum": 0},
+                    "agent": {"type": "integer", "minimum": 0, "maximum": 2**63 - 1},
                     "channel": {"enum": ["actuator", "sensor"]},
                     "signal": _SIGNAL_SCHEMA,
-                    "start": {"type": "integer", "minimum": 0},
+                    "start": {"type": "integer", "minimum": 0, "maximum": 2**63 - 1},
                 },
             },
         },
@@ -128,11 +128,11 @@ SCENARIO_SCHEMA = {
                 "omega": {"type": "number"},
             },
         },
-        "compensator_start": {"type": "integer", "minimum": 0},
+        "compensator_start": {"type": "integer", "minimum": 0, "maximum": 2**63 - 1},
         "predictor_init": {"type": ["string", "array"]},
-        "seed": {"type": "integer", "minimum": 0},
+        "seed": {"type": "integer", "minimum": 0, "maximum": 2**63 - 1},
         "divergence_threshold": {"type": "number", "exclusiveMinimum": 0},
-        "store_stride": {"type": "integer", "minimum": 1},
+        "store_stride": {"type": "integer", "minimum": 1, "maximum": 2**63 - 1},
     },
 }
 
@@ -148,10 +148,10 @@ def _schema_errors(raw: dict) -> list:
 
 
 def _check_finite(value, path: str = "") -> None:
-    """Raise ConfigError("<dotted path> must be finite") at the first NaN or
-    infinity in the raw JSON ``value``; Python's json reads both, and the
-    schema's number checks let NaN through."""
-    if isinstance(value, float) and not np.isfinite(value):
+    """Raise ConfigError("<dotted path> must be finite") at the first number in the raw
+    JSON ``value`` outside the float range: NaN, infinity, or an integer that no float
+    holds, as 1e400 already reads as infinity. The schema lets all three through."""
+    if isinstance(value, (int, float)) and not abs(value) <= float(np.finfo(float).max):
         raise ConfigError(f"{path} must be finite")
     for key, item in (value.items() if isinstance(value, dict)
                       else enumerate(value) if isinstance(value, list) else ()):
@@ -193,10 +193,10 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
+        _check_finite(raw)
         errors = _schema_errors(raw)
         if errors:
             raise ConfigError("; ".join(errors))
-        _check_finite(raw)
 
         model_raw = raw["model"]
         if isinstance(model_raw, str):

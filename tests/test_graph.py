@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from resilient_consensus import (DirectedGraph, GraphError, has_spanning_tree, is_reachable,
+from resilient_consensus import (BUNDLED_SCENARIOS, AttackSpec, DirectedGraph, GraphError,
+                                 LtiModel, Verdict, constant_signal, destabilization_verdict,
+                                 has_spanning_tree, is_reachable, load_config,
                                  normalized_laplacian, reachable_set)
 
 from conftest import (bfs_reachable, bfs_roots, chain_digraphs, random_forest_digraph,
@@ -45,14 +47,15 @@ def test_example1_normalized_laplacian(example1_graph, example1_spectrum):
     assert abs(sp.eigenvalues[0]) < 1e-12  # zero sorted first
 
 
-def test_left_eigvec_against_nullspace_oracle(example1_spectrum):
-    # independent oracle: kernel of Lhat^T via scipy's null_space
-    ns = scipy.linalg.null_space(example1_spectrum.normalized_laplacian.T)
-    assert ns.shape[1] == 1
-    r_oracle = ns[:, 0] / ns[:, 0].sum()
-    np.testing.assert_allclose(example1_spectrum.left_eigvec_zero, r_oracle, atol=1e-12)
-    resid = example1_spectrum.left_eigvec_zero @ example1_spectrum.normalized_laplacian
-    assert np.abs(resid).max() < 1e-10
+def test_left_eigvec_against_nullspace_oracle():
+    # independent oracle: kernel of Lhat^T via scipy's null_space, on every bundled graph
+    for name in BUNDLED_SCENARIOS:
+        spectrum = normalized_laplacian(load_config(name).graph)
+        ns = scipy.linalg.null_space(spectrum.normalized_laplacian.T)
+        assert ns.shape[1] == 1, name
+        r_oracle = ns[:, 0] / ns[:, 0].sum()
+        np.testing.assert_allclose(spectrum.left_eigvec_zero, r_oracle, atol=1e-12, err_msg=name)
+        assert np.abs(spectrum.left_eigvec_zero @ spectrum.normalized_laplacian).max() < 1e-10
 
 
 def test_zero_edge_graph():
@@ -149,6 +152,59 @@ def test_root_set_and_spanning_tree_properties():
             assert abs(sp.left_eigvec_zero.sum() - 1.0) < 1e-12
             for root in sp.root_set:
                 assert len(bfs_reachable(g.adjacency, root)) == g.n_agents
+
+    # weights down to 1e-12: the spectrum may no longer see a spanning tree, but
+    # when it does, the roots are the graph's and p is zero exactly off them
+    gated = raised = 0
+    for _ in range(600):
+        a = random_spanning_tree_digraph(int(rng.integers(2, 13)), rng,
+                                         extra_edge_factor=rng.uniform(0, 0.4)).adjacency.copy()
+        a[a > 0] = 10.0 ** rng.uniform(-12, 0, size=int((a > 0).sum()))
+        g = DirectedGraph(a)
+        try:
+            sp = normalized_laplacian(g)
+        except GraphError as exc:
+            assert "ill-conditioned" in str(exc)
+            gated, raised = gated + 1, raised + 1
+            continue
+        if not sp.has_simple_zero:
+            assert sp.left_eigvec_zero is None and sp.root_set == frozenset()
+            continue
+        gated += 1
+        roots = sorted(bfs_roots(a))
+        assert sp.root_set == frozenset(roots)
+        off = np.delete(sp.left_eigvec_zero, roots)
+        assert (off == 0.0).all() and (sp.left_eigvec_zero[roots] > 0).all()
+        assert abs(sp.left_eigvec_zero.sum() - 1.0) < 1e-12
+    assert gated > 150 and raised < gated / 50
+
+
+@pytest.mark.parametrize("weight", [1e-9, 1e-10, 1e-12])
+def test_weak_edge_inside_the_root_cycle_keeps_its_root(weight):
+    # the 2-cycle {0, 1} feeds agent 2; the edge 1 -> 0 is weak, yet agent 1
+    # reaches everyone, so a constant attack on it ramps the consensus mode
+    g = DirectedGraph.from_edges(3, [[0, 1, 1.0], [1, 0, weight], [0, 2, 1.0]])
+    sp = normalized_laplacian(g)
+    assert sp.root_set == frozenset({0, 1})
+    p1 = 2.0 * weight / (1.0 + weight) / (1.0 + 2.0 * weight / (1.0 + weight))
+    np.testing.assert_allclose(sp.left_eigvec_zero, [1.0 - p1, p1, 0.0], rtol=1e-12)
+    attack = AttackSpec(agent=1, channel="actuator", signal=constant_signal(1.0))
+    model = LtiModel(A=[[1.0]], B=[[1.0]])
+    assert destabilization_verdict([attack], model, sp) is Verdict.DESTABILIZE
+
+
+def test_root_weights_below_rounding_raise():
+    # every agent is a root, but p_0 is about 1e-17 of the largest weight: the
+    # root-block solve rounds it negative, and the spectrum reports that
+    # instead of dropping agent 0 from the roots
+    a = np.zeros((4, 4))
+    for (i, j), w in {(0, 2): 1e-2, (1, 3): 1e-7, (2, 3): 1e-10, (3, 0): 1e-9,
+                      (3, 1): 1e-4, (3, 2): 1.0}.items():
+        a[i, j] = w
+    g = DirectedGraph(a)
+    assert bfs_roots(a) == {0, 1, 2, 3}
+    with pytest.raises(GraphError, match="ill-conditioned"):
+        normalized_laplacian(g)
 
 
 def test_quadratic_form_matrix_sign_depends_on_structure(example1_spectrum):

@@ -141,6 +141,13 @@ _SIN = {"agent": 2, "channel": "actuator", "signal": {"type": "sin", "omega": 0.
      "attacks.0.signal.W.0.0"),
     ({"leader": {"K0": [[1.0]], "omega": float("inf")}}, "leader.omega"),
     ({"leader": {"K0": [[float("nan")]]}}, "leader.K0.0.0"),
+    # an integer literal beyond the float range, where 1e400 already reads as infinity
+    ({"x0": {"scale": 10**400}}, "x0.scale"),
+    ({"c": 10**400}, "c"),
+    ({"controller": "resilient", "theta": 10**400}, "theta"),
+    ({"x0": [2.0, 10**400, 9.0, -3.0]}, "x0.1"),
+    ({"horizon": 10**400}, "horizon"),
+    ({"store_stride": 10**400}, "store_stride"),
 ])
 def test_non_finite_numbers_are_config_errors(tmp_path, capsys, overrides, field):
     raw = small_config(**overrides)
@@ -151,6 +158,21 @@ def test_non_finite_numbers_are_config_errors(tmp_path, capsys, overrides, field
     for argv in (["run", str(cfg), "--out", str(tmp_path)], ["validate", str(cfg)]):
         assert main(argv) == 2, argv
         assert f"{field} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "smoke.summary.json").exists()
+
+
+@pytest.mark.parametrize("field", ["horizon", "store_stride", "seed"])
+def test_integers_beyond_int64_are_config_errors(tmp_path, capsys, field):
+    raw = small_config(**{field: 2**63})
+    message = f"{field}: {2**63} is greater than the maximum of {2**63 - 1}"
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        ScenarioConfig.from_dict(raw)
+    ScenarioConfig.from_dict(small_config(**{field: 2**63 - 1}))  # the largest int64 parses
+    cfg = tmp_path / "huge_integer.json"
+    cfg.write_text(json.dumps(raw))
+    for argv in (["run", str(cfg), "--out", str(tmp_path)], ["validate", str(cfg)]):
+        assert main(argv) == 2, argv
+        assert message in capsys.readouterr().err
     assert not (tmp_path / "smoke.summary.json").exists()
 
 
