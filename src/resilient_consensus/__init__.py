@@ -1,13 +1,12 @@
 """Discrete-time multi-agent consensus under sensor/actuator attacks.
 
 Simulation library plus scenario CLI: directed-graph spectral analysis,
-networked LTI dynamics, Riccati-based gain design, attack modeling with
-internal-model classification, and an adaptive resilient compensator.
+networked LTI dynamics, Riccati-based gain design, attack modeling with an
+exact destabilization verdict, and an adaptive resilient compensator.
 """
 
-from .attacks import (AttackSpec, ExogenousSignal, ImpClassification, attack_projection,
-                      classify_imp, constant_signal, effective_attack, root_targeted,
-                      signal_series, sinusoid_signal)
+from .attacks import (AttackSpec, ExogenousSignal, attack_projection, constant_signal,
+                      effective_attack, root_targeted, signal_series, sinusoid_signal)
 from .defense import consensus_error_threshold, dtilde_bound
 from .design import (THETA_BOUND, ControllerConfig, CouplingRange, DesignError, coupling_range,
                      design_controller, design_gain, joint_radius, solve_dare)

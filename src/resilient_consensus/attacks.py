@@ -1,12 +1,13 @@
-"""Sensor/actuator attack signals, their generator dynamics, and classification.
+"""Sensor/actuator attack signals and their generator dynamics.
 
 Every signal is linear exogenous dynamics f(j+1) = W f(j) with a read-out: a
 constant is W = I, and a sinusoid is a 2x2 rotation read out through an
-amplitude map; the internal-model test reads eig(W). A run's attacks stack
-into one ``AttackGenerator``, and every attack quantity is a linear read-out
-of its state: the signals, the injection f, the root-directed projection
-S(k) = p'f(k), and whether a signal is zero at all, which the first dim W
-read-outs after the last start decide exactly (Cayley-Hamilton).
+amplitude map. A run's attacks stack into one ``AttackGenerator``, and every
+attack quantity is a linear read-out of its state: the signals, the injection
+f, and the root-directed projection S(k) = p'f(k). Whether such a read-out is
+zero at all is decided exactly by the first dim W read-outs after the last
+start (Cayley-Hamilton), and ``metrics.destabilization_verdict`` tests growth
+on the Krylov space that those steps span.
 """
 from __future__ import annotations
 
@@ -17,7 +18,6 @@ import numpy as np
 from .dynamics import LtiModel
 from .graph import GraphError, GraphSpectrum
 
-IMP_TOL = 1e-8
 ROOT_TARGET_TOL = 1e-12
 
 
@@ -171,35 +171,6 @@ class AttackGenerator:
         last, size = int(self.starts.max(initial=0)), len(self.g0)
         return self.read(np.array([self.state(last + j) for j in range(size)]).reshape(size, size),
                          last)
-
-
-@dataclass(frozen=True)
-class ImpClassification:
-    """Internal-model verdict: IMP iff every generator eigenvalue matches one of A's."""
-
-    verdict: str  # "IMP" | "non-IMP"
-    matched_eigenvalues: tuple
-
-    @property
-    def is_imp(self) -> bool:
-        return self.verdict == "IMP"
-
-
-def classify_imp(spec: AttackSpec, model: LtiModel) -> ImpClassification:
-    lam_w = np.linalg.eigvals(spec.signal.W)
-    lam_a = np.linalg.eigvals(model.A)
-    matched = []
-    all_matched = True
-    for lw in lam_w:
-        dist = np.abs(lam_a - lw).min()
-        if dist <= IMP_TOL:
-            matched.append(complex(lw))
-        else:
-            all_matched = False
-    return ImpClassification(
-        verdict="IMP" if all_matched else "non-IMP",
-        matched_eigenvalues=tuple(matched),
-    )
 
 
 def effective_injection(sensor, actuator, norm_lap: np.ndarray, c: float,

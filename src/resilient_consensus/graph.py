@@ -43,8 +43,12 @@ class DirectedGraph:
 
     @classmethod
     def from_edges(cls, n_agents: int, edges) -> "DirectedGraph":
-        """Build from an edge list ``[[from, to, weight], ...]`` (0-based, weight optional)."""
-        a = np.zeros((n_agents, n_agents))
+        """Build from an edge list ``[[from, to, weight], ...]`` (0-based, weight optional).
+        An agent count whose adjacency cannot be allocated raises GraphError."""
+        try:
+            a = np.zeros((n_agents, n_agents))
+        except (ValueError, MemoryError) as exc:
+            raise GraphError(f"the adjacency of {n_agents} agents cannot be allocated") from exc
         for e in edges:
             src, dst = int(e[0]), int(e[1])
             w = float(e[2]) if len(e) > 2 else 1.0

@@ -8,9 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attacks import AttackGenerator, AttackSpec, classify_imp
+from .attacks import ROOT_TARGET_TOL, AttackGenerator, effective_injection
 from .design import joint_radius
-from .dynamics import LtiModel, baseline_radius, block_eigenvalues
+from .dynamics import MARGINAL_TOL, LtiModel, baseline_radius, block_eigenvalues
 from .graph import DirectedGraph, GraphSpectrum
 
 GROWTH_WINDOW_FRACTION = 0.2
@@ -77,31 +77,90 @@ class Verdict(enum.Enum):
     DESTABILIZE = "DESTABILIZE"
 
 
-def _signal_is_nonzero(spec: AttackSpec, model: LtiModel, n_agents: int) -> bool:
-    read = AttackGenerator([spec], n_agents, model.state_dim, model.input_dim).live_window()
-    return any(np.abs(r).max() > 1e-12 for r in read)
+def _invariant(Z: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the smallest Z-invariant subspace that holds the
+    columns of ``start`` (Arnoldi). The nonzero columns are scaled to a largest
+    entry of 1, and each vector, a start column or the image of a basis vector,
+    is orthogonalized twice against the basis and dropped as rounding when what
+    is left is at most ROOT_TARGET_TOL times max(||Z||, 1)."""
+    basis, pending = np.zeros((len(Z), 0)), [v / np.abs(v).max() for v in start.T if v.any()]
+    while pending and basis.shape[1] < len(Z):
+        v = pending.pop(0)
+        v = v - basis @ (basis.T @ v)
+        v = v - basis @ (basis.T @ v)
+        if np.linalg.norm(v) > ROOT_TARGET_TOL * max(np.linalg.norm(Z), 1.0):
+            basis = np.column_stack([basis, v / np.linalg.norm(v)])
+            pending.append(Z @ basis[:, -1])
+    return basis
 
 
-def destabilization_verdict(specs, model: LtiModel, spectrum: GraphSpectrum,
-                            ctrl=None, compensating: bool = False) -> Verdict:
-    """Predicts DESTABILIZE iff some IMP-classified attack excites a root node,
-    or, given the controller ``ctrl``, its loop is not stable, so the run
-    diverges whatever the attack: some block A - c lam BK of a nonzero
-    Laplacian eigenvalue has spectral radius >= 1, or, when the run's
-    compensator starts inside its horizon (``compensating``), the joint
-    plant+compensator blocks do (``design.joint_radius`` >= 1).
+def _grows(model: LtiModel, W: np.ndarray, g: np.ndarray, M: np.ndarray, p: np.ndarray) -> bool:
+    """Whether [c; f] grows without bound, where f = M'g for the generator
+    g(j+1) = W g(j) with M (dim, N, m), and the common mode c(0) = 0 follows
+    c(k+1) = A c(k) + B S(k) with S = p'f.
 
-    Sensor attacks enter the network through the Laplacian, whose left kernel
-    is exactly the root eigenvector, so their projection S(k) vanishes
-    identically; only actuator attacks can be root-directed.
+    S is scaled by the largest entry of the p-weighted injection it sums,
+    sum_i p_i |M_i|. Scaling c leaves boundedness as it is, keeps a root of
+    tiny weight p_i above the rounding, and leaves what cancels in S (all of
+    it for a sensor attack, as p'Lhat = 0) at the rounding, below
+    ``_invariant``'s tolerance. The generator is first cut to the modes f
+    observes: the W'-invariant span V of M's columns, whose complement no
+    read-out sees. Z = [[A, B S'V], [0, V'WV]] is then observed in full by
+    [c; f], and the part of it that z0 = [0; V'g] excites is Z on the Krylov
+    space of z0. That part is cyclic, so each of its eigenvalues has a single
+    Jordan block, and [c; f] is bounded iff every eigenvalue has |mu| <= 1
+    and none on the unit circle is repeated. A computed double eigenvalue
+    splits by about the square root of the rounding, so marginal eigenvalues
+    within sqrt(MARGINAL_TOL) of each other count as one."""
+    n = model.state_dim
+    S = p @ M / ((p @ np.abs(M)).max(initial=0.0) or 1.0)  # (dim, m)
+    V = _invariant(W.T, M.reshape(len(g), -1))
+    Z = np.zeros((n + V.shape[1],) * 2)
+    Z[:n, :n], Z[:n, n:], Z[n:, n:] = model.A, model.B @ S.T @ V, V.T @ W @ V
+    Q = _invariant(Z, np.concatenate([np.zeros(n), V.T @ g])[:, None])
+    mu = np.linalg.eigvals(Q.T @ Z @ Q)
+    mu = mu[np.abs(mu) >= 1.0 - MARGINAL_TOL]
+    # every eigenvalue is within the tolerance of itself; one more pair is a repeat
+    return bool((np.abs(mu) > 1.0 + MARGINAL_TOL).any()
+                or (np.abs(mu[:, None] - mu) <= MARGINAL_TOL ** 0.5).sum() > len(mu))
+
+
+def destabilization_verdict(specs, model: LtiModel, spectrum: GraphSpectrum, ctrl,
+                            compensating: bool = False) -> Verdict:
+    """DESTABILIZE when the run under the controller ``ctrl`` diverges,
+    BOUNDED_DEVIATION when it stays bounded under a nonzero injection f, and
+    CONSENSUS when f is zero at every step from the last attack's start on.
+
+    The attacks stack into one ``AttackGenerator`` g(j+1) = W g(j), read from
+    the last start on, where every attack is live, and f = M'g, with M read
+    through ``effective_injection`` as the engine reads it. f is zero for good
+    when its first dim W steps read at most ROOT_TARGET_TOL (Cayley-Hamilton),
+    the rule that gives the run's ``intact_agents``.
+
+    Since p'Lhat = 0, the common mode c = p'x follows
+    c(k+1) = A c(k) + B S(k) - B p'd(k) with S = p'f, and p'd decays in a
+    stable loop. A run whose loop is stable therefore diverges iff f grows or
+    S drives a marginal mode of A into resonance (the internal-model principle),
+    which is one growth test of [c; f] (``_grows``). With a leader p = e_0, and
+    S = 0 since agent 0 cannot be attacked. Without a spanning tree p is
+    undefined, and only f is tested.
+
+    The loop is unstable, and the run diverges whatever the attack, when some
+    block A - c lam BK of a nonzero Laplacian eigenvalue has spectral radius
+    >= 1, or, when the run's compensator starts inside its horizon
+    (``compensating``), the joint plant+compensator blocks do
+    (``design.joint_radius`` >= 1).
     """
-    n_agents = spectrum.normalized_laplacian.shape[0]
-    live = [s for s in specs if _signal_is_nonzero(s, model, n_agents)]
-    if any(s.channel == "actuator" and s.agent in spectrum.root_set
-           and classify_imp(s, model).is_imp for s in live):
-        return Verdict.DESTABILIZE
-    if ctrl is not None and (
-            baseline_radius(model, spectrum, ctrl.K, ctrl.c) >= 1.0
+    lap = spectrum.normalized_laplacian
+    gen = AttackGenerator(specs, lap.shape[0], model.state_dim, model.input_dim)
+    last = int(gen.starts.max(initial=0))
+    g, W = gen.state(last), gen.W
+    M = effective_injection(*gen.read(np.eye(len(g)), last), lap, ctrl.c, ctrl.K)
+    window = np.array([np.linalg.matrix_power(W, j) @ g for j in range(len(g))])
+    live = bool(np.abs(window @ M.swapaxes(0, 1)).max(initial=0.0) > ROOT_TARGET_TOL)
+    p = spectrum.left_eigvec_zero
+    if (live and _grows(model, W, g, M, np.zeros(len(lap)) if p is None else p)
+            or baseline_radius(model, spectrum, ctrl.K, ctrl.c) >= 1.0
             or compensating and joint_radius(model, spectrum, ctrl.K, ctrl.c, ctrl.theta) >= 1.0):
         return Verdict.DESTABILIZE
     return Verdict.BOUNDED_DEVIATION if live else Verdict.CONSENSUS

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from test_dynamics import unit_gain_ctrl
 
 from resilient_consensus import (AttackSpec, DirectedGraph, ExogenousSignal, LtiModel, Verdict,
-                                 attack_projection, classify_imp, constant_signal,
+                                 attack_projection, constant_signal, design_controller,
                                  destabilization_verdict, effective_attack, normalized_laplacian,
                                  root_targeted, signal_series, sinusoid_signal)
 from resilient_consensus.attacks import AttackGenerator
@@ -50,31 +50,23 @@ def test_sinusoid_signal_closed_form():
     np.testing.assert_allclose(series, np.repeat(expected, 2, axis=1), atol=1e-10)
 
 
-def test_classify_imp_examples(integrator, rotation2d):
-    const = AttackSpec(agent=0, channel="actuator", signal=constant_signal([1.0]))
-    assert classify_imp(const, integrator).is_imp  # eig {1} inside {1}
-
-    matched = AttackSpec(agent=0, channel="actuator",
-                         signal=sinusoid_signal([1.0], np.pi / 2))
-    cls = classify_imp(matched, rotation2d)
-    assert cls.is_imp
-    assert sorted(np.round(np.imag(cls.matched_eigenvalues), 9)) == [-1.0, 1.0]
-
-    unmatched = AttackSpec(agent=0, channel="actuator", signal=sinusoid_signal([1.0], 1.0))
-    assert not classify_imp(unmatched, rotation2d).is_imp
-    assert classify_imp(unmatched, rotation2d).verdict == "non-IMP"
-
-
-def test_classification_is_scale_invariant(rotation2d):
+def test_verdict_is_scale_invariant(rotation2d, chain5_graph):
+    spectrum = normalized_laplacian(chain5_graph)
+    ctrl = design_controller(rotation2d, spectrum)
     rng = np.random.default_rng(4)
     for _ in range(20):
         scale = float(rng.uniform(0.01, 100.0))
         omega = float(rng.uniform(0.1, 3.0))
-        spec = AttackSpec(agent=0, channel="actuator",
+        spec = AttackSpec(agent=1, channel="actuator",
                           signal=sinusoid_signal([scale], omega))
-        base = AttackSpec(agent=0, channel="actuator",
+        base = AttackSpec(agent=1, channel="actuator",
                           signal=sinusoid_signal([1.0], omega))
-        assert classify_imp(spec, rotation2d).verdict == classify_imp(base, rotation2d).verdict
+        assert (destabilization_verdict([spec], rotation2d, spectrum, ctrl)
+                is destabilization_verdict([base], rotation2d, spectrum, ctrl))
+    for scale in (0.01, 100.0):  # the resonant pi/2 rotation at both ends of the range
+        spec = AttackSpec(agent=1, channel="actuator",
+                          signal=sinusoid_signal([scale], np.pi / 2))
+        assert destabilization_verdict([spec], rotation2d, spectrum, ctrl) is Verdict.DESTABILIZE
 
 
 def test_a_signal_without_an_output_map_reads_its_whole_state():
@@ -229,13 +221,15 @@ def test_generator_matches_series_probe_and_closed_form(attacks):
         got = effective_attack(specs, PROP_MODEL, PROP_SPECTRUM, PROP_CTRL, k)
         assert np.abs(got - f[k]).max() <= 1e-12 * scale, k
 
-    # the exact decisions against a 256-step probe: an attack alone predicts
-    # CONSENSUS iff its signal is zero, and the attacks together are root-targeted
-    # iff S(k) = p' f(k) is nonzero once all are live
+    # the exact decisions against a 256-step probe: the attacks, alone or together,
+    # predict CONSENSUS iff their injection is zero once all are live, and together
+    # they are root-targeted iff S(k) = p' f(k) is nonzero then
     for spec in specs:
-        silent = np.abs(signal_series(spec, spec.start_step + PROBE)).max() <= 1e-12
-        verdict = destabilization_verdict([spec], PROP_MODEL, PROP_SPECTRUM)
+        silent = np.abs(_reference_injection([spec], spec.start_step + PROBE)).max() <= 1e-12
+        verdict = destabilization_verdict([spec], PROP_MODEL, PROP_SPECTRUM, PROP_CTRL)
         assert (verdict is Verdict.CONSENSUS) == silent
+    verdict = destabilization_verdict(specs, PROP_MODEL, PROP_SPECTRUM, PROP_CTRL)
+    assert (verdict is Verdict.CONSENSUS) == (np.abs(f[last:]).max() <= 1e-12)
     S = attack_projection(f[last:], PROP_SPECTRUM)
     assert root_targeted(specs, PROP_MODEL, PROP_SPECTRUM, PROP_CTRL) == bool(
         (np.linalg.norm(S, axis=1) > 1e-12).any())

@@ -3,9 +3,9 @@ import pytest
 import scipy.linalg
 
 from resilient_consensus import (BUNDLED_SCENARIOS, AttackSpec, DirectedGraph, GraphError,
-                                 LtiModel, Verdict, constant_signal, destabilization_verdict,
-                                 has_spanning_tree, is_reachable, load_config,
-                                 normalized_laplacian, reachable_set)
+                                 LtiModel, Verdict, constant_signal, design_controller,
+                                 destabilization_verdict, has_spanning_tree, is_reachable,
+                                 load_config, normalized_laplacian, reachable_set)
 
 from conftest import (bfs_reachable, bfs_roots, chain_digraphs, random_forest_digraph,
                       random_spanning_tree_digraph)
@@ -190,7 +190,8 @@ def test_weak_edge_inside_the_root_cycle_keeps_its_root(weight):
     np.testing.assert_allclose(sp.left_eigvec_zero, [1.0 - p1, p1, 0.0], rtol=1e-12)
     attack = AttackSpec(agent=1, channel="actuator", signal=constant_signal(1.0))
     model = LtiModel(A=[[1.0]], B=[[1.0]])
-    assert destabilization_verdict([attack], model, sp) is Verdict.DESTABILIZE
+    ctrl = design_controller(model, sp)
+    assert destabilization_verdict([attack], model, sp, ctrl) is Verdict.DESTABILIZE
 
 
 def test_root_weights_below_rounding_raise():

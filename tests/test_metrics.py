@@ -1,6 +1,7 @@
 import dataclasses
 
 import numpy as np
+import pytest
 
 from resilient_consensus import (BUNDLED_SCENARIOS, AttackSpec, DirectedGraph, GrowthAnalysis,
                                  ScenarioConfig, Verdict, analyze_growth,
@@ -80,7 +81,6 @@ def test_deviation_bound_cases(integrator, rotation2d, auv_model, example1_spect
 
 
 def test_destabilization_verdict_examples(integrator, example1_spectrum, example1_ctrl):
-    assert destabilization_verdict([], integrator, example1_spectrum) is Verdict.CONSENSUS
     assert destabilization_verdict([], integrator, example1_spectrum,
                                    example1_ctrl) is Verdict.CONSENSUS
     # a supplied c = 50 leaves A - c lam BK unstable: the loop diverges unattacked
@@ -90,26 +90,81 @@ def test_destabilization_verdict_examples(integrator, example1_spectrum, example
                                    unstable) is Verdict.DESTABILIZE
 
     root = AttackSpec(agent=0, channel="actuator", signal=constant_signal([1.0]))
-    assert destabilization_verdict([root], integrator, example1_spectrum) is Verdict.DESTABILIZE
+    assert destabilization_verdict([root], integrator, example1_spectrum,
+                                   example1_ctrl) is Verdict.DESTABILIZE
 
     nonroot = AttackSpec(agent=2, channel="actuator", signal=constant_signal([1.0]))
-    assert destabilization_verdict([nonroot], integrator, example1_spectrum) is Verdict.BOUNDED_DEVIATION
+    assert destabilization_verdict([nonroot], integrator, example1_spectrum,
+                                   example1_ctrl) is Verdict.BOUNDED_DEVIATION
 
     # a zero-amplitude signal counts as no attack
     silent = AttackSpec(agent=0, channel="actuator", signal=constant_signal([0.0]))
-    assert destabilization_verdict([silent], integrator, example1_spectrum) is Verdict.CONSENSUS
+    assert destabilization_verdict([silent], integrator, example1_spectrum,
+                                   example1_ctrl) is Verdict.CONSENSUS
 
 
 def test_verdict_nonimp_and_sensor_cases(rotation2d, chain5_graph, integrator,
-                                         example1_spectrum):
+                                         example1_spectrum, example1_ctrl):
     spectrum = normalized_laplacian(chain5_graph)
+    ctrl = design_controller(rotation2d, spectrum)
     nonimp_root = AttackSpec(agent=1, channel="actuator", signal=sinusoid_signal([1.0], 1.0))
-    assert destabilization_verdict([nonimp_root], rotation2d, spectrum) is Verdict.BOUNDED_DEVIATION
+    assert destabilization_verdict([nonimp_root], rotation2d, spectrum,
+                                   ctrl) is Verdict.BOUNDED_DEVIATION
     imp_root = AttackSpec(agent=1, channel="actuator", signal=sinusoid_signal([1.0], np.pi / 2))
-    assert destabilization_verdict([imp_root], rotation2d, spectrum) is Verdict.DESTABILIZE
+    assert destabilization_verdict([imp_root], rotation2d, spectrum, ctrl) is Verdict.DESTABILIZE
     # sensor corruption cannot reach the Laplacian kernel: never destabilizing
     sensor_root = AttackSpec(agent=0, channel="sensor", signal=constant_signal([9.0]))
-    assert destabilization_verdict([sensor_root], integrator, example1_spectrum) is Verdict.BOUNDED_DEVIATION
+    assert destabilization_verdict([sensor_root], integrator, example1_spectrum,
+                                   example1_ctrl) is Verdict.BOUNDED_DEVIATION
+
+
+_EXAMPLE1_GRAPH = {"n_agents": 4, "edges": [[1, 0, 1.0], [0, 1, 1.0], [1, 2, 1.0], [0, 3, 1.0]]}
+_I2 = [[1.0, 0.0], [0.0, 1.0]]
+
+
+def _example1_run(model, attacks, x0=(2.0, 4.0, 9.0, -3.0)):
+    """A 4000-step baseline run on the 4-agent example graph, from a dict."""
+    return run(ScenarioConfig.from_dict({
+        "name": "verdict_case", "model": model, "graph": _EXAMPLE1_GRAPH, "horizon": 4000,
+        "x0": list(x0), "controller": "baseline", "attacks": attacks}))
+
+
+def _exogenous(agent, W, f0):
+    return {"agent": agent, "channel": "actuator",
+            "signal": {"type": "exogenous", "W": W, "f0": f0}}
+
+
+@pytest.mark.parametrize("model, attack, diverges", [
+    # the generator's unit mode, excited on root 0, resonates with A = I
+    ({"A": _I2, "B": _I2}, _exogenous(0, [[1.0, 0.0], [0.0, 0.5]], [1.0, 1.0]), True),
+    ({"A": _I2, "B": _I2}, _exogenous(0, [[1.0, 0.0], [0.0, 0.5]], [1.0, 0.0]), True),
+    # every eigenvalue of W matches one of A's, but no excited mode is marginal in both
+    ({"A": [[1.0, 0.0], [0.0, 0.5]], "B": _I2},
+     _exogenous(0, [[0.5, 0.0], [0.0, 0.5]], [1.0, 1.0]), False),
+    ({"A": [[1.0, 0.0], [0.0, 0.5]], "B": _I2},
+     _exogenous(0, [[1.0, 0.0], [0.0, 0.5]], [0.0, 1.0]), False),
+    # a growing generator diverges wherever it enters, root or not
+    ("single_integrator", _exogenous(2, [[1.01]], [1.0]), True),
+    ("single_integrator", _exogenous(0, [[1.01]], [1.0]), True),
+    # a ramp (a Jordan chain at 1) on non-root agent 2
+    ({"A": _I2, "B": _I2}, _exogenous(2, [[1.0, 1.0], [0.0, 1.0]], [0.0, 1.0]), True),
+], ids=["unit-mode-root", "constant-root", "stable-generator", "unexcited-unit-mode",
+        "growing-nonroot", "growing-root", "ramp-nonroot"])
+def test_verdict_predicts_what_the_run_does(model, attack, diverges):
+    x0 = [2.0, 4.0, 9.0, -3.0] if model == "single_integrator" else [1.0] * 8
+    trace = _example1_run(model, [attack], x0)
+    assert trace.diverged is diverges
+    assert trace.prediction_matches_divergence
+    assert trace.prediction == ("DESTABILIZE" if diverges else "BOUNDED_DEVIATION")
+
+
+def test_attacks_that_cancel_predict_consensus():
+    # +1 and -1 on agent 2's actuator: the injection is zero, and every agent intact
+    trace = _example1_run("single_integrator", [
+        {"agent": 2, "channel": "actuator", "signal": {"type": "constant", "value": [v]}}
+        for v in (1.0, -1.0)])
+    assert trace.intact_agents == (0, 1, 2, 3)
+    assert trace.prediction == "CONSENSUS"
 
 
 def test_growth_analysis_shapes():

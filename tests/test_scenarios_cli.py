@@ -176,6 +176,20 @@ def test_integers_beyond_int64_are_config_errors(tmp_path, capsys, field):
     assert not (tmp_path / "smoke.summary.json").exists()
 
 
+def test_an_agent_count_that_cannot_be_allocated_is_a_config_error(tmp_path, capsys):
+    # 2^40 agents: NumPy refuses the (2^40, 2^40) adjacency before allocating anything
+    raw = small_config(graph={**small_config()["graph"], "n_agents": 2**40})
+    message = f"graph: the adjacency of {2**40} agents cannot be allocated"
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        ScenarioConfig.from_dict(raw)
+    cfg = tmp_path / "huge_graph.json"
+    cfg.write_text(json.dumps(raw))
+    for argv in (["run", str(cfg), "--out", str(tmp_path)], ["validate", str(cfg)]):
+        assert main(argv) == 2, argv
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "smoke.summary.json").exists()
+
+
 def test_bad_weights_are_config_errors(tmp_path, capsys):
     cases = (("r1", [[1.0, 0.0], [0.0, -1.0]], "r1 must be positive definite"),
              ("r1", [[1.0, 0.1], [-0.1, 1.0]], "r1 must be symmetric"),
