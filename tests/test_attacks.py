@@ -50,6 +50,26 @@ def test_sinusoid_signal_closed_form():
     np.testing.assert_allclose(series, np.repeat(expected, 2, axis=1), atol=1e-10)
 
 
+def test_classify_imp_examples(integrator, example1_spectrum, example1_ctrl,
+                               rotation2d, chain5_graph):
+    """An attack on a root destabilizes exactly when its generator shares a
+    marginal mode with A (the internal model principle)."""
+    const = AttackSpec(agent=0, channel="actuator", signal=constant_signal([1.0]))
+    assert destabilization_verdict([const], integrator, example1_spectrum,
+                                   example1_ctrl) is Verdict.DESTABILIZE  # eig {1} inside {1}
+
+    spectrum = normalized_laplacian(chain5_graph)
+    ctrl = design_controller(rotation2d, spectrum)
+    matched = AttackSpec(agent=1, channel="actuator",
+                         signal=sinusoid_signal([1.0], np.pi / 2))
+    assert sorted(np.round(np.imag(np.linalg.eigvals(matched.signal.W)), 9)) == [-1.0, 1.0]
+    assert destabilization_verdict([matched], rotation2d, spectrum, ctrl) is Verdict.DESTABILIZE
+
+    unmatched = AttackSpec(agent=1, channel="actuator", signal=sinusoid_signal([1.0], 1.0))
+    assert (destabilization_verdict([unmatched], rotation2d, spectrum, ctrl)
+            is Verdict.BOUNDED_DEVIATION)
+
+
 def test_verdict_is_scale_invariant(rotation2d, chain5_graph):
     spectrum = normalized_laplacian(chain5_graph)
     ctrl = design_controller(rotation2d, spectrum)
