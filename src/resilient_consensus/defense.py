@@ -90,30 +90,31 @@ def consensus_error_threshold(model: LtiModel, spectrum: GraphSpectrum,
 
     a_c = _matrix(step, N * n)
 
-    # spectral projector removing the lam = 0 block's marginal modes; built from
-    # the right modes 1 (x) w and left modes r (x) wl of A_c (bilinear pairing)
-    proj = np.eye(N * n, dtype=complex)
-    ones = np.ones(N)
-    r = spectrum.left_eigvec_zero
+    # the lam = 0 block's marginal modes, right 1 (x) w and left r (x) wl of A_c
+    # (bilinear pairing), removed by the rank-r update x - R (L' x), in real
+    # arithmetic when those modes are real
+    modes = model.marginal_eigenvalues
     eigvals, right = np.linalg.eig(model.A)
     eigvals_l, left = np.linalg.eig(model.A.T)
-    for lam in model.marginal_eigenvalues:
-        w = right[:, np.argmin(np.abs(eigvals - lam))]
-        wl = left[:, np.argmin(np.abs(eigvals_l - lam))]
-        rv = np.kron(ones, w)
-        lv = np.kron(r, wl)
-        proj = proj - np.outer(rv, lv) / (lv @ rv)
+    R = np.tile(right[:, [np.argmin(np.abs(eigvals - lam)) for lam in modes]], (N, 1))
+    wl = left[:, [np.argmin(np.abs(eigvals_l - lam)) for lam in modes]].T
+    Lt = (spectrum.left_eigvec_zero[:, None] * wl[:, None]).reshape(len(modes), N * n)
+    Lt = Lt / (Lt * R.T).sum(axis=1, keepdims=True)
+    if not (R.imag.any() or Lt.imag.any()):
+        R, Lt = R.real, Lt.real
 
     gain = 0.0
-    term = (proj.reshape(N * n, N, n) @ model.B).reshape(N * n, -1)  # proj (I (x) B)
+    term = np.kron(np.eye(N), model.B)
     for _ in range(MAX_TERMS):
+        # project every term: float leakage into the removed non-Schur modes
+        # would otherwise grow and corrupt the tail of the series
+        term = term - R @ (Lt @ term)
         rows = np.sqrt((np.abs(term) ** 2).sum(axis=1)).max()
         gain += rows
         if rows <= 1e-12 * max(gain, 1.0):
             break
-        # re-project every step: float leakage into the removed non-Schur
-        # modes would otherwise grow and corrupt the tail of the series
-        term = proj @ (a_c @ term)
+        # a complex term goes to the real a_c as floats, in one real GEMM
+        term = (a_c @ term.view(float)).view(term.dtype)
     else:
         raise ValueError(f"impulse-response series did not converge in {MAX_TERMS} terms; "
                          "the closed loop is too close to marginal stability")

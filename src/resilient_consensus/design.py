@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dynamics import LtiModel, baseline_radius, block_eigenvalues
+from .dynamics import STACK_ENTRIES, LtiModel, baseline_radius, block_spectra
 from .graph import GraphSpectrum
 
 JOINT_RADIUS_LIMIT = 0.98
@@ -185,8 +185,9 @@ def coupling_range(spectrum: GraphSpectrum, ctrl) -> CouplingRange:
     return CouplingRange(c_lo=lo, c_hi=hi)
 
 
-def joint_radius(model: LtiModel, spectrum: GraphSpectrum, K, c: float, theta: float) -> float:
-    """Worst spectral radius of the plant+compensator error blocks.
+def joint_radius(model: LtiModel, spectrum: GraphSpectrum, K, c, theta: float):
+    """Worst spectral radius of the plant+compensator error blocks: a float
+    for a coupling c, an array for an array.
 
     For each nonzero Laplacian eigenvalue lam the resilient error dynamics
     reduce to the block [[A - c lam BK, -B], [theta c lam K, theta I]]; all of
@@ -194,9 +195,8 @@ def joint_radius(model: LtiModel, spectrum: GraphSpectrum, K, c: float, theta: f
     eigenvalue block carries A's own (marginal) modes and is excluded, exactly
     as in the baseline gain condition.
     """
-    return max((float(np.abs(eigs).max()) for eigs in
-                block_eigenvalues(model, spectrum.nonzero_eigenvalues(), K, c, theta)),
-               default=0.0)
+    spectra = block_spectra(model, spectrum.nonzero_eigenvalues(), K, c, theta)
+    return np.abs(spectra).max(axis=(-2, -1), initial=0.0)[()]
 
 
 _designs: OrderedDict = OrderedDict()
@@ -272,8 +272,8 @@ def _synthesize(model: LtiModel, spectrum: GraphSpectrum, Q1, R1, c, theta) -> C
             c_note = "analytic coupling interval unbounded; grid fallback used"
         else:
             c_note = "analytic coupling midpoint not stabilizing; grid fallback used"
-        ranked = sorted((baseline_radius(model, spectrum, K, cv), float(cv))
-                        for cv in COUPLING_GRID)
+        ranked = sorted(zip(baseline_radius(model, spectrum, K, COUPLING_GRID).tolist(),
+                            COUPLING_GRID.tolist()))
         couplings = [cv for radius, cv in ranked if radius < 1.0]
         if not couplings:
             raise DesignError("no coupling on the search grid makes A - c*lam*BK Schur")
@@ -281,12 +281,18 @@ def _synthesize(model: LtiModel, spectrum: GraphSpectrum, Q1, R1, c, theta) -> C
     if theta is not None:  # c is a midpoint or grid coupling here, so A - c*lam*BK is Schur
         return replace(base, c=couplings[0], theta=float(theta),
                        notes=(c_note, "theta supplied by configuration"))
-    # the first (theta, c), largest theta first, that keeps the joint blocks within the margin
+    # the first (theta, c), largest theta first, that keeps the joint blocks within
+    # the margin; the candidates go a stack of joint blocks at a time, and the
+    # search stops at the first stack that holds a pair
+    size = model.state_dim + model.input_dim
+    per = max(1, STACK_ENTRIES // (size ** 2 * max(len(spectrum.nonzero_eigenvalues()), 1)))
     for frac in THETA_FRACTIONS:
         th = float(frac * THETA_BOUND)
-        for cv in couplings:
-            if joint_radius(model, spectrum, K, cv, th) <= JOINT_RADIUS_LIMIT:
-                return replace(base, c=cv, theta=th, notes=(
+        for lo in range(0, len(couplings), per):
+            chunk = couplings[lo:lo + per]
+            fit = np.flatnonzero(joint_radius(model, spectrum, K, chunk, th) <= JOINT_RADIUS_LIMIT)
+            if fit.size:
+                return replace(base, c=chunk[fit[0]], theta=th, notes=(
                     c_note, f"theta = {frac:g} * theta_bound keeps compensator blocks Schur"))
     # last resort: best baseline coupling with the most conservative theta
     return replace(base, c=couplings[0], theta=float(THETA_FRACTIONS[-1] * THETA_BOUND),

@@ -10,6 +10,9 @@ import numpy as np
 from .graph import GraphError, GraphSpectrum
 
 MARGINAL_TOL = 1e-9
+# most matrix entries one stacked eigvals call of ``block_spectra`` is given,
+# which bounds its transient memory; longer stacks go in chunks
+STACK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -57,34 +60,43 @@ class LtiModel:
         return self.B.shape[1]
 
 
-def block_eigenvalues(model: LtiModel, eigenvalues, K, c: float, theta: float | None = None):
-    """eig(A - c lam BK) for each Laplacian eigenvalue lam, one array per lam;
-    with ``theta``, eig of the plant+compensator error block
-    [[A - c lam BK, -B], [theta c lam K, theta I]] instead.
+def block_spectra(model: LtiModel, eigenvalues, K, c, theta: float | None = None) -> np.ndarray:
+    """Eigenvalues of A - c lam BK, shape c.shape + (len(eigenvalues), block
+    size), for a coupling c or an array of them, and every Laplacian
+    eigenvalue lam; with ``theta``, of the plant+compensator error blocks
+    [[A - c lam BK, -B], [theta c lam K, theta I]], complex for every lam.
 
     A Schur triangularisation of Lhat makes I (x) A - c Lhat (x) BK block
     triangular with these blocks, so over every lam they are its spectrum,
-    and with theta that of the compensated error dynamics.
+    and with theta that of the compensated error dynamics. The blocks of all
+    (c, lam) pairs go to ``np.linalg.eigvals`` in stacks of STACK_ENTRIES
+    matrix entries.
     """
-    n, BK = model.state_dim, model.B @ K
-    if theta is not None:  # complex for every lam, so that a real spectrum takes the same solver
-        joint = np.zeros((n + model.input_dim,) * 2, complex)
-        joint[:n, n:], joint[n:, n:] = -model.B, theta * np.eye(model.input_dim)
-    for lam in eigenvalues:
-        block = model.A - c * lam * BK
+    n, m = model.state_dim, model.input_dim
+    c, lam, BK = np.asarray(c, dtype=float), np.asarray(eigenvalues), model.B @ K
+    c_lam = (c[..., None] * lam).ravel()
+    if theta is not None:
+        theta_c_lam = ((theta * c)[..., None] * lam).ravel()
+    size, dtype = (n, np.result_type(c_lam, BK)) if theta is None else (n + m, complex)
+    rows = max(1, STACK_ENTRIES // size ** 2)
+    out = np.empty((c_lam.size, size), complex)
+    for lo in range(0, c_lam.size, rows):
+        chunk = slice(lo, lo + rows)
+        blocks = np.empty((len(c_lam[chunk]), size, size), dtype)
+        plant = blocks[:, :n, :n]  # A - c lam BK, formed in place
+        np.subtract(model.A, np.multiply(c_lam[chunk, None, None], BK, out=plant), out=plant)
         if theta is not None:
-            joint[:n, :n], joint[n:, :n] = block, theta * c * lam * K
-            block = joint
-        yield np.linalg.eigvals(block)
+            blocks[:, :n, n:], blocks[:, n:, n:] = -model.B, theta * np.eye(m)
+            np.multiply(theta_c_lam[chunk, None, None], K, out=blocks[:, n:, :n])
+        out[chunk] = np.linalg.eigvals(blocks)
+    return out.reshape(c.shape + (lam.size, size))
 
 
-def baseline_radius(model: LtiModel, spectrum: GraphSpectrum, K, c: float) -> float:
-    """Worst spectral radius of A - c lam_i BK over nonzero Laplacian eigenvalues (0 if none)."""
-    return max(
-        (float(np.abs(eigs).max())
-         for eigs in block_eigenvalues(model, spectrum.nonzero_eigenvalues(), K, c)),
-        default=0.0,
-    )
+def baseline_radius(model: LtiModel, spectrum: GraphSpectrum, K, c):
+    """Worst spectral radius of A - c lam_i BK over nonzero Laplacian
+    eigenvalues (0 if none): a float for a coupling c, an array for an array."""
+    spectra = block_spectra(model, spectrum.nonzero_eigenvalues(), K, c)
+    return np.abs(spectra).max(axis=(-2, -1), initial=0.0)[()]
 
 
 @dataclass(frozen=True)

@@ -451,7 +451,8 @@ def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
                 Z[:J, :dp], Z[:J, dp:] = Zp[:J], Zq[:J]
                 # t = 0 reads the block starts themselves, t = 1..B-1 their projection
                 np.add(Zp[:J, :Nn], Zq[:J, :Nn], out=Y[:Nn].T)
-                np.matmul(M_live.T, Zq[:J, dq - len(M_live):].T, out=Y[Nn:R])
+                if len(cols):  # with no live injection column f is zero and read nowhere
+                    np.matmul(M_live.T, Zq[:J, dq - len(M_live):].T, out=Y[Nn:R])
                 np.matmul(proj, Z[:J].T, out=Y[R:])
                 np.abs(Y, out=Y)
                 # Y[t, :, j]: |x| and |f| at step k + jB + t
@@ -467,7 +468,9 @@ def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
                     first_crossing = k + lim
 
                 # only the steps before the crossing count
-                attack_bound = max(attack_bound, _peaks(Y[:, Nn:], lim, per_agent_peak, agents))
+                if len(cols):
+                    peak = _peaks(Y[:, Nn:], lim, per_agent_peak, agents)
+                    attack_bound = max(attack_bound, peak)
                 first = -k % store_stride  # the first stored step, after step k
                 count = len(range(first, lim, store_stride))
                 if count:
@@ -502,7 +505,9 @@ def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
         store_eps = -norm_lap @ store_x
         gamma = global_performance(store_x, graph)
         growth = analyze_growth(inf_norms)
-    prediction = destabilization_verdict(attacks, model, spectrum, ctrl, compensating)
+    # the verdict reads the attacks the run switches on
+    prediction = destabilization_verdict([a for a in attacks if a.start_step < horizon], model,
+                                         spectrum, ctrl, compensating)
     intact = tuple(int(i) for i in range(N) if per_agent_peak[i] <= 1e-12)
 
     return SimulationTrace(

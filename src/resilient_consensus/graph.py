@@ -4,8 +4,8 @@ The convention throughout: ``adjacency[i, j] > 0`` means agent ``i`` receives
 information from agent ``j`` (an edge j -> i). The weighted in-degree of agent
 ``i`` is the row sum ``h_i``, and the normalized Laplacian is
 ``(I + H)^-1 (H - A)`` with ``H = diag(h)``.
-Reachability, reachable sets, the spanning-tree test and the root set all read
-one boolean reachability closure.
+Reachability, reachable sets, the spanning-tree test and the root set come
+from depth-first searches over edge lists, O(N + E) each.
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ def normalized_laplacian(g: DirectedGraph) -> GraphSpectrum:
     """Compute L, (I+H)^-1 L, its spectrum, and the zero-eigenvalue left eigenvector.
 
     A spanning tree counts only when the zero eigenvalue is simple. The roots R then
-    come from the reachability closure, and p from the root-block solve
+    come from graph searches (``_roots``), and p from the root-block solve
     ``p_R' L_RR = 0``, ``1'p_R = 1``, which weights the predicted consensus value.
     """
     h = g.in_degrees
@@ -138,17 +138,24 @@ def normalized_laplacian(g: DirectedGraph) -> GraphSpectrum:
     )
 
 
-def _reach(g: DirectedGraph) -> np.ndarray:
-    """Boolean closure: ``R[i, j]`` is True iff a path of length >= 1 leads from i to j.
+def _search(lists: list, start: int, seen: list | None = None) -> list:
+    """Mark in ``seen`` (by default a list with none marked) every agent that
+    a path of length >= 1 along the edge lists ``lists`` leads to from
+    ``start``, and return it. A search, or several sharing ``seen``, expands
+    each agent once: O(N + E)."""
+    seen = [False] * len(lists) if seen is None else seen
+    stack = [start]
+    while stack:
+        for v in lists[stack.pop()]:
+            if not seen[v]:
+                seen[v] = True
+                stack.append(v)
+    return seen
 
-    Repeated squaring, R <- R | R R, doubles the covered path length per
-    product, so ceil(log2 N) products cover every simple path and cycle.
-    """
-    r = g.adjacency.T > 0
-    for _ in range((g.n_agents - 1).bit_length()):
-        f = r.astype(float)
-        r = r | (f @ f > 0)
-    return r
+
+def _out_lists(g: DirectedGraph) -> list:
+    """Each agent's out-neighbours, the agents that hear it."""
+    return [np.flatnonzero(column).tolist() for column in g.adjacency.T]
 
 
 def _check_agents(g: DirectedGraph, *agents: int) -> None:
@@ -159,18 +166,32 @@ def _check_agents(g: DirectedGraph, *agents: int) -> None:
 def is_reachable(g: DirectedGraph, from_agent: int, to_agent: int) -> bool:
     """True iff a directed information path exists from ``from_agent`` to ``to_agent``."""
     _check_agents(g, from_agent, to_agent)
-    return from_agent == to_agent or bool(_reach(g)[from_agent, to_agent])
+    return from_agent == to_agent or _search(_out_lists(g), from_agent)[to_agent]
 
 
 def reachable_set(g: DirectedGraph, from_agent: int) -> frozenset:
     """All agents reachable from ``from_agent`` (excluding itself unless on a cycle)."""
     _check_agents(g, from_agent)
-    return frozenset(np.nonzero(_reach(g)[from_agent])[0].tolist())
+    return frozenset(np.flatnonzero(_search(_out_lists(g), from_agent)).tolist())
 
 
 def _roots(g: DirectedGraph) -> np.ndarray:
-    """Mask of the roots: the agents that reach every agent through directed paths."""
-    return (_reach(g) | np.eye(g.n_agents, dtype=bool)).all(axis=1)
+    """Mask of the roots: the agents that reach every agent through directed paths.
+
+    Searches from each agent not yet marked, in turn, share one mark list, so
+    the marked agents stay closed under out-edges: a root marked before the
+    last search would have marked its start ``last`` too. So if a root
+    exists, ``last`` is one, and the roots are the agents that reach it.
+    """
+    out, seen = _out_lists(g), [False] * g.n_agents
+    for v in range(g.n_agents):
+        if not seen[v]:
+            last, seen[v] = v, True
+            _search(out, v, seen)
+    only = [v == last for v in range(g.n_agents)]
+    if not all(_search(out, last, list(only))):
+        return np.zeros(g.n_agents, dtype=bool)
+    return np.array(_search([np.flatnonzero(row).tolist() for row in g.adjacency], last, only))
 
 
 def has_spanning_tree(g: DirectedGraph) -> bool:

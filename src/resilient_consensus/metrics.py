@@ -10,7 +10,7 @@ import numpy as np
 
 from .attacks import ROOT_TARGET_TOL, AttackGenerator, effective_injection
 from .design import joint_radius
-from .dynamics import MARGINAL_TOL, LtiModel, baseline_radius, block_eigenvalues
+from .dynamics import MARGINAL_TOL, LtiModel, baseline_radius, block_spectra
 from .graph import DirectedGraph, GraphSpectrum
 
 GROWTH_WINDOW_FRACTION = 0.2
@@ -63,8 +63,7 @@ def deviation_bound(model: LtiModel, spectrum: GraphSpectrum, ctrl,
     """
     if n_attacked == 0:
         return 0.0
-    lam_min = min(float(np.abs(eigs).min()) for eigs in
-                  block_eigenvalues(model, spectrum.eigenvalues, ctrl.K, ctrl.c))
+    lam_min = float(np.abs(block_spectra(model, spectrum.eigenvalues, ctrl.K, ctrl.c)).min())
     if lam_min < 1e-9:
         return None
     b_norm = float(np.linalg.norm(model.B, ord=2))

@@ -236,7 +236,9 @@ def with_leader_row(graph, rng):
 def test_threshold_equals_the_dense_kronecker_sum(integrator, rotation2d):
     """The threshold sums the matrix of ``engine._Law``'s attack-free step; it
     equals the sum on the dense Kronecker A_c to 1e-12, on the bundled
-    resilient scenarios and on random graphs with and without a leader row."""
+    resilient scenarios, on random graphs with and without a leader row, and
+    on a sparse 50-agent network, whose marginal modes are real for the
+    integrator and complex for the rotation."""
     cases = []
     for name, raw in BUNDLED_SCENARIOS.items():
         if raw["controller"] == "resilient":
@@ -253,6 +255,9 @@ def test_threshold_equals_the_dense_kronecker_sum(integrator, rotation2d):
                 spectrum = normalized_laplacian(g)
                 cases.append((model, spectrum, design_controller(model, spectrum)))
     assert sum(not s.normalized_laplacian[0].any() for _, s, _ in cases) >= 6
+    network = normalized_laplacian(random_spanning_tree_digraph(50, rng, 0.02, weighted=True))
+    cases.extend((model, network, design_controller(model, network))
+                 for model in (integrator, rotation2d))
     for model, spectrum, ctrl in cases:
         got = consensus_error_threshold(model, spectrum, ctrl, 2.5)
         want = kron_threshold(model, spectrum, ctrl, 2.5)

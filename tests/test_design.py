@@ -1,9 +1,11 @@
 import dataclasses
+import importlib.util
 import json
 import sys
 import threading
 import time
 from collections import OrderedDict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from resilient_consensus import (BUNDLED_SCENARIOS, THETA_BOUND, ControllerConfi
                                  DirectedGraph, LtiModel, coupling_range, design_controller,
                                  design_gain, joint_radius, list_scenarios, load_config,
                                  normalized_laplacian, solve_dare)
-from resilient_consensus import design
+from resilient_consensus import design, dynamics
 from resilient_consensus.cli import main
 from resilient_consensus.design import COUPLING_GRID, DESIGN_MEMO_SIZE
 from resilient_consensus.scenarios import MODEL_PRESETS
@@ -322,6 +324,67 @@ def test_bundled_scenario_gains_pinned():
         ctrl = design_controller(config.model, normalized_laplacian(config.graph),
                                  Q1=config.q1, R1=config.r1, c=config.c, theta=config.theta)
         assert (ctrl.c, ctrl.theta) == (c, theta), name
+
+
+def _core_periphery_graph():
+    """``core_periphery_graph`` of the benchmark's large_network workload, read
+    from its file, so that the pins below are its draws."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(module)  # its dataclasses look their module up by name
+    return module.core_periphery_graph
+
+
+GRID_NOTES = {"single_integrator": "analytic coupling interval empty; grid fallback over "
+                                   "(0.02, 4] used",
+              "rotation2d": "analytic coupling interval unbounded; grid fallback used"}
+# (model, N, rng seed): (c, theta) as float hex, with theta = 0.9 * theta_bound
+NETWORK_GAINS = {
+    ("single_integrator", 50, 11): ("0x1.eb851eb851eb9p-1", "0x1.45d5b5c3f4f6bp-1"),
+    ("single_integrator", 50, 12): ("0x1.0f5c28f5c28f6p+0", "0x1.45d5b5c3f4f6bp-1"),
+    ("single_integrator", 200, 11): ("0x1.ccccccccccccdp-1", "0x1.45d5b5c3f4f6bp-1"),
+    ("single_integrator", 200, 12): ("0x1.7ae147ae147aep-1", "0x1.45d5b5c3f4f6bp-1"),
+    ("rotation2d", 50, 11): ("0x1.b851eb851eb85p-1", "0x1.45d5b5c3f4f6bp-1"),
+}
+
+
+def test_core_periphery_network_gains_pinned(cold_designs):
+    """Designs on the benchmark's random networks, pinned bit for bit; the
+    AUV has no stabilizing grid coupling on them."""
+    graph = _core_periphery_graph()
+    for (preset, N, seed), (c, theta) in NETWORK_GAINS.items():
+        model = LtiModel(A=MODEL_PRESETS[preset]["A"], B=MODEL_PRESETS[preset]["B"])
+        edges, _ = graph(N, np.random.default_rng(seed))
+        ctrl = design_controller(model, normalized_laplacian(DirectedGraph.from_edges(N, edges)))
+        assert (ctrl.c.hex(), ctrl.theta.hex()) == (c, theta), (preset, N, seed)
+        assert ctrl.notes == (GRID_NOTES[preset],
+                              "theta = 0.9 * theta_bound keeps compensator blocks Schur")
+    auv = LtiModel(A=MODEL_PRESETS["auv_diving"]["A"], B=MODEL_PRESETS["auv_diving"]["B"])
+    edges, _ = graph(50, np.random.default_rng(11))
+    with pytest.raises(DesignError, match="no coupling on the search grid"):
+        design_controller(auv, normalized_laplacian(DirectedGraph.from_edges(50, edges)))
+
+
+@pytest.mark.parametrize("entries", [1, 7, 64])
+def test_stack_size_leaves_designs_unchanged(monkeypatch, cold_designs, entries):
+    """Eigenvalue stacks of a few entries, so that the builder and the theta
+    search take many chunks, give every bundled design bit for bit."""
+    want = {}
+    for name in list_scenarios():
+        config = load_config(name)
+        want[name] = design_controller(config.model, normalized_laplacian(config.graph),
+                                       Q1=config.q1, R1=config.r1, c=config.c,
+                                       theta=config.theta)
+    cold_designs.clear()
+    monkeypatch.setattr(dynamics, "STACK_ENTRIES", entries)
+    monkeypatch.setattr(design, "STACK_ENTRIES", entries)
+    for name in list_scenarios():
+        config = load_config(name)
+        got = design_controller(config.model, normalized_laplacian(config.graph),
+                                Q1=config.q1, R1=config.r1, c=config.c, theta=config.theta)
+        assert got is not want[name]
+        assert_same_design(got, want[name])
 
 
 def assert_same_design(a, b):

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
 
-from resilient_consensus import (ControllerConfig, DirectedGraph, GraphError, LtiModel,
-                                 design_controller, normalized_laplacian,
-                                 predict_consensus_value, simulate)
-from resilient_consensus.design import baseline_radius
-from resilient_consensus.dynamics import block_eigenvalues
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_spanning_tree_digraph
+from resilient_consensus import (THETA_BOUND, ControllerConfig, DirectedGraph, GraphError,
+                                 LtiModel, design_controller, joint_radius, normalized_laplacian,
+                                 predict_consensus_value, simulate)
+from resilient_consensus.design import COUPLING_GRID, baseline_radius
+from resilient_consensus.dynamics import block_spectra
+from resilient_consensus.scenarios import MODEL_PRESETS
+
+from conftest import random_forest_digraph, random_spanning_tree_digraph
 
 
 def kron_closed_loop(model, spectrum, ctrl):
@@ -19,7 +23,7 @@ def kron_closed_loop(model, spectrum, ctrl):
 
 def block_union(model, spectrum, ctrl):
     """eig(A - c lam BK) over every Laplacian eigenvalue lam, zero included."""
-    return np.concatenate(list(block_eigenvalues(model, spectrum.eigenvalues, ctrl.K, ctrl.c)))
+    return block_spectra(model, spectrum.eigenvalues, ctrl.K, ctrl.c).ravel()
 
 
 def assert_same_spectrum(actual, expected, atol):
@@ -100,6 +104,83 @@ def test_auv_designed_gain_is_schur(auv_model):
         radius = baseline_radius(auv_model, spectrum, ctrl.K, c)
         assert abs(np.abs(rest).max() - radius) <= 1e-2 * radius
         assert (radius < 1.0) == (c == ctrl.c)
+
+
+def dense_error_loop(model, spectrum, K, c, theta):
+    """I_N (x) A - c Lhat (x) BK, and with ``theta`` the plant+compensator loop
+    [[I (x) A - c Lhat (x) BK, -I (x) B], [theta c Lhat (x) K, theta I]], dense."""
+    lap = spectrum.normalized_laplacian
+    eye = np.eye(lap.shape[0])
+    plant = np.kron(eye, model.A) - c * np.kron(lap, model.B @ K)
+    if theta is None:
+        return plant
+    return np.block([[plant, -np.kron(eye, model.B)],
+                     [theta * c * np.kron(lap, K), theta * np.eye(lap.shape[0] * K.shape[0])]])
+
+
+def without(eigs, removed):
+    """``eigs`` less the nearest match of each entry of ``removed``."""
+    left = list(eigs)
+    for lam in removed:
+        left.pop(int(np.argmin(np.abs(np.array(left) - lam))))
+    return np.array(left)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), preset=st.sampled_from(sorted(MODEL_PRESETS)),
+       forest=st.booleans(), compensated=st.booleans())
+def test_block_spectra_match_the_dense_kronecker_loop(seed, preset, forest, compensated):
+    """Over an array of couplings, the batched radii (nonzero Laplacian
+    eigenvalues) and smallest moduli (every eigenvalue) equal those of the
+    dense Kronecker loop, whose spectrum less the zero_multiplicity copies of
+    the lam = 0 block's is what the radius reads. Random edge weights keep
+    Lhat free of Jordan blocks, which the dense eig resolves only roughly."""
+    rng = np.random.default_rng(seed)
+    n_agents = int(rng.integers(2, 7))
+    g = (random_forest_digraph(n_agents, rng, 0.3) if forest
+         else random_spanning_tree_digraph(n_agents, rng, 0.3))
+    spectrum = normalized_laplacian(DirectedGraph(
+        g.adjacency * rng.uniform(0.5, 2.0, size=g.adjacency.shape)))
+    model = LtiModel(A=MODEL_PRESETS[preset]["A"], B=MODEL_PRESETS[preset]["B"])
+    K = rng.normal(size=(model.input_dim, model.state_dim))
+    couplings = rng.uniform(0.05, 3.0, size=3)
+    theta = float(rng.uniform(0.05, THETA_BOUND)) if compensated else None
+    if theta is None:
+        radii = baseline_radius(model, spectrum, K, couplings)
+        zero_block = np.linalg.eigvals(model.A)
+    else:
+        radii = joint_radius(model, spectrum, K, couplings, theta)
+        zero_block = np.concatenate([np.linalg.eigvals(model.A), np.full(model.input_dim, theta)])
+    smallest = np.abs(block_spectra(model, spectrum.eigenvalues, K, couplings, theta)).min(
+        axis=(1, 2))
+    assert radii.shape == smallest.shape == (3,)
+    for c, radius, low in zip(couplings, radii, smallest):
+        dense = np.linalg.eigvals(dense_error_loop(model, spectrum, K, c, theta))
+        rest = without(dense, np.tile(zero_block, spectrum.zero_multiplicity))
+        assert abs(np.abs(rest).max(initial=0.0) - radius) <= 1e-6 * max(radius, 1.0)
+        assert abs(np.abs(dense).min() - low) <= 1e-6 * max(low, 1.0)
+        # one coupling gives a float, the same as its entry of the array
+        one = (baseline_radius(model, spectrum, K, float(c)) if theta is None
+               else joint_radius(model, spectrum, K, float(c), theta))
+        assert isinstance(one, float) and one == radius
+
+
+def test_block_spectra_of_an_edgeless_graph_give_zero_radii(integrator, auv_model):
+    edgeless = normalized_laplacian(DirectedGraph(np.zeros((3, 3))))
+    assert edgeless.nonzero_eigenvalues().size == 0
+    for model in (integrator, auv_model):
+        K = np.ones((model.input_dim, model.state_dim))
+        assert baseline_radius(model, edgeless, K, 1.0) == 0.0
+        assert joint_radius(model, edgeless, K, 1.0, 0.5) == 0.0
+        np.testing.assert_array_equal(baseline_radius(model, edgeless, K, COUPLING_GRID),
+                                      np.zeros(COUPLING_GRID.size))
+        np.testing.assert_array_equal(joint_radius(model, edgeless, K, COUPLING_GRID[:5], 0.5),
+                                      np.zeros(5))
+        # every lam = 0 block is A itself
+        spectra = block_spectra(model, edgeless.eigenvalues, K, COUPLING_GRID[:2])
+        assert spectra.shape == (2, 3, model.state_dim)
+        for block in spectra.reshape(-1, model.state_dim):
+            assert_same_spectrum(block, np.linalg.eigvals(model.A), atol=1e-12)
 
 
 def test_step_examples(integrator, example1_graph, example1_spectrum):

@@ -167,6 +167,19 @@ def test_attacks_that_cancel_predict_consensus():
     assert trace.prediction == "CONSENSUS"
 
 
+@pytest.mark.parametrize("start, prediction", [
+    (5000, "CONSENSUS"), (4000, "CONSENSUS"), (3999, "DESTABILIZE"), (3000, "DESTABILIZE")])
+def test_the_verdict_reads_only_attacks_that_start_inside_the_horizon(start, prediction):
+    # a constant attack on root agent 0 of a 4000-step run
+    trace = _example1_run("single_integrator", [
+        {"agent": 0, "channel": "actuator", "signal": {"type": "constant", "value": [1.0]},
+         "start": start}])
+    assert trace.prediction == prediction
+    if start >= 4000:  # the attack never runs
+        assert trace.intact_agents == (0, 1, 2, 3) and not trace.diverged
+        assert trace.prediction_matches_divergence
+
+
 def test_growth_analysis_shapes():
     decaying = 5.0 * 0.97 ** np.arange(400)
     assert not analyze_growth(decaying).growth_detected
