@@ -67,8 +67,13 @@ def consensus_error_threshold(model: LtiModel, spectrum: GraphSpectrum,
     marginal consensus modes (the lam = 0 block carrying A's non-Schur
     eigenvalues) the response to a bounded rejection error is bounded by the
     l1 impulse-response gain, summed here until the geometric tail is
-    negligible. Along the marginal modes themselves no bound exists;
-    root-directed attacks drive those modes regardless of the compensator.
+    negligible. Every term is projected onto that complement by the rank-r
+    update x - R (L' x), with the right modes 1 (x) w of A_c in R, the left
+    modes r (x) wl scaled to unit pairing in L', and r the number of
+    marginal eigenvalues of A; so a term costs one product with A_c, a real
+    GEMM, and two thin ones. Along the marginal modes themselves no bound
+    exists; root-directed attacks drive those modes regardless of the
+    compensator.
     A series that has not converged after MAX_TERMS terms would
     underestimate the bound, so it raises ValueError instead.
 
@@ -90,9 +95,8 @@ def consensus_error_threshold(model: LtiModel, spectrum: GraphSpectrum,
 
     a_c = _matrix(step, N * n)
 
-    # the lam = 0 block's marginal modes, right 1 (x) w and left r (x) wl of A_c
-    # (bilinear pairing), removed by the rank-r update x - R (L' x), in real
-    # arithmetic when those modes are real
+    # the marginal modes of the lam = 0 block (bilinear pairing), kept real
+    # when they are, so that a real term stays real
     modes = model.marginal_eigenvalues
     eigvals, right = np.linalg.eig(model.A)
     eigvals_l, left = np.linalg.eig(model.A.T)

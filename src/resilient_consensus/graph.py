@@ -138,6 +138,15 @@ def normalized_laplacian(g: DirectedGraph) -> GraphSpectrum:
     )
 
 
+def _lists(mask: np.ndarray) -> list:
+    """Edge lists of a boolean matrix: for each row, the columns it is True in."""
+    lists = [[] for _ in mask]
+    rows, cols = np.nonzero(mask)
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        lists[i].append(j)
+    return lists
+
+
 def _search(lists: list, start: int, seen: list | None = None) -> list:
     """Mark in ``seen`` (by default a list with none marked) every agent that
     a path of length >= 1 along the edge lists ``lists`` leads to from
@@ -153,11 +162,6 @@ def _search(lists: list, start: int, seen: list | None = None) -> list:
     return seen
 
 
-def _out_lists(g: DirectedGraph) -> list:
-    """Each agent's out-neighbours, the agents that hear it."""
-    return [np.flatnonzero(column).tolist() for column in g.adjacency.T]
-
-
 def _check_agents(g: DirectedGraph, *agents: int) -> None:
     if not all(0 <= a < g.n_agents for a in agents):
         raise GraphError(f"agent index out of range for {g.n_agents} agents")
@@ -166,13 +170,13 @@ def _check_agents(g: DirectedGraph, *agents: int) -> None:
 def is_reachable(g: DirectedGraph, from_agent: int, to_agent: int) -> bool:
     """True iff a directed information path exists from ``from_agent`` to ``to_agent``."""
     _check_agents(g, from_agent, to_agent)
-    return from_agent == to_agent or _search(_out_lists(g), from_agent)[to_agent]
+    return from_agent == to_agent or _search(_lists(g.adjacency.T > 0), from_agent)[to_agent]
 
 
 def reachable_set(g: DirectedGraph, from_agent: int) -> frozenset:
     """All agents reachable from ``from_agent`` (excluding itself unless on a cycle)."""
     _check_agents(g, from_agent)
-    return frozenset(np.flatnonzero(_search(_out_lists(g), from_agent)).tolist())
+    return frozenset(np.flatnonzero(_search(_lists(g.adjacency.T > 0), from_agent)).tolist())
 
 
 def _roots(g: DirectedGraph) -> np.ndarray:
@@ -183,7 +187,7 @@ def _roots(g: DirectedGraph) -> np.ndarray:
     last search would have marked its start ``last`` too. So if a root
     exists, ``last`` is one, and the roots are the agents that reach it.
     """
-    out, seen = _out_lists(g), [False] * g.n_agents
+    out, seen = _lists(g.adjacency.T > 0), [False] * g.n_agents
     for v in range(g.n_agents):
         if not seen[v]:
             last, seen[v] = v, True
@@ -191,7 +195,7 @@ def _roots(g: DirectedGraph) -> np.ndarray:
     only = [v == last for v in range(g.n_agents)]
     if not all(_search(out, last, list(only))):
         return np.zeros(g.n_agents, dtype=bool)
-    return np.array(_search([np.flatnonzero(row).tolist() for row in g.adjacency], last, only))
+    return np.array(_search(_lists(g.adjacency > 0), last, only))
 
 
 def has_spanning_tree(g: DirectedGraph) -> bool:
