@@ -2,12 +2,12 @@
 
 Every signal is linear exogenous dynamics f(j+1) = W f(j) with a read-out: a
 constant is W = I, and a sinusoid is a 2x2 rotation read out through an
-amplitude map. A run's attacks stack into one ``AttackGenerator``, and every
-attack quantity is a linear read-out of its state: the signals, the injection
-f, and the root-directed projection S(k) = p'f(k). Whether such a read-out is
-zero at all is decided exactly by the first dim W read-outs after the last
-start (Cayley-Hamilton), and ``metrics.destabilization_verdict`` tests growth
-on the Krylov space that those steps span.
+amplitude map. A run's attacks stack into one time-invariant exosystem
+g(k+1) = W g(k), the ``AttackGenerator``, and every attack quantity is a
+linear read-out of g: the signals, the injection f, and the root-directed
+projection S(k) = p'f(k). Whether such a read-out is zero at all is decided
+exactly on ``AttackGenerator.window`` (Cayley-Hamilton), and
+``metrics.destabilization_verdict`` tests growth on the Krylov space it spans.
 """
 from __future__ import annotations
 
@@ -105,14 +105,14 @@ def signal_series(spec: AttackSpec, length: int) -> np.ndarray:
 
 
 class AttackGenerator:
-    """Every attack of a run as one exosystem g(j+1) = W g(j), g(0) = g0.
+    """Every attack of a run as one time-invariant exosystem g(k+1) = W g(k).
 
-    W is block diagonal and g0 stacks the attacks' f0. State i holds (the
-    identity replaces its block) and reads out nothing before its attack's
-    ``starts[i]``. ``readout`` (dim, N (n + m)) maps g into every agent's n
-    sensor slots followed by its m actuator slots; a slot no attack writes
-    reads zero. Construction raises ValueError for an agent out of range or a
-    signal of the wrong width.
+    W is block diagonal. Attack i's rows of g are zero before its start step
+    ``starts[i]``, where they are set to its f0 (``g0``), so every signal is a
+    read-out of g at its own step. ``readout`` (dim, N (n + m)) maps g into
+    every agent's n sensor slots followed by its m actuator slots; a slot no
+    attack writes reads zero. Construction raises ValueError for an agent out
+    of range or a signal of the wrong width.
     """
 
     def __init__(self, specs, n_agents: int, state_dim: int, input_dim: int):
@@ -140,37 +140,27 @@ class AttackGenerator:
             agent_slots[lo:hi, spec.agent, slot:slot + width] = sig.output.T
             lo = hi
 
-    def held(self, k: int) -> np.ndarray:
-        """The map from g(k) to g(k+1)."""
-        return np.where((self.starts <= k)[:, None], self.W, np.eye(len(self.g0)))
-
     def state(self, k: int) -> np.ndarray:
-        """g(k), by one matrix power per stretch between start steps."""
-        steps = sorted({0, k, *(int(s) for s in self.starts if s < k)})
-        g = self.g0
-        for a, b in zip(steps, steps[1:]):
-            g = np.linalg.matrix_power(self.held(a), b - a) @ g
+        """g(k): W^(k - s) applied to the f0 of the attacks that start at s, for
+        each start s <= k; the rows of attacks that start later are zero."""
+        g = np.zeros(len(self.g0))
+        for s in set(self.starts[self.starts <= k].tolist()):
+            g += np.linalg.matrix_power(self.W, k - s) @ np.where(self.starts == s, self.g0, 0.0)
         return g
 
-    def live(self, states: np.ndarray, ks) -> np.ndarray:
-        """``states`` (rows, dim), one row per step of ``ks`` (or all at step
-        ``ks``), with the entries of attacks not yet started set to zero."""
-        return np.where(self.starts <= np.asarray(ks)[..., None], states, 0.0)
+    def window(self) -> np.ndarray:
+        """g at the dim W steps from the last start on, one row a step. From there
+        every attack is live and g only follows W, so by Cayley-Hamilton every
+        later g is a combination of these rows, and a linear read-out that
+        vanishes on them vanishes for good."""
+        last = int(self.starts.max(initial=0))
+        return np.reshape([self.state(last + j) for j in range(len(self.g0))], (len(self.g0),) * 2)
 
-    def read(self, states: np.ndarray, ks):
+    def read(self, states: np.ndarray):
         """(sensor, actuator) signals (rows, N, n) and (rows, N, m) of ``states``
-        (rows, dim), one row per step of ``ks`` (or all at step ``ks``), from
-        one product with ``readout``."""
-        out = (self.live(states, ks) @ self.readout).reshape(len(states), *self.slots)
+        (rows, dim), from one product with ``readout``."""
+        out = (states @ self.readout).reshape(len(states), *self.slots)
         return out[..., :self.state_dim], out[..., self.state_dim:]
-
-    def live_window(self):
-        """``read`` of the dim W steps from the last start on, where g follows W
-        alone. By Cayley-Hamilton every later W^j is a combination of these
-        powers, so a linear read-out that vanishes here vanishes for good."""
-        last, size = int(self.starts.max(initial=0)), len(self.g0)
-        return self.read(np.array([self.state(last + j) for j in range(size)]).reshape(size, size),
-                         last)
 
 
 def effective_injection(sensor, actuator, norm_lap: np.ndarray, c: float,
@@ -197,7 +187,7 @@ def effective_attack(specs, model: LtiModel, spectrum: GraphSpectrum, ctrl,
     """
     lap = spectrum.normalized_laplacian
     gen = AttackGenerator(specs, lap.shape[0], model.state_dim, model.input_dim)
-    return effective_injection(*gen.read(gen.state(k)[None], k), lap, ctrl.c, ctrl.K)[0]
+    return effective_injection(*gen.read(gen.state(k)[None]), lap, ctrl.c, ctrl.K)[0]
 
 
 def attack_projection(f_agents: np.ndarray, spectrum: GraphSpectrum) -> np.ndarray:
@@ -210,8 +200,8 @@ def attack_projection(f_agents: np.ndarray, spectrum: GraphSpectrum) -> np.ndarr
 
 def root_targeted(specs, model: LtiModel, spectrum: GraphSpectrum, ctrl) -> bool:
     """True when S(k) = p' f(k) exceeds ROOT_TARGET_TOL at some step where every
-    attack is live, decided exactly from ``AttackGenerator.live_window``."""
+    attack is live, decided exactly from ``AttackGenerator.window``."""
     lap = spectrum.normalized_laplacian
     gen = AttackGenerator(specs, lap.shape[0], model.state_dim, model.input_dim)
-    f = effective_injection(*gen.live_window(), lap, ctrl.c, ctrl.K)
+    f = effective_injection(*gen.read(gen.window()), lap, ctrl.c, ctrl.K)
     return bool((np.linalg.norm(attack_projection(f, spectrum), axis=1) > ROOT_TARGET_TOL).any())

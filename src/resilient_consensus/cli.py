@@ -15,6 +15,7 @@ import sys
 import numpy as np
 
 from .design import DesignError
+from .engine import HorizonError
 from .graph import GraphError
 from .scenarios import (BUNDLED_SCENARIOS, ConfigError, ScenarioConfig, list_scenarios,
                         load_config, run, validate)
@@ -172,7 +173,7 @@ def main(argv=None) -> int:
         if args.fail_on_divergence and diverged_any:
             return EXIT_DIVERGENCE
         return EXIT_OK
-    except ConfigError as exc:
+    except (ConfigError, HorizonError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (DesignError, GraphError, np.linalg.LinAlgError) as exc:

@@ -26,15 +26,14 @@ the law, add the actuator injection, advance the plant and the predictor,
 update the compensator. Every quantity stored for step k is the value used
 during it.
 
-The predictor's operator is fixed. The error system's switches at each
-attack's ``start_step`` (before it, the attack's block of g holds at f0 and
-reads out nothing) and, for the resilient controller, at ``compensator_start``
-(before it, d is held at zero): each stretch between switch times is a
-regime with its own operator F_Q. The injection is f(k) = M' g(k) of the
-rows of g whose attacks have started (``AttackGenerator.live``); M, read
+The predictor's operator is fixed. The error system's operator F_Q changes
+only at ``compensator_start``, for the resilient controller (before it, d is
+held at zero): g(k+1) = W g(k) at every step, because an attack's rows of g
+are zero until its ``start_step``, where the run sets them to its f0. The
+stretches between the switch times, the compensator's start and each
+attack's, are the regimes. The injection is f(k) = M' g(k), with M read
 through ``attacks.effective_injection`` (so f's sensor product is still
-written once) in the last regime, where every attack has started, is cut to
-its columns that are not all zero.
+written once) and cut to its columns that are not all zero.
 
 The loop does not form the states of most steps, only what is read from
 them: x = x_hat + e, which gives ||x||_inf and the crossing, and the live
@@ -69,7 +68,7 @@ this one rule, so step 0 and the horizon are tested like any other. The
 injection peaks count only the steps before the crossing. x = x_hat + e, d,
 the consensus error and u of the stored steps follow from their rows of both
 systems in one evaluation after the loop, when the workspace has been
-released, and f as M' g of their live generator rows. A diverging run may
+released, and f as M' g of their generator rows. A diverging run may
 overflow past its crossing, and in that evaluation below a threshold near
 the largest float, so both run with NumPy's overflow warnings off.
 
@@ -128,6 +127,10 @@ class LeaderSpec:
     K0: np.ndarray
     amplitude: float = 1.0
     omega: float = 0.05
+
+
+class HorizonError(ValueError):
+    """A horizon whose per-step arrays cannot be allocated."""
 
 
 class _Law:
@@ -318,8 +321,9 @@ def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
     The run truncates early (with the divergence flag) if the state goes
     non-finite or crosses the magnitude threshold; the growth detector is
     applied to the inf-norm series afterwards either way. A non-finite ``x0``
-    or ``predictor_init``, or an attack on an agent the graph does not have,
-    raises ValueError.
+    or ``predictor_init``, or an attack on an agent the graph does not have
+    (whenever it starts), raises ValueError; a horizon that cannot be allocated
+    raises its subclass HorizonError.
     """
     if controller not in ("baseline", "resilient"):
         raise ValueError(f"unknown controller {controller!r}")
@@ -335,9 +339,11 @@ def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
     # d stays zero unless the compensator starts inside the horizon
     compensating = controller == "resilient" and compensator_start < horizon
     Nd = Nm if compensating else 0
-    gen = AttackGenerator(attacks, N, n, m)
+    AttackGenerator(attacks, N, n, m)  # checks every attack's agent and signal width
     if leader is not None and any(spec.agent == 0 for spec in attacks):
         raise ValueError("the leader agent is trusted and cannot be attacked")
+    attacks = [spec for spec in attacks if spec.start_step < horizon]
+    gen = AttackGenerator(attacks, N, n, m)
 
     x = np.asarray(x0, dtype=float).reshape(N, n)
     if not np.isfinite(x).all():
@@ -365,11 +371,11 @@ def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
 
     def error_step(q, t):
         """q -> its value one step later, in the regime of step t: g advances by
-        ``gen.held(t)``, and d updates from compensator_start on."""
+        ``gen.W``, and d updates from compensator_start on."""
         e = q[:, :Nn].reshape(-1, N, n)
         d = q[:, Nn:Nn + Nd].reshape(-1, N, m) if compensating else 0.0
         g = q[:, Nn + Nd:]
-        s, a = gen.read(g, t)
+        s, a = gen.read(g)
         U = law(e, s, d, np.zeros((len(q), 2)))  # U - U_hat: the reference cancels
         out = np.empty_like(q)
         out[:, :Nn] = (e @ A_T + (U + a) @ B_T).reshape(-1, Nn)
@@ -377,24 +383,23 @@ def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
             if compensator_start <= t:
                 d = law.compensate(d, e + s)
             out[:, Nn:Nn + Nd] = d.reshape(-1, Nd)
-        out[:, Nn + Nd:] = g @ gen.held(t).T
+        out[:, Nn + Nd:] = g @ gen.W.T
         return out
 
     p = np.concatenate([x_hat.ravel(), [0.0, 1.0] if leader is not None else []])
     dp = len(p)
-    q = np.concatenate([(x - x_hat).ravel(), np.zeros(Nd), gen.g0])
+    q = np.concatenate([(x - x_hat).ravel(), np.zeros(Nd + len(gen.g0))])
     dq = len(q)
 
-    switches = {0, horizon, *gen.starts[gen.starts < horizon].tolist()}
+    switches = {0, horizon, *gen.starts.tolist()}
     if compensating:
         switches.add(compensator_start)
     switches = sorted(switches)
-    # f(k) = M' g(k) of the live generator rows, with M read in the last regime,
-    # where every attack of the run has started; only the columns of M that are
-    # not all zero can move a peak
-    M = effective_injection(*gen.read(np.eye(len(gen.g0)), switches[-2]), norm_lap, ctrl.c,
+    # f(k) = M' g(k); only the columns of M that are not all zero can move a peak
+    M = effective_injection(*gen.read(np.eye(len(gen.g0))), norm_lap, ctrl.c,
                             ctrl.K).reshape(-1, Nm)
     cols = np.flatnonzero(M.any(axis=0))
+    M_cols = M[:, cols]
     agents = cols // m
 
     R = Nn + len(cols)  # read-out rows a step: x and the live injection columns
@@ -416,10 +421,13 @@ def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
 
     # the stored steps keep their rows of both systems; every stored quantity
     # follows from those after the loop
-    stored_ks = np.arange(0, horizon, store_stride)
-    store_P = np.empty((len(stored_ks), dp))
-    store_Q = np.empty((len(stored_ks), dq))
-    inf_norms = np.empty(horizon + B0)  # the last block may reach B0 - 1 past the end
+    try:  # the only arrays that grow with the horizon
+        stored_ks = np.arange(0, horizon, store_stride)
+        store_P = np.empty((len(stored_ks), dp))
+        store_Q = np.empty((len(stored_ks), dq))
+        inf_norms = np.empty(horizon + B0)  # the last block may reach B0 - 1 past the end
+    except (ValueError, MemoryError) as exc:
+        raise HorizonError(f"horizon: {horizon} steps cannot be allocated") from exc
     per_agent_peak = np.zeros(N)
     attack_bound = 0.0
 
@@ -430,14 +438,15 @@ def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
         for start, end in zip(switches, switches[1:]):
             if first_crossing is not None:
                 break
+            # an attack's start sets its rows of g to its f0
+            q[Nn + Nd:] = np.where(gen.starts == start, gen.g0, q[Nn + Nd:])
             span = min(window, end - start)  # the regime's length, up to a window
             (P_pow, P_up), (Q_pow, Q_up) = _grid(
                 span, B0, F_P, _matrix(lambda z: error_step(z, start), dq))
             B = len(P_pow) // dp
             rows = span // B + 1
             Zp, Zq = np.empty((rows, dp)), np.empty((rows, dq))
-            M_live = gen.live(M[:, cols].T, start).T
-            proj = _projection(P_pow, Q_pow, Nn, M_live)
+            proj = _projection(P_pow, Q_pow, Nn, M_cols)
             Z = np.empty((rows, dp + dq))
             while k < end and first_crossing is None:
                 # a segment of ``steps`` steps from step k: its J block starts reach
@@ -452,7 +461,7 @@ def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
                 # t = 0 reads the block starts themselves, t = 1..B-1 their projection
                 np.add(Zp[:J, :Nn], Zq[:J, :Nn], out=Y[:Nn].T)
                 if len(cols):  # with no live injection column f is zero and read nowhere
-                    np.matmul(M_live.T, Zq[:J, dq - len(M_live):].T, out=Y[Nn:R])
+                    np.matmul(M_cols.T, Zq[:J, dq - len(M_cols):].T, out=Y[Nn:R])
                 np.matmul(proj, Z[:J].T, out=Y[R:])
                 np.abs(Y, out=Y)
                 # Y[t, :, j]: |x| and |f| at step k + jB + t
@@ -494,9 +503,9 @@ def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
     store_cerr = np.abs(e.transpose(2, 0, 1), order="C").max(axis=0)
     store_d = (store_Q[:si, Nn:Nn + Nd].reshape(-1, N, m).copy() if compensating
                else np.zeros((si, N, m)))
-    g = gen.live(store_Q[:si, Nn + Nd:], stored_ks)
-    sens = gen.read(g, stored_ks)[0]
-    del store_Q, e  # nothing derived keeps the error system's rows, so d is a copy
+    g = store_Q[:si, Nn + Nd:].copy()
+    sens = gen.read(g)[0]
+    del store_Q, e  # nothing derived keeps the error system's rows, so d and g are copies
     inf_norms = inf_norms[:steps_run + 1]
     # as the propagation, u, f, eps, Gamma and the tail slope may overflow
     with np.errstate(over="ignore", invalid="ignore"):
@@ -505,9 +514,7 @@ def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
         store_eps = -norm_lap @ store_x
         gamma = global_performance(store_x, graph)
         growth = analyze_growth(inf_norms)
-    # the verdict reads the attacks the run switches on
-    prediction = destabilization_verdict([a for a in attacks if a.start_step < horizon], model,
-                                         spectrum, ctrl, compensating)
+    prediction = destabilization_verdict(attacks, model, spectrum, ctrl, compensating)
     intact = tuple(int(i) for i in range(N) if per_agent_peak[i] <= 1e-12)
 
     return SimulationTrace(

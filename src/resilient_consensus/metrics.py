@@ -133,8 +133,9 @@ def destabilization_verdict(specs, model: LtiModel, spectrum: GraphSpectrum, ctr
     The attacks stack into one ``AttackGenerator`` g(j+1) = W g(j), read from
     the last start on, where every attack is live, and f = M'g, with M read
     through ``effective_injection`` as the engine reads it. f is zero for good
-    when its first dim W steps read at most ROOT_TARGET_TOL (Cayley-Hamilton),
-    the rule that gives the run's ``intact_agents``.
+    when it reads at most ROOT_TARGET_TOL on ``AttackGenerator.window``, the
+    dim W steps from the last start (Cayley-Hamilton), the rule that gives the
+    run's ``intact_agents``.
 
     Since p'Lhat = 0, the common mode c = p'x follows
     c(k+1) = A c(k) + B S(k) - B p'd(k) with S = p'f, and p'd decays in a
@@ -152,13 +153,11 @@ def destabilization_verdict(specs, model: LtiModel, spectrum: GraphSpectrum, ctr
     """
     lap = spectrum.normalized_laplacian
     gen = AttackGenerator(specs, lap.shape[0], model.state_dim, model.input_dim)
-    last = int(gen.starts.max(initial=0))
-    g, W = gen.state(last), gen.W
-    M = effective_injection(*gen.read(np.eye(len(g)), last), lap, ctrl.c, ctrl.K)
-    window = np.array([np.linalg.matrix_power(W, j) @ g for j in range(len(g))])
+    window = gen.window()
+    M = effective_injection(*gen.read(np.eye(len(window))), lap, ctrl.c, ctrl.K)
     live = bool(np.abs(window @ M.swapaxes(0, 1)).max(initial=0.0) > ROOT_TARGET_TOL)
     p = spectrum.left_eigvec_zero
-    if (live and _grows(model, W, g, M, np.zeros(len(lap)) if p is None else p)
+    if (live and _grows(model, gen.W, window[0], M, np.zeros(len(lap)) if p is None else p)
             or baseline_radius(model, spectrum, ctrl.K, ctrl.c) >= 1.0
             or compensating and joint_radius(model, spectrum, ctrl.K, ctrl.c, ctrl.theta) >= 1.0):
         return Verdict.DESTABILIZE

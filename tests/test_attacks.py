@@ -105,7 +105,7 @@ def test_unused_channels_read_as_zeros():
     for specs in ([act], [sens], []):
         gen = AttackGenerator(specs, 3, 2, 1)
         states = np.array([gen.state(k) for k in ks]).reshape(len(ks), len(gen.g0))
-        sensor, actuator = gen.read(states, ks)
+        sensor, actuator = gen.read(states)
         assert sensor.shape == (7, 3, 2) and actuator.shape == (7, 3, 1)
         expected_a = np.zeros((7, 3, 1))
         expected_s = np.zeros((7, 3, 2))
@@ -264,3 +264,26 @@ def test_generator_matches_series_probe_and_closed_form(attacks):
         expected = -PROP_CTRL.c * (PROP_SPECTRUM.normalized_laplacian @ sens) @ PROP_CTRL.K.T + act
         got = effective_attack(specs, PROP_MODEL, PROP_SPECTRUM, PROP_CTRL, k)
         assert np.abs(got - expected).max() <= 10 * k * np.finfo(float).eps * max(scale, 1.0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(attacks=st.lists(attack_with_closed_form(), min_size=1, max_size=3))
+def test_generator_state_reads_every_signal_and_its_window_continues_it(attacks):
+    """g(k) is zero on the rows of attacks that start after k, so one read-out
+    of it gives every signal of step k, and the window is g at the dim W
+    steps from the last start."""
+    specs = [spec for spec, _ in attacks]
+    n, m = PROP_MODEL.state_dim, PROP_MODEL.input_dim
+    gen = AttackGenerator(specs, 4, n, m)
+    expected = {"sensor": np.zeros((31, 4, n)), "actuator": np.zeros((31, 4, m))}
+    for spec in specs:
+        expected[spec.channel][:, spec.agent] += signal_series(spec, 31)
+    for k in range(31):
+        sensor, actuator = gen.read(gen.state(k)[None])
+        np.testing.assert_allclose(sensor[0], expected["sensor"][k], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(actuator[0], expected["actuator"][k], rtol=0, atol=1e-12)
+    last = max(spec.start_step for spec in specs)
+    window = gen.window()
+    assert window.shape == (len(gen.g0),) * 2
+    for j, row in enumerate(window):
+        np.testing.assert_allclose(row, gen.state(last + j), rtol=0, atol=1e-12)

@@ -208,6 +208,21 @@ def test_attack_on_missing_agent_is_a_value_error(channel, integrator, example1_
                  x0=np.zeros(4), attacks=[spec])
 
 
+@pytest.mark.parametrize("agent, signal, leader, message", [
+    (4, [1.0], None, "actuator attack on agent 4 is out of range"),
+    (1, [1.0, 2.0], None, "actuator attack on agent 1 has signal dimension 2, expected 1"),
+    (0, [1.0], LeaderSpec(K0=np.array([[0.5]])), "the leader agent is trusted"),
+], ids=["agent_out_of_range", "signal_width", "leader"])
+def test_attacks_that_start_after_the_horizon_are_still_checked(
+        agent, signal, leader, message, integrator, example1_graph, example1_spectrum,
+        example1_ctrl):
+    spec = AttackSpec(agent=agent, channel="actuator", signal=constant_signal(signal),
+                      start_step=50)
+    with pytest.raises(ValueError, match=message):
+        simulate(integrator, example1_graph, example1_spectrum, example1_ctrl, horizon=10,
+                 x0=np.zeros(4), attacks=[spec], leader=leader)
+
+
 def _two_channel_config(sensor=(0.3, -0.2), actuator=1.0, sensor_agent=4):
     """rotation2d, resilient, with the bundled actuator attack (from step 61) and a
     sensor attack on agent 4 from step 150: both channels, three regimes. The
@@ -349,6 +364,34 @@ def test_runs_match_the_one_step_recursion(monkeypatch, block_floats, window_flo
         assert all(g.span % (g.B * g.C[1]) for g in grids[:2])
 
 
+def test_attacks_from_the_horizon_on_leave_the_attack_free_run():
+    """Attacks on both channels that start at and after the horizon of a
+    resilient run: x, u and d are those of the run without them, and the
+    verdict is CONSENSUS."""
+    config = _two_channel_config()
+    late = [dataclasses.replace(spec, start_step=400 + i) for i, spec in enumerate(config.attacks)]
+    attacked, spectrum, ctrl = _simulate(dataclasses.replace(config, attacks=late), 400, 3)
+    free = _simulate_with(dataclasses.replace(config, attacks=[]), spectrum, ctrl, 400, 3)
+    for field in ("x", "u", "d"):
+        np.testing.assert_array_equal(getattr(attacked, field), getattr(free, field))
+    assert attacked.prediction == free.prediction == "CONSENSUS"
+
+
+def test_a_growing_attack_matches_the_one_step_recursion():
+    """f = 1.05^(k - 500) on agent 2's actuator from step 500: before the start
+    the error system's operator carries W = 1.05 on a generator state that is
+    exactly zero, so every stored f before it is 0 and the run matches the
+    one-step recursion up to its crossing."""
+    raw = copy.deepcopy(BUNDLED_SCENARIOS["rotation2d_imp_nonroot_resilient"])
+    raw["attacks"] = [{"agent": 2, "channel": "actuator", "start": 500,
+                       "signal": {"type": "exogenous", "W": [[1.05]], "f0": [1.0]}}]
+    config = ScenarioConfig.from_dict(raw)
+    trace, spectrum, ctrl = _simulate(config, 2000, 7)
+    assert trace.first_crossing is not None and trace.first_crossing > 500
+    assert not trace.f[trace.ks < 500].any() and trace.f[trace.ks >= 500].any()
+    _assert_matches_reference(trace, config, spectrum, ctrl, 7, growing=True)
+
+
 def test_cut_powers_match_the_one_step_recursion(monkeypatch):
     """A POWER_LIMIT cut shortens the first level of the later regimes, which
     then have no second level, while the first regime keeps both."""
@@ -482,7 +525,7 @@ def test_injection_peaks_match_a_dense_evaluation(monkeypatch, case):
     # generator rows, is the injection of the signals read at those steps
     gen = AttackGenerator(config.attacks, 5, 2, 1)
     g = np.array([gen.state(int(k)) for k in trace.ks]).reshape(len(trace.ks), len(gen.g0))
-    _assert_close(trace.f, effective_injection(*gen.read(g, trace.ks),
+    _assert_close(trace.f, effective_injection(*gen.read(g),
                                                spectrum.normalized_laplacian, ctrl.c, ctrl.K),
                   rtol=1e-12)
     if case in ("zero_amplitude", "no_attack"):

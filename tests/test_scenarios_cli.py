@@ -190,6 +190,17 @@ def test_an_agent_count_that_cannot_be_allocated_is_a_config_error(tmp_path, cap
     assert not (tmp_path / "smoke.summary.json").exists()
 
 
+def test_a_horizon_that_cannot_be_allocated_is_a_config_error(tmp_path, capsys):
+    # 2^62 steps: NumPy refuses the per-step arrays before allocating anything
+    cfg = tmp_path / "huge_horizon.json"
+    cfg.write_text(json.dumps(small_config(horizon=2**62)))
+    message = f"horizon: {2**62} steps cannot be allocated"
+    for argv in (["run", str(cfg)], ["run-all", "--horizon", str(2**62)]):
+        assert main([*argv, "--out", str(tmp_path)]) == 2, argv
+        assert message in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_bad_weights_are_config_errors(tmp_path, capsys):
     cases = (("r1", [[1.0, 0.0], [0.0, -1.0]], "r1 must be positive definite"),
              ("r1", [[1.0, 0.1], [-0.1, 1.0]], "r1 must be symmetric"),
