@@ -29,6 +29,13 @@ EXIT_NUMERICAL = 3
 EXIT_DIVERGENCE = 4
 
 
+def positive_int(text: str) -> int:
+    """An int of at least 1, for argparse."""
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="resilient-consensus",
@@ -46,8 +53,8 @@ def _build_parser() -> argparse.ArgumentParser:
         if cmd == "run":
             p.add_argument("config", help="bundled scenario name or JSON config path")
         else:
-            p.add_argument("--jobs", type=int, default=1,
-                           help="parallel scenario workers (default 1)")
+            p.add_argument("--jobs", type=positive_int, default=1,
+                           help="parallel scenario workers, at least 1 (default 1)")
         p.add_argument("--horizon", type=int, default=None, help="override horizon")
         p.add_argument("--seed", type=int, default=None, help="override RNG seed")
         p.add_argument("--out", default=None,
@@ -60,9 +67,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _out_dir(args) -> str:
-    if args.out:
-        return args.out
-    return os.environ.get(OUTPUT_DIR_ENV, "out")
+    """The output directory, made if missing; a ConfigError names it if it cannot be."""
+    out_dir = args.out or os.environ.get(OUTPUT_DIR_ENV, "out")
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output directory {out_dir}: {exc.strerror}") from exc
+    return out_dir
 
 
 def _apply_overrides(raw: dict, args) -> dict:
@@ -143,16 +154,11 @@ def main(argv=None) -> int:
         print(f"{config.name}: ok")
         return EXIT_OK
 
-    out_dir = _out_dir(args)
     try:
         if args.command == "run":
-            try:
-                config = load_config(args.config)
-            except ConfigError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_CONFIG
+            config = load_config(args.config)
             raw = _apply_overrides(config.raw, args)
-            trace, files = _run_one(raw, out_dir, args.format, args.plot_data)
+            trace, files = _run_one(raw, _out_dir(args), args.format, args.plot_data)
             print(_describe(trace))
             for path in files:
                 print(f"wrote {path}")
@@ -163,7 +169,7 @@ def main(argv=None) -> int:
         # run-all
         raws = [_apply_overrides(BUNDLED_SCENARIOS[name], args)
                 for name in list_scenarios()]
-        job = functools.partial(_run_listed, out_dir=out_dir, fmt=args.format,
+        job = functools.partial(_run_listed, out_dir=_out_dir(args), fmt=args.format,
                                 plot_data=args.plot_data)
         if args.jobs > 1:
             with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:

@@ -26,25 +26,26 @@ the law, add the actuator injection, advance the plant and the predictor,
 update the compensator. Every quantity stored for step k is the value used
 during it.
 
-The predictor's operator is fixed. The error system's operator F_Q changes
-only at ``compensator_start``, for the resilient controller (before it, d is
-held at zero): g(k+1) = W g(k) at every step, because an attack's rows of g
-are zero until its ``start_step``, where the run sets them to its f0. The
-stretches between the switch times, the compensator's start and each
-attack's, are the regimes. The injection is f(k) = M' g(k), with M read
-through ``attacks.effective_injection`` (so f's sensor product is still
-written once) and cut to its columns that are not all zero.
+The predictor's operator F_P is fixed. The error system's operator F_Q
+depends only on the compensator's phase: off before ``compensator_start``,
+with d held at zero, and on from it for the resilient controller. A run
+builds one F_Q for each phase it has. g(k+1) = W g(k) at every step, since
+an attack's rows of g are zero until its ``start_step``, where the run sets
+them to its f0. The injection is f(k) = M' g(k), with M read through
+``attacks.effective_injection`` (so f's sensor product is still written
+once) and cut to its columns that are not all zero.
 
 The loop does not form the states of most steps, only what is read from
 them: x = x_hat + e, which gives ||x||_inf and the crossing, and the live
-columns of f, which give the injection peaks. Each regime is processed in
-segments of at most a window of steps, on a grid of blocks of B steps that
-both systems share. ``_grid`` gives each system's powers [F; ...; F^B] and
-[F^B; ...; F^CB] for the regime's length up to a window, B about its square
-root and C about that of its blocks, as BLOCK_FLOATS floats allow; every
-stack is doubled by ``_powers`` and cut before the first power with an
-entry above POWER_LIMIT, so that none overflows, and B is the shorter
-system's after the cut. A segment starting at step k goes in three levels:
+columns of f, which give the injection peaks. It runs in segments that end
+at a window of steps, an attack's start, ``compensator_start`` or the
+horizon, on one grid of blocks of B steps. One ``_grid`` call gives the
+powers [F; ...; F^B] and [F^B; ...; F^CB] of F_P and each F_Q, B about the
+square root of a window and C about that of its blocks, as BLOCK_FLOATS
+floats allow; every stack is doubled by ``_powers`` and cut before the
+first power with an entry above POWER_LIMIT, so that none overflows, and B
+is the shortest stack's after the cut. A segment starting at step k uses
+the powers of step k's phase and goes in three levels:
 
 - the group starts, C blocks apart, follow one another by F^CB in a Python
   loop of about sqrt(J) turns for the segment's J blocks;
@@ -57,16 +58,16 @@ system's after the cut. A segment starting at step k goes in three levels:
   read-outs are laid out one row per read-out and one column per block,
   so that ||x||_inf and the peaks are reductions over contiguous rows.
 
-A segment of s steps has s // B + 1 block starts, so its read-outs reach
-the state that ends it, at step k + s. Full states are formed only at block
-starts, at stored steps (the powers of their offsets gathered and
-multiplied with their block starts; at stride 1, one GEMM of the block
-starts with all the powers), at the end of each segment, and at the
-crossing. The run stops at the first step where ||x||_inf is non-finite or
-above the divergence threshold; each segment tests its steps k..k + s by
-this one rule, so step 0 and the horizon are tested like any other. The
-injection peaks count only the steps before the crossing. x = x_hat + e, d,
-the consensus error and u of the stored steps follow from their rows of both
+A segment of s steps has s // B + 1 block starts, so its read-outs reach the
+state that ends it, at step k + s. Full states are formed only at block
+starts, at stored steps and where each segment stops, at its end or at the
+crossing: the powers of their offsets gathered and multiplied with their
+block starts (the stored ones at stride 1 by one GEMM with all the powers).
+The run stops at the first step where ||x||_inf is non-finite or above the
+divergence threshold; each segment tests its steps k..k + s by this one
+rule, so step 0 and the horizon are tested like any other. The injection
+peaks count only the steps before the crossing. x = x_hat + e, d, the
+consensus error and u of the stored steps follow from their rows of both
 systems in one evaluation after the loop, when the workspace has been
 released, and f as M' g of their generator rows. A diverging run may
 overflow past its crossing, and in that evaluation below a threshold near
@@ -74,12 +75,13 @@ the largest float, so both run with NumPy's overflow warnings off.
 
 A window is sized so that its workspace, the read-outs of its steps (R, about
 N n + live columns, floats a step), two copies of its block starts and one
-regime's projected powers ((B - 1) R D floats for the D states of both
-systems), fills about WINDOW_FLOATS floats; where that budget would hold less
-than one block of the longest B, B is capped at the length that gives the
-longest window. One-step blocks have no projected powers, so even runs of
-several hundred states keep windows of many steps. Time grows linearly with the
-horizon. Memory grows with it only by the per-step inf-norm series
+phase's projected powers ((B - 1) R D floats for the D states of both
+systems), fills about WINDOW_FLOATS floats; it is allocated once a run, and
+each phase's projection replaces the last one. Where the budget would hold
+less than one block of the longest B, B is capped at the length that gives
+the longest window. One-step blocks have no projected powers, so even runs
+of several hundred states keep windows of many steps. Time grows linearly
+with the horizon. Memory grows with it only by the per-step inf-norm series
 (8 bytes a step) and the stored rows; the window, and so the workspace and
 each system's powers, are sized by WINDOW_FLOATS and BLOCK_FLOATS, not by
 the horizon.
@@ -107,7 +109,7 @@ DIVERGENCE_THRESHOLD = 1e9
 # [F^B; ...; F^CB]
 BLOCK_FLOATS = 1 << 16
 # floats of a run's window workspace: the read-outs of its steps, its block
-# starts and one regime's projected powers
+# starts and one phase's projected powers
 WINDOW_FLOATS = 1 << 18
 # largest entry any stacked power may reach
 POWER_LIMIT = 1e150
@@ -273,15 +275,6 @@ def _at(starts: np.ndarray, powers: np.ndarray, first: int, step: int, out: np.n
         out[i] = np.matmul(cube[t[i] - 1], starts[j[i], :, None])[:, :, 0]
 
 
-def _state(starts: np.ndarray, powers: np.ndarray, offset: int) -> np.ndarray:
-    """The state ``offset`` steps after starts[0]: F^t starts[j] for
-    offset = jB + t with 0 <= t < B, as ``_at`` gives it for one row, without
-    its gathering, which takes several times as long for a single row."""
-    dim = starts.shape[1]
-    j, t = divmod(offset, len(powers) // dim)
-    return starts[j].copy() if t == 0 else powers[(t - 1) * dim:t * dim] @ starts[j]
-
-
 def _peaks(f: np.ndarray, count: int, peak: np.ndarray, agents: np.ndarray) -> float:
     """Raise the per-agent ``peak`` to the largest |f| of the segment's first
     ``count`` steps, from the read-outs f[i, :, j] = |f| at step jB + i of the
@@ -295,7 +288,7 @@ def _peaks(f: np.ndarray, count: int, peak: np.ndarray, agents: np.ndarray) -> f
 
 
 def _projection(predictor: np.ndarray, error: np.ndarray, Nn: int, M: np.ndarray) -> np.ndarray:
-    """The read-out powers of a regime with block length B, from both systems'
+    """The read-out powers of a phase with block length B, from both systems'
     powers [F; ...; F^B]: row block t = 1..B-1 holds [C_x F_P^t | C_x F_Q^t],
     which gives x t steps after a block start [p; q], and [0 | M' F_Q^t], which
     gives f at the same step; one-step blocks have none. ``M`` maps the
@@ -369,9 +362,9 @@ def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
             out[:, Nn:] = phase @ phase_W.T
         return out
 
-    def error_step(q, t):
-        """q -> its value one step later, in the regime of step t: g advances by
-        ``gen.W``, and d updates from compensator_start on."""
+    def error_step(q, on):
+        """q -> its value one step later: g advances by ``gen.W``, and d updates
+        while the compensator is ``on``."""
         e = q[:, :Nn].reshape(-1, N, n)
         d = q[:, Nn:Nn + Nd].reshape(-1, N, m) if compensating else 0.0
         g = q[:, Nn + Nd:]
@@ -380,7 +373,7 @@ def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
         out = np.empty_like(q)
         out[:, :Nn] = (e @ A_T + (U + a) @ B_T).reshape(-1, Nn)
         if compensating:
-            if compensator_start <= t:
+            if on:
                 d = law.compensate(d, e + s)
             out[:, Nn:Nn + Nd] = d.reshape(-1, Nd)
         out[:, Nn + Nd:] = g @ gen.W.T
@@ -391,10 +384,10 @@ def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
     q = np.concatenate([(x - x_hat).ravel(), np.zeros(Nd + len(gen.g0))])
     dq = len(q)
 
-    switches = {0, horizon, *gen.starts.tolist()}
-    if compensating:
-        switches.add(compensator_start)
-    switches = sorted(switches)
+    # the compensator's phases by their first step: off, on (which replaces off from 0), or both
+    phases = {0: False, compensator_start: True} if compensating else {0: False}
+    # a segment ends at a window, an attack's start, the compensator's start or the horizon
+    switches = sorted({horizon, *gen.starts.tolist(), *phases})
     # f(k) = M' g(k); only the columns of M that are not all zero can move a peak
     M = effective_injection(*gen.read(np.eye(len(gen.g0))), norm_lap, ctrl.c,
                             ctrl.K).reshape(-1, Nm)
@@ -409,14 +402,16 @@ def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
         fills about WINDOW_FLOATS floats (module docstring)."""
         return (WINDOW_FLOATS - (B - 1) * R * (dp + dq)) // (R + 2 * -(-(dp + dq) // B))
 
-    # B0 is the longest block of any regime. Where the window would be shorter
-    # than one such block, B0 becomes the block that gives the longest window;
-    # no window is longer than the horizon
+    # B0 is the longest block the grid may have. Where the window would be
+    # shorter than one such block, B0 becomes the block that gives the longest
+    # window; no window is longer than the horizon
     B0 = _block_length(max(dp, dq), max(1, WINDOW_FLOATS // R))
     if window_for(B0) < B0:
         B0 = max(range(1, B0 + 1), key=window_for)
     window = max(1, min(horizon, window_for(B0)))
+
     F_P = _matrix(predictor_step, dp)  # the predictor never changes
+    F_Q = [_matrix(lambda z, on=on: error_step(z, on), dq) for on in phases.values()]
     readout = np.empty(R * (window + B0))
 
     # the stored steps keep their rows of both systems; every stored quantity
@@ -433,65 +428,63 @@ def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
 
     first_crossing = None
     k = si = 0
-    # a diverging run overflows in the propagation; the crossing check stops it
+    # a diverging run overflows in the propagation and the power cut; the crossing check stops it
     with np.errstate(over="ignore", invalid="ignore"):
-        for start, end in zip(switches, switches[1:]):
-            if first_crossing is not None:
-                break
+        (P_pow, P_up), *Q_levels = _grid(window, B0, F_P, *F_Q)
+        Q_levels = dict(zip(phases, Q_levels))  # by the step each phase begins
+        B = len(P_pow) // dp
+        rows = window // B + 1
+        Zp, Zq, Z = np.empty((rows, dp)), np.empty((rows, dq)), np.empty((rows, dp + dq))
+        while k < horizon and first_crossing is None:
             # an attack's start sets its rows of g to its f0
-            q[Nn + Nd:] = np.where(gen.starts == start, gen.g0, q[Nn + Nd:])
-            span = min(window, end - start)  # the regime's length, up to a window
-            (P_pow, P_up), (Q_pow, Q_up) = _grid(
-                span, B0, F_P, _matrix(lambda z: error_step(z, start), dq))
-            B = len(P_pow) // dp
-            rows = span // B + 1
-            Zp, Zq = np.empty((rows, dp)), np.empty((rows, dq))
-            proj = _projection(P_pow, Q_pow, Nn, M_cols)
-            Z = np.empty((rows, dp + dq))
-            while k < end and first_crossing is None:
-                # a segment of ``steps`` steps from step k: its J block starts reach
-                # step k + steps, the state that ends it
-                steps = min(span, end - k)
-                J = steps // B + 1
-                Zp[0], Zq[0] = p, q
-                _propagate(Zp, steps // B, P_up)
-                _propagate(Zq, steps // B, Q_up)
-                Y = readout[:B * R * J].reshape(B * R, J)
-                Z[:J, :dp], Z[:J, dp:] = Zp[:J], Zq[:J]
-                # t = 0 reads the block starts themselves, t = 1..B-1 their projection
-                np.add(Zp[:J, :Nn], Zq[:J, :Nn], out=Y[:Nn].T)
-                if len(cols):  # with no live injection column f is zero and read nowhere
-                    np.matmul(M_cols.T, Zq[:J, dq - len(M_cols):].T, out=Y[Nn:R])
-                np.matmul(proj, Z[:J].T, out=Y[R:])
-                np.abs(Y, out=Y)
-                # Y[t, :, j]: |x| and |f| at step k + jB + t
-                Y = Y.reshape(B, R, J)
-                # the last block reaches past the segment, where the next segment
-                # overwrites it or the end of the run cuts it off
-                inf_norms[k:k + B * J].reshape(J, B)[...] = Y[:, :Nn].max(axis=1).T
-                norms = inf_norms[k:k + steps + 1]
-                lim = steps  # the steps this segment runs: up to its end or the crossing
-                if not norms.max() <= divergence_threshold:  # also when one is NaN
-                    within = np.isfinite(norms) & (norms <= divergence_threshold)
-                    lim = int(within.argmin())
-                    first_crossing = k + lim
+            q[Nn + Nd:] = np.where(gen.starts == k, gen.g0, q[Nn + Nd:])
+            if k in Q_levels:  # a phase begins: its projection replaces the last one
+                Q_pow, Q_up = Q_levels[k]
+                proj = None  # released before the new one is built
+                proj = _projection(P_pow, Q_pow, Nn, M_cols)
+            # a segment of ``steps`` steps from step k: its J block starts reach
+            # step k + steps, the state that ends it
+            steps = min(window, next(s for s in switches if s > k) - k)
+            J = steps // B + 1
+            Zp[0], Zq[0] = p, q
+            _propagate(Zp, steps // B, P_up)
+            _propagate(Zq, steps // B, Q_up)
+            Y = readout[:B * R * J].reshape(B * R, J)
+            Z[:J, :dp], Z[:J, dp:] = Zp[:J], Zq[:J]
+            # t = 0 reads the block starts themselves, t = 1..B-1 their projection
+            np.add(Zp[:J, :Nn], Zq[:J, :Nn], out=Y[:Nn].T)
+            if len(cols):  # with no live injection column f is zero and read nowhere
+                np.matmul(M_cols.T, Zq[:J, dq - len(M_cols):].T, out=Y[Nn:R])
+            np.matmul(proj, Z[:J].T, out=Y[R:])
+            np.abs(Y, out=Y)
+            # Y[t, :, j]: |x| and |f| at step k + jB + t
+            Y = Y.reshape(B, R, J)
+            # the last block reaches past the segment, where the next segment
+            # overwrites it or the end of the run cuts it off
+            inf_norms[k:k + B * J].reshape(J, B)[...] = Y[:, :Nn].max(axis=1).T
+            norms = inf_norms[k:k + steps + 1]
+            lim = steps  # the steps this segment runs: up to its end or the crossing
+            if not norms.max() <= divergence_threshold:  # also when one is NaN
+                within = np.isfinite(norms) & (norms <= divergence_threshold)
+                lim = int(within.argmin())
+                first_crossing = k + lim
 
-                # only the steps before the crossing count
-                if len(cols):
-                    peak = _peaks(Y[:, Nn:], lim, per_agent_peak, agents)
-                    attack_bound = max(attack_bound, peak)
-                first = -k % store_stride  # the first stored step, after step k
-                count = len(range(first, lim, store_stride))
-                if count:
-                    _at(Zp, P_pow, first, store_stride, store_P[si:si + count])
-                    _at(Zq, Q_pow, first, store_stride, store_Q[si:si + count])
-                    si += count
-                # the state at step k + lim starts the next segment, or is the final one
-                p, q = _state(Zp, P_pow, lim), _state(Zq, Q_pow, lim)
-                k += lim
-            del P_pow, Q_pow, P_up, Q_up, Zp, Zq, Y, proj, Z
-
-    del F_P, readout  # the workspace ends with the loop
+            # only the steps before the crossing count
+            if len(cols):
+                peak = _peaks(Y[:, Nn:], lim, per_agent_peak, agents)
+                attack_bound = max(attack_bound, peak)
+            first = -k % store_stride  # the first stored step, after step k
+            count = len(range(first, lim, store_stride))
+            if count:
+                _at(Zp, P_pow, first, store_stride, store_P[si:si + count])
+                _at(Zq, Q_pow, first, store_stride, store_Q[si:si + count])
+                si += count
+            # the state at step k + lim starts the next segment, or is the final one
+            _at(Zp, P_pow, lim, 1, p[None])
+            _at(Zq, Q_pow, lim, 1, q[None])
+            k += lim
+    # the workspace ends with the loop
+    del F_P, F_Q, P_pow, P_up, Q_pow, Q_up, Q_levels, Zp, Zq, Z, Y, proj, readout
     final_x_hat = p[:Nn].copy()
     final_x = final_x_hat + q[:Nn]
     steps_run = k

@@ -47,11 +47,11 @@ def _signals(config, channel, length, width):
 
 
 def _record_grids(monkeypatch):
-    """One record per regime of later runs, from its ``engine._grid`` call: the
-    dimensions ``dims`` of (predictor, error system), the segment length
-    ``span`` (the window, for a regime longer than one), the block length
-    ``B``, each system's group count ``C``, and ``arrays``: both matrices F
-    and every stack of powers."""
+    """One record per later run, from its one ``engine._grid`` call: the
+    dimensions ``dims`` of (predictor, error system in each phase of the
+    compensator the run has), the window ``span``, the block length ``B``,
+    each system's group count ``C``, and ``arrays``: every matrix F and every
+    stack of powers."""
     seen = []
 
     def recording(span, longest, *systems, _original=engine._grid):
@@ -82,13 +82,13 @@ def test_step_law_holds_on_every_stored_step(monkeypatch):
     N, n, m = config.graph.n_agents, config.model.state_dim, config.model.input_dim
     grids = _record_grids(monkeypatch)
     trace = run(config)
-    # the actuator attack, the compensator and the sensor attack start inside
-    # blocks of the regime before them, not at their ends; every regime is one
-    # segment, and the predictor holds N n states and the leader phase
-    switches = (0, 61, 131, 150, config.horizon)
-    assert [g.dims[0] for g in grids] == [N * n + 2] * 4
-    assert [g.span for g in grids] == np.diff(switches).tolist()
-    assert all(g.span % g.B for g in grids[:3])
+    # one grid, whose window is the whole run, with an error operator on each
+    # side of the compensator's start; the actuator attack, the compensator and
+    # the sensor attack start inside blocks of the segment before them, not at
+    # their ends, and the predictor holds N n states and the leader phase
+    (grid,) = grids
+    assert len(grid.dims) == 3 and grid.dims[0] == N * n + 2 and grid.span == config.horizon
+    assert all(length % grid.B for length in np.diff((0, 61, 131, 150)))
     spectrum, ctrl = _design(config)
     assert (trace.gains["c"], trace.gains["theta"]) == (ctrl.c, ctrl.theta)
     A, B, L, K = config.model.A, config.model.B, spectrum.normalized_laplacian, ctrl.K
@@ -358,10 +358,11 @@ def test_runs_match_the_one_step_recursion(monkeypatch, block_floats, window_flo
         assert window < horizon - 150 and window % stride
         assert all(g.B > 1 and g.B * max(g.C) < g.span for g in grids)
         # the error system's groups start at each window and at each switch; the
-        # regimes before the switches at 61 and 150 are one segment each, and
-        # the switches fall inside groups
-        assert [g.span for g in grids[:2]] == [61, 150 - 61]
-        assert all(g.span % (g.B * g.C[1]) for g in grids[:2])
+        # segments before the switches at 61 and 150 are shorter than a window,
+        # and the switches fall inside groups
+        (grid,) = grids
+        assert 150 - 61 < window and grid.C[1] == grid.C[2]
+        assert all(length % (grid.B * grid.C[1]) for length in (61, 150 - 61))
 
 
 def test_attacks_from_the_horizon_on_leave_the_attack_free_run():
@@ -375,6 +376,27 @@ def test_attacks_from_the_horizon_on_leave_the_attack_free_run():
     for field in ("x", "u", "d"):
         np.testing.assert_array_equal(getattr(attacked, field), getattr(free, field))
     assert attacked.prediction == free.prediction == "CONSENSUS"
+
+
+def test_a_run_builds_each_operator_and_one_grid_once(monkeypatch):
+    """Four attack starts and the compensator's start inside the horizon: the
+    run builds the predictor's matrix, one error operator on each side of the
+    compensator's start and one grid of powers, and still matches the one-step
+    recursion."""
+    calls = dict.fromkeys(("_matrix", "_grid"), 0)
+    for name in calls:
+        def counting(*args, _name=name, _original=getattr(engine, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(engine, name, counting)
+    config = _two_channel_config()
+    config = dataclasses.replace(config, attacks=[
+        dataclasses.replace(config.attacks[i % 2], start_step=start)
+        for i, start in enumerate((0, 100, 200, 300))])
+    trace, spectrum, ctrl = _simulate(config, 400, 7)
+    assert config.compensator_start < 400
+    assert calls == {"_matrix": 3, "_grid": 1}
+    _assert_matches_reference(trace, config, spectrum, ctrl, 7)
 
 
 def test_a_growing_attack_matches_the_one_step_recursion():
@@ -393,8 +415,9 @@ def test_a_growing_attack_matches_the_one_step_recursion():
 
 
 def test_cut_powers_match_the_one_step_recursion(monkeypatch):
-    """A POWER_LIMIT cut shortens the first level of the later regimes, which
-    then have no second level, while the first regime keeps both."""
+    """A POWER_LIMIT cut shortens the first level of the run's one grid, and
+    leaves the error operator after the compensator's start no second level,
+    while the one before it keeps both."""
     monkeypatch.setattr(engine, "BLOCK_FLOATS", 3000)
     monkeypatch.setattr(engine, "WINDOW_FLOATS", 8000)
     monkeypatch.setattr(engine, "POWER_LIMIT", 1.5)
@@ -402,11 +425,9 @@ def test_cut_powers_match_the_one_step_recursion(monkeypatch):
     config = _two_channel_config()
     trace, spectrum, ctrl = _simulate(config, 500, 7)
     _assert_matches_reference(trace, config, spectrum, ctrl, 7)
-    first, *cut = grids
-    assert first.B == engine._block_length(max(first.dims), first.span)
-    assert first.C[1] > 1 and first.B * first.C[1] < first.span
-    assert cut and all(g.B < engine._block_length(max(g.dims), g.span) and g.C[1] == 1
-                       for g in cut)
+    (grid,) = grids
+    assert grid.B < engine._block_length(max(grid.dims), grid.span)
+    assert grid.C[1] > 1 and grid.B * grid.C[1] < grid.span and grid.C[2] == 1
 
 
 def test_a_budget_short_of_one_block_keeps_windows_of_many_blocks(monkeypatch):
@@ -536,10 +557,10 @@ def test_injection_peaks_match_a_dense_evaluation(monkeypatch, case):
         assert heard.any() and list(reached) == list(heard | (np.arange(5) == 2))
     elif case == "starts_after_the_crossing":
         # the sensor attack on agent 4 starts at 150, after the crossing, which
-        # lies inside the one segment of the regime before it: its generator
-        # rows are propagated and its columns read out, yet only the actuator
-        # attack on agent 2 may count
-        assert [g.span for g in grids] == [61, 150 - 61]
+        # lies inside the segment before it, in the run's one window: its
+        # generator rows are propagated and its columns read out, yet only the
+        # actuator attack on agent 2 may count
+        assert [g.span for g in grids] == [400]
         assert 61 < trace.first_crossing == trace.steps_run < 150
         assert list(np.flatnonzero(reached)) == [2] and 4 in trace.intact_agents
     else:
@@ -806,11 +827,11 @@ def test_predictor_is_the_same_with_and_without_attacks(monkeypatch):
     attacked, clean = (_simulate_with(dataclasses.replace(config, attacks=attacks), spectrum,
                                       ctrl, config.horizon, 7)
                        for attacks in (config.attacks, []))
-    # the attack starts with the compensator, so both runs have the same
-    # regimes; only the error system's size differs
-    first, second = grids[:2], grids[2:]
-    assert [(g.span, g.B, g.C[0]) for g in first] == [(g.span, g.B, g.C[0]) for g in second]
-    assert [g.dims[1] for g in first] != [g.dims[1] for g in second]
+    # each run has one grid, and both have the same window, blocks and
+    # predictor groups; only the error system's size differs
+    first, second = grids
+    assert (first.span, first.B, first.C[0]) == (second.span, second.B, second.C[0])
+    assert first.dims[1:] != second.dims[1:]
     assert attacked.attack_bound > 0.0 and clean.attack_bound == 0.0
     assert np.abs(attacked.x - clean.x).max() > 1e-3
     assert np.array_equal(attacked.x_hat, clean.x_hat)

@@ -201,6 +201,29 @@ def test_a_horizon_that_cannot_be_allocated_is_a_config_error(tmp_path, capsys):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("command", [["run", "example1_consensus"], ["run-all"]],
+                         ids=["run", "run-all"])
+def test_an_output_directory_that_cannot_be_created_is_a_config_error(tmp_path, capsys,
+                                                                      command):
+    # a regular file as the parent: the directory cannot be made under it
+    parent = tmp_path / "file"
+    parent.write_text("")
+    out = parent / "sub"
+    assert main([*command, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [parent]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_run_all_rejects_fewer_than_one_job(tmp_path, capsys, jobs):
+    with pytest.raises(SystemExit) as exited:
+        main(["run-all", "--jobs", jobs, "--out", str(tmp_path)])
+    assert exited.value.code == 2
+    assert "--jobs: must be at least 1" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_bad_weights_are_config_errors(tmp_path, capsys):
     cases = (("r1", [[1.0, 0.0], [0.0, -1.0]], "r1 must be positive definite"),
              ("r1", [[1.0, 0.1], [-0.1, 1.0]], "r1 must be symmetric"),
