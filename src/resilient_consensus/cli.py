@@ -18,7 +18,7 @@ from .design import DesignError
 from .engine import HorizonError
 from .graph import GraphError
 from .scenarios import (BUNDLED_SCENARIOS, ConfigError, ScenarioConfig, list_scenarios,
-                        load_config, run, validate)
+                        load_config, load_raw, run, validate)
 from .trace import write_csv, write_plot_data, write_summary
 
 OUTPUT_DIR_ENV = "RESILIENT_CONSENSUS_OUT"
@@ -102,8 +102,7 @@ def _emit(trace, out_dir: str, fmt: str, plot_data: bool) -> list:
     return written
 
 
-def _run_one(raw: dict, out_dir: str, fmt: str, plot_data: bool):
-    config = ScenarioConfig.from_dict(raw)
+def _run_one(config: ScenarioConfig, out_dir: str, fmt: str, plot_data: bool):
     trace = run(config)
     files = _emit(trace, out_dir, fmt, plot_data)
     return trace, files
@@ -112,7 +111,7 @@ def _run_one(raw: dict, out_dir: str, fmt: str, plot_data: bool):
 def _run_listed(raw: dict, out_dir: str, fmt: str, plot_data: bool):
     """One run-all scenario: run and emit it, then return only its line and
     divergence flag, so that no trace outlives it or is sent back by a worker."""
-    trace, _files = _run_one(raw, out_dir, fmt, plot_data)
+    trace, _files = _run_one(ScenarioConfig.from_dict(raw), out_dir, fmt, plot_data)
     return _describe(trace), trace.diverged
 
 
@@ -156,9 +155,8 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "run":
-            config = load_config(args.config)
-            raw = _apply_overrides(config.raw, args)
-            trace, files = _run_one(raw, _out_dir(args), args.format, args.plot_data)
+            config = ScenarioConfig.from_dict(_apply_overrides(load_raw(args.config), args))
+            trace, files = _run_one(config, _out_dir(args), args.format, args.plot_data)
             print(_describe(trace))
             for path in files:
                 print(f"wrote {path}")

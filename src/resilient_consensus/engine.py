@@ -56,13 +56,19 @@ the powers of step k's phase and goes in three levels:
   [C_x F_P^t | C_x F_Q^t] and [0 | M' F_Q^t], t = 1..B-1 (C_x takes the
   first N n rows), gives both at step k + jB + t for every block j. The
   read-outs are laid out one row per read-out and one column per block,
-  so that ||x||_inf and the peaks are reductions over contiguous rows.
+  so that ||x||_inf and the peaks are reductions over contiguous rows. A
+  run with no live column reads f and its peaks on zero rows.
 
 A segment of s steps has s // B + 1 block starts, so its read-outs reach the
 state that ends it, at step k + s. Full states are formed only at block
-starts, at stored steps and where each segment stops, at its end or at the
-crossing: the powers of their offsets gathered and multiplied with their
-block starts (the stored ones at stride 1 by one GEMM with all the powers).
+starts and, by one ``_at`` call for each system, at the segment's stored
+steps and then at the step where it stops, its end or the crossing: at
+stride 1, where these are every step from k on, by one GEMM of the block
+starts with all the powers, else by gathering the powers of their offsets
+and multiplying them with their block starts. Both go into the store, one
+row longer than the stored steps: the row after the last stored one holds
+the state the next segment starts from, and at the end the final state, so
+no state is carried between segments outside the store.
 The run stops at the first step where ||x||_inf is non-finite or above the
 divergence threshold; each segment tests its steps k..k + s by this one
 rule, so step 0 and the horizon are tested like any other. The injection
@@ -96,8 +102,8 @@ import numpy as np
 
 # ``signal_series`` is not called here any more; the benchmark's tracer patches
 # ``engine.signal_series`` by name, so the name stays importable from this module.
-from .attacks import (AttackGenerator, effective_injection, signal_series,  # noqa: F401
-                      sinusoid_signal)
+from .attacks import (ROOT_TARGET_TOL, AttackGenerator, effective_injection,  # noqa: F401
+                      signal_series, sinusoid_signal)
 from .design import ControllerConfig
 from .dynamics import LtiModel
 from .graph import DirectedGraph, GraphSpectrum
@@ -253,21 +259,21 @@ def _propagate(states: np.ndarray, count: int, powers: np.ndarray) -> None:
     _fill(states, count, powers, chain)
 
 
-def _at(starts: np.ndarray, powers: np.ndarray, first: int, step: int, out: np.ndarray) -> None:
-    """out[i] = the state first + i step steps after starts[0], from the block
-    starts ``starts`` and the powers [F; ...; F^B]: F^t starts[j] for
-    first + i step = jB + t with 0 <= t < B. The rows of every step from
-    starts[0] on (first 0, step 1) take one GEMM (``_fill``); other rows'
-    powers are gathered at most BLOCK_FLOATS floats at a time, and each
-    gather takes one product."""
-    if first == 0 and step == 1:
+def _at(starts: np.ndarray, powers: np.ndarray, offsets: np.ndarray, out: np.ndarray) -> None:
+    """out[i] = the state offsets[i] steps after starts[0], for increasing
+    ``offsets``, from the block starts ``starts`` and the powers
+    [F; ...; F^B]: F^t starts[j] for offsets[i] = jB + t with 0 <= t < B.
+    Offsets 0, 1, ..., len(out) - 1, every step from starts[0] on, take one
+    GEMM (``_fill``); other offsets' powers are gathered at most BLOCK_FLOATS
+    floats at a time, and each gather takes one product."""
+    if offsets[-1] == len(out) - 1:
         out[0] = starts[0]
         _fill(out, len(out) - 1, powers, starts)
         return
     dim = starts.shape[1]
     cube = powers.reshape(-1, dim, dim)
     chunk = max(1, BLOCK_FLOATS // (dim * dim))
-    j, t = np.divmod(np.arange(first, first + len(out) * step, step), len(cube))
+    j, t = np.divmod(offsets, len(cube))
     out[:] = starts[j]
     rows = np.flatnonzero(t)
     for lo in range(0, len(rows), chunk):
@@ -379,10 +385,8 @@ def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
         out[:, Nn + Nd:] = g @ gen.W.T
         return out
 
-    p = np.concatenate([x_hat.ravel(), [0.0, 1.0] if leader is not None else []])
-    dp = len(p)
-    q = np.concatenate([(x - x_hat).ravel(), np.zeros(Nd + len(gen.g0))])
-    dq = len(q)
+    dp = Nn + (0 if leader is None else 2)
+    dq = Nn + Nd + len(gen.g0)
 
     # the compensator's phases by their first step: off, on (which replaces off from 0), or both
     phases = {0: False, compensator_start: True} if compensating else {0: False}
@@ -415,14 +419,17 @@ def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
     readout = np.empty(R * (window + B0))
 
     # the stored steps keep their rows of both systems; every stored quantity
-    # follows from those after the loop
+    # follows from those after the loop. The row after the last stored one
+    # holds the state the next segment starts from, and at the end the final one
     try:  # the only arrays that grow with the horizon
         stored_ks = np.arange(0, horizon, store_stride)
-        store_P = np.empty((len(stored_ks), dp))
-        store_Q = np.empty((len(stored_ks), dq))
+        store_P = np.empty((len(stored_ks) + 1, dp))
+        store_Q = np.empty((len(stored_ks) + 1, dq))
         inf_norms = np.empty(horizon + B0)  # the last block may reach B0 - 1 past the end
     except (ValueError, MemoryError) as exc:
         raise HorizonError(f"horizon: {horizon} steps cannot be allocated") from exc
+    store_P[0] = np.concatenate([x_hat.ravel(), [0.0, 1.0] if leader is not None else []])
+    store_Q[0] = np.concatenate([(x - x_hat).ravel(), np.zeros(dq - Nn)])
     per_agent_peak = np.zeros(N)
     attack_bound = 0.0
 
@@ -436,8 +443,9 @@ def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
         rows = window // B + 1
         Zp, Zq, Z = np.empty((rows, dp)), np.empty((rows, dq)), np.empty((rows, dp + dq))
         while k < horizon and first_crossing is None:
+            Zp[0], Zq[0] = store_P[si], store_Q[si]
             # an attack's start sets its rows of g to its f0
-            q[Nn + Nd:] = np.where(gen.starts == k, gen.g0, q[Nn + Nd:])
+            Zq[0, Nn + Nd:] = np.where(gen.starts == k, gen.g0, Zq[0, Nn + Nd:])
             if k in Q_levels:  # a phase begins: its projection replaces the last one
                 Q_pow, Q_up = Q_levels[k]
                 proj = None  # released before the new one is built
@@ -446,15 +454,13 @@ def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
             # step k + steps, the state that ends it
             steps = min(window, next(s for s in switches if s > k) - k)
             J = steps // B + 1
-            Zp[0], Zq[0] = p, q
             _propagate(Zp, steps // B, P_up)
             _propagate(Zq, steps // B, Q_up)
             Y = readout[:B * R * J].reshape(B * R, J)
             Z[:J, :dp], Z[:J, dp:] = Zp[:J], Zq[:J]
             # t = 0 reads the block starts themselves, t = 1..B-1 their projection
             np.add(Zp[:J, :Nn], Zq[:J, :Nn], out=Y[:Nn].T)
-            if len(cols):  # with no live injection column f is zero and read nowhere
-                np.matmul(M_cols.T, Zq[:J, dq - len(M_cols):].T, out=Y[Nn:R])
+            np.matmul(M_cols.T, Zq[:J, dq - len(M_cols):].T, out=Y[Nn:R])
             np.matmul(proj, Z[:J].T, out=Y[R:])
             np.abs(Y, out=Y)
             # Y[t, :, j]: |x| and |f| at step k + jB + t
@@ -470,23 +476,18 @@ def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
                 first_crossing = k + lim
 
             # only the steps before the crossing count
-            if len(cols):
-                peak = _peaks(Y[:, Nn:], lim, per_agent_peak, agents)
-                attack_bound = max(attack_bound, peak)
-            first = -k % store_stride  # the first stored step, after step k
-            count = len(range(first, lim, store_stride))
-            if count:
-                _at(Zp, P_pow, first, store_stride, store_P[si:si + count])
-                _at(Zq, Q_pow, first, store_stride, store_Q[si:si + count])
-                si += count
-            # the state at step k + lim starts the next segment, or is the final one
-            _at(Zp, P_pow, lim, 1, p[None])
-            _at(Zq, Q_pow, lim, 1, q[None])
+            attack_bound = max(attack_bound, _peaks(Y[:, Nn:], lim, per_agent_peak, agents))
+            # the stored steps before step k + lim, then the state at k + lim,
+            # which starts the next segment or is the final one
+            offsets = np.append(np.arange(-k % store_stride, lim, store_stride), lim)
+            _at(Zp, P_pow, offsets, store_P[si:si + len(offsets)])
+            _at(Zq, Q_pow, offsets, store_Q[si:si + len(offsets)])
+            si += len(offsets) - 1
             k += lim
     # the workspace ends with the loop
     del F_P, F_Q, P_pow, P_up, Q_pow, Q_up, Q_levels, Zp, Zq, Z, Y, proj, readout
-    final_x_hat = p[:Nn].copy()
-    final_x = final_x_hat + q[:Nn]
+    final_x_hat = store_P[si, :Nn].copy()
+    final_x = final_x_hat + store_Q[si, :Nn]
     steps_run = k
     stored_ks = stored_ks[:si]
     store_xhat = store_P[:si, :Nn].reshape(-1, N, n)
@@ -508,7 +509,7 @@ def simulate(model: LtiModel, graph: DirectedGraph, spectrum: GraphSpectrum,
         gamma = global_performance(store_x, graph)
         growth = analyze_growth(inf_norms)
     prediction = destabilization_verdict(attacks, model, spectrum, ctrl, compensating)
-    intact = tuple(int(i) for i in range(N) if per_agent_peak[i] <= 1e-12)
+    intact = tuple(int(i) for i in range(N) if per_agent_peak[i] <= ROOT_TARGET_TOL)
 
     return SimulationTrace(
         name=name,

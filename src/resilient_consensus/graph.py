@@ -44,13 +44,16 @@ class DirectedGraph:
     @classmethod
     def from_edges(cls, n_agents: int, edges) -> "DirectedGraph":
         """Build from an edge list ``[[from, to, weight], ...]`` (0-based, weight optional).
-        An agent count whose adjacency cannot be allocated raises GraphError."""
+        An agent count whose adjacency cannot be allocated, or an agent index that
+        is not a whole number, raises GraphError."""
         try:
             a = np.zeros((n_agents, n_agents))
         except (ValueError, MemoryError) as exc:
             raise GraphError(f"the adjacency of {n_agents} agents cannot be allocated") from exc
         for e in edges:
             src, dst = int(e[0]), int(e[1])
+            if (src, dst) != (e[0], e[1]):
+                raise GraphError(f"edge {list(e)!r} has an agent index that is not a whole number")
             w = float(e[2]) if len(e) > 2 else 1.0
             if not (0 <= src < n_agents and 0 <= dst < n_agents):
                 raise GraphError(f"edge {list(e)!r} out of range for {n_agents} agents")

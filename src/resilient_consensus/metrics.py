@@ -134,8 +134,13 @@ def destabilization_verdict(specs, model: LtiModel, spectrum: GraphSpectrum, ctr
     the last start on, where every attack is live, and f = M'g, with M read
     through ``effective_injection`` as the engine reads it. f is zero for good
     when it reads at most ROOT_TARGET_TOL on ``AttackGenerator.window``, the
-    dim W steps from the last start (Cayley-Hamilton), the rule that gives the
-    run's ``intact_agents``.
+    dim W steps from the last start (Cayley-Hamilton). The run's
+    ``intact_agents`` follow another rule: an agent is intact when its |f|
+    reads at most ROOT_TARGET_TOL at every step the run takes, up to its
+    crossing. So an injection cancelled from the last start on predicts
+    CONSENSUS although the agents it reached before are not intact, and a run
+    that crosses before an attack starts keeps every agent intact under the
+    verdict that attack gives.
 
     Since p'Lhat = 0, the common mode c = p'x follows
     c(k+1) = A c(k) + B S(k) - B p'd(k) with S = p'f, and p'd decays in a

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import copy
 import json
 from dataclasses import dataclass, field
 
@@ -158,6 +157,14 @@ def _check_finite(value, path: str = "") -> None:
         _check_finite(item, f"{path}.{key}" if path else str(key))
 
 
+def _array(value, path: str) -> np.ndarray:
+    """``value`` as a float array; a ragged or non-numeric one is a ConfigError naming ``path``."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def _parse_signal(raw: dict) -> ExogenousSignal:
     kind = raw["type"]
     if kind == "constant":
@@ -189,7 +196,6 @@ class ScenarioConfig:
     seed: int | None = None
     divergence_threshold: float = engine.DIVERGENCE_THRESHOLD
     store_stride: int = 1
-    raw: dict = field(default_factory=dict)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
@@ -206,7 +212,7 @@ class ScenarioConfig:
             try:
                 model = LtiModel(A=np.asarray(model_raw["A"], dtype=float),
                                  B=np.asarray(model_raw["B"], dtype=float))
-            except ValueError as exc:
+            except (TypeError, ValueError) as exc:
                 raise ConfigError(f"model: {exc}") from exc
         for weight, dim in (("q1", model.state_dim), ("r1", model.input_dim)):
             if weight in raw:
@@ -218,7 +224,7 @@ class ScenarioConfig:
         graw = raw["graph"]
         try:
             if "adjacency" in graw:
-                graph = DirectedGraph(np.asarray(graw["adjacency"], dtype=float))
+                graph = DirectedGraph(_array(graw["adjacency"], "graph.adjacency"))
             elif "edges" in graw and "n_agents" in graw:
                 graph = DirectedGraph.from_edges(graw["n_agents"], graw["edges"])
             else:
@@ -233,7 +239,7 @@ class ScenarioConfig:
             rng = np.random.default_rng(0 if seed is None else seed)
             x0 = x0_raw.get("scale", 1.0) * rng.normal(size=n_total)
         else:
-            x0 = np.asarray(x0_raw, dtype=float).ravel()
+            x0 = _array(x0_raw, "x0").ravel()
             if x0.size != n_total:
                 raise ConfigError(f"x0: expected {n_total} values, got {x0.size}")
         if not np.isfinite(x0).all():  # a finite scale can still overflow
@@ -247,14 +253,14 @@ class ScenarioConfig:
                                   signal=signal, start_step=araw.get("start", 0))
                 # checks that the agent exists and the signal has its channel's width
                 AttackGenerator([spec], graph.n_agents, model.state_dim, model.input_dim)
-            except ValueError as exc:
+            except (TypeError, ValueError) as exc:
                 raise ConfigError(f"attacks.{idx}: {exc}") from exc
             attacks.append(spec)
 
         leader = None
         lraw = raw.get("leader")
         if lraw is not None:
-            K0 = np.asarray(lraw["K0"], dtype=float)
+            K0 = _array(lraw["K0"], "leader.K0")
             if K0.shape != (model.input_dim, model.state_dim):
                 raise ConfigError(f"leader.K0: expected shape "
                                   f"({model.input_dim}, {model.state_dim}), got {K0.shape}")
@@ -270,7 +276,7 @@ class ScenarioConfig:
                 raise ConfigError("predictor_init: must be 'match' or an explicit vector")
             predictor_init = None
         else:
-            predictor_init = np.asarray(pred_raw, dtype=float).ravel()
+            predictor_init = _array(pred_raw, "predictor_init").ravel()
             if predictor_init.size != n_total:
                 raise ConfigError(f"predictor_init: expected {n_total} values")
 
@@ -292,16 +298,17 @@ class ScenarioConfig:
             seed=seed,
             divergence_threshold=raw.get("divergence_threshold", engine.DIVERGENCE_THRESHOLD),
             store_stride=raw.get("store_stride", 1),
-            raw=copy.deepcopy(raw),
         )
 
 
-def load_config(source) -> ScenarioConfig:
-    """Accept a bundled scenario name, a JSON file path, or a raw dict."""
+def load_raw(source) -> dict:
+    """The unparsed config of a bundled scenario name, a JSON file path, or a raw
+    dict; the dict itself, not a copy. A file that holds no JSON object is a
+    ConfigError."""
     if isinstance(source, dict):
-        return ScenarioConfig.from_dict(source)
+        return source
     if source in BUNDLED_SCENARIOS:
-        return ScenarioConfig.from_dict(BUNDLED_SCENARIOS[source])
+        return BUNDLED_SCENARIOS[source]
     try:
         with open(source, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -309,7 +316,14 @@ def load_config(source) -> ScenarioConfig:
         raise ConfigError(f"cannot read scenario {source!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {source!r}: {exc}") from exc
-    return ScenarioConfig.from_dict(raw)
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{source!r} holds no JSON object")
+    return raw
+
+
+def load_config(source) -> ScenarioConfig:
+    """Parse a bundled scenario name, a JSON file path, or a raw dict."""
+    return ScenarioConfig.from_dict(load_raw(source))
 
 
 _NO_SPANNING_TREE = "no spanning tree (the zero eigenvalue is not simple)"

@@ -13,10 +13,10 @@ import time
 import numpy as np
 import pytest
 
-from resilient_consensus import (DirectedGraph, ScenarioConfig, consensus_error_threshold,
-                                 design_controller, dtilde_bound, list_scenarios, load_config,
-                                 normalized_laplacian, run, simulate, solve_dare, write_csv,
-                                 write_summary)
+from resilient_consensus import (BUNDLED_SCENARIOS, DirectedGraph, ScenarioConfig,
+                                 consensus_error_threshold, design_controller, dtilde_bound,
+                                 list_scenarios, load_config, normalized_laplacian, run, simulate,
+                                 solve_dare, write_csv, write_summary)
 from resilient_consensus.design import baseline_radius
 
 from conftest import bfs_roots, random_balanced_digraph, random_spanning_tree_digraph
@@ -50,7 +50,7 @@ def test_criterion_1_attack_free_consensus():
 def test_criterion_2_root_imp_destabilization():
     # divergence flag within 1e5 steps, at-least-linear growth
     config = load_config("example1_root_attack")
-    raw = dict(config.raw)
+    raw = dict(BUNDLED_SCENARIOS["example1_root_attack"])
     raw.update(horizon=100_000, store_stride=1_000)
     flag_trace = run(ScenarioConfig.from_dict(raw))
     flag_ok = flag_trace.diverged and flag_trace.steps_run <= 100_000
@@ -74,7 +74,7 @@ def test_criterion_2_root_imp_destabilization():
 
 def test_criterion_3_nonroot_bounded_deviation():
     config = load_config("chain5_nonroot_attack")
-    raw = dict(config.raw)
+    raw = dict(BUNDLED_SCENARIOS["chain5_nonroot_attack"])
     raw["horizon"] = 10_000
     attacked = run(ScenarioConfig.from_dict(raw))
     clean_raw = dict(raw)

@@ -399,6 +399,26 @@ def test_a_run_builds_each_operator_and_one_grid_once(monkeypatch):
     _assert_matches_reference(trace, config, spectrum, ctrl, 7)
 
 
+@pytest.mark.parametrize("stride", [1, 7])
+def test_each_segment_forms_its_states_with_one_call_per_system(monkeypatch, stride):
+    """Four attack starts and the compensator's start cut a run into five
+    segments: each system's stored rows and the state that ends a segment
+    come from one ``_at`` call, as many as its ``_propagate`` calls."""
+    calls = dict.fromkeys(("_at", "_propagate"), 0)
+    for name in calls:
+        def counting(*args, _name=name, _original=getattr(engine, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(engine, name, counting)
+    config = _two_channel_config()
+    config = dataclasses.replace(config, attacks=[
+        dataclasses.replace(config.attacks[i % 2], start_step=start)
+        for i, start in enumerate((0, 100, 200, 300))])
+    trace, spectrum, ctrl = _simulate(config, 400, stride)
+    assert calls == {"_at": 10, "_propagate": 10}
+    _assert_matches_reference(trace, config, spectrum, ctrl, stride)
+
+
 def test_a_growing_attack_matches_the_one_step_recursion():
     """f = 1.05^(k - 500) on agent 2's actuator from step 500: before the start
     the error system's operator carries W = 1.05 on a generator state that is

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -34,6 +36,15 @@ def test_from_edges_validation():
         DirectedGraph.from_edges(3, [[0, 3]])
     with pytest.raises(GraphError):
         DirectedGraph.from_edges(3, [[1, 1]])
+
+
+@pytest.mark.parametrize("edge", [[0.5, 1], [-0.5, 1], [0, 1.25, 2.0]])
+def test_fractional_agent_indices_are_rejected(edge):
+    # int() would read each of these as an edge between agents 0 and 1
+    with pytest.raises(GraphError, match=re.escape(f"edge {edge!r} has an agent index")):
+        DirectedGraph.from_edges(3, [[1, 2], edge])
+    whole = DirectedGraph.from_edges(3, [[0.0, 1.0, 2.0], [2.0, 1]])
+    assert whole.adjacency[1, 0] == 2.0 and whole.adjacency[1, 2] == 1.0
 
 
 def test_example1_normalized_laplacian(example1_graph, example1_spectrum):

@@ -167,6 +167,29 @@ def test_attacks_that_cancel_predict_consensus():
     assert trace.prediction == "CONSENSUS"
 
 
+def _nonroot_run(attacks, **overrides):
+    """``example1_nonroot_attack`` over 400 steps with its attack replaced by ``attacks``."""
+    raw = {**BUNDLED_SCENARIOS["example1_nonroot_attack"], "horizon": 400, **overrides}
+    attack = raw["attacks"][0]
+    raw["attacks"] = [{**attack, "start": start, "signal": {"type": "constant", "value": [v]}}
+                      for start, v in attacks]
+    return run(ScenarioConfig.from_dict(raw))
+
+
+def test_the_verdict_and_the_intact_agents_read_different_steps():
+    # the verdict reads f from the last attack's start on: +1 on agent 2 from
+    # step 0, cancelled from step 100, is zero there, while the intact agents
+    # read every step before the crossing, and agent 2 took the +1 before 100
+    cancelled = _nonroot_run([(0, 1.0), (100, -1.0)])
+    assert cancelled.prediction == "CONSENSUS" and cancelled.intact_agents == (0, 1, 3)
+    # a run that crosses at step 0 takes no step under the attack starting at
+    # 300, which the verdict still reads
+    stopped = _nonroot_run([(300, 1.0)], divergence_threshold=5)
+    assert stopped.first_crossing == 0 and stopped.steps_run == 0
+    assert stopped.prediction == "BOUNDED_DEVIATION"
+    assert stopped.intact_agents == (0, 1, 2, 3)
+
+
 @pytest.mark.parametrize("start, prediction", [
     (5000, "CONSENSUS"), (4000, "CONSENSUS"), (3999, "DESTABILIZE"), (3000, "DESTABILIZE")])
 def test_the_verdict_reads_only_attacks_that_start_inside_the_horizon(start, prediction):

@@ -255,6 +255,96 @@ def test_bad_custom_model_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "bad_model.summary.json").exists()
 
 
+_MALFORMED = {"ragged": [[1.0, 2.0], [1.0]], "non_numeric": ["a", 1.0]}
+
+
+@pytest.mark.parametrize("kind", sorted(_MALFORMED))
+@pytest.mark.parametrize("field, make", [
+    ("graph.adjacency", lambda value: small_config(graph={"adjacency": value})),
+    ("x0", lambda value: small_config(x0=value)),
+    ("predictor_init", lambda value: small_config(predictor_init=value)),
+    ("leader.K0", lambda value: small_config(leader={"K0": value})),
+], ids=["graph.adjacency", "x0", "predictor_init", "leader.K0"])
+def test_malformed_numeric_arrays_are_config_errors(tmp_path, capsys, field, make, kind):
+    raw = make(_MALFORMED[kind])
+    with pytest.raises(ConfigError, match=f"^{field}: "):
+        ScenarioConfig.from_dict(raw)
+    cfg = tmp_path / "malformed.json"
+    cfg.write_text(json.dumps(raw))
+    for argv in (["run", str(cfg), "--out", str(tmp_path)], ["validate", str(cfg)]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith(f"error: {field}: ")
+    assert not (tmp_path / "smoke.summary.json").exists()
+
+
+def _valid_with_every_numeric_array():
+    """A config that parses, with a value for every numeric array field."""
+    return small_config(
+        model={"A": [[1.0]], "B": [[1.0]]},
+        graph={"adjacency": [[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0],
+                             [0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]]},
+        predictor_init=[0.0, 1.0, 2.0, 3.0], leader={"K0": [[0.5]]},
+        q1=[[1.0]], r1=[[1.0]],
+        attacks=[{"agent": 1, "channel": "actuator",
+                  "signal": {"type": "exogenous", "W": [[1.0]], "f0": [1.0]}},
+                 {"agent": 2, "channel": "sensor", "signal": {"type": "constant", "value": [1.0]}},
+                 {"agent": 3, "channel": "actuator",
+                  "signal": {"type": "sin", "omega": 0.5, "amplitude": [1.0]}}])
+
+
+_NUMERIC_ARRAYS = [("model", "A"), ("model", "B"), ("graph", "adjacency"), ("x0",),
+                   ("predictor_init",), ("leader", "K0"), ("q1",), ("r1",),
+                   ("attacks", 0, "signal", "W"), ("attacks", 0, "signal", "f0"),
+                   ("attacks", 1, "signal", "value"), ("attacks", 2, "signal", "amplitude")]
+_NUMBER = st.integers(-3, 3)
+# neither NumPy nor float() reads these as numbers
+_NON_NUMBER = st.one_of(st.text(alphabet="abxyz", min_size=1, max_size=3),
+                        st.dictionaries(st.sampled_from("ab"), _NUMBER, max_size=1))
+
+
+@st.composite
+def _malformed_arrays(draw):
+    """A list that no float array holds: a row with a non-numeric entry, alone
+    or as a matrix's row, or rows of unequal lengths, or a row next to a number."""
+    row = draw(st.lists(_NUMBER, max_size=3))
+    kind = draw(st.sampled_from(["non_numeric", "ragged", "mixed"]))
+    if kind == "non_numeric":
+        row.insert(draw(st.integers(0, len(row))), draw(_NON_NUMBER))
+        return draw(st.sampled_from([row, [row]]))
+    if kind == "ragged":
+        rows = [row, row + draw(st.lists(_NUMBER, min_size=1, max_size=2))]
+        return draw(st.permutations(rows))
+    return draw(st.permutations([row, draw(_NUMBER)]))
+
+
+def test_the_config_with_every_numeric_array_parses():
+    ScenarioConfig.from_dict(_valid_with_every_numeric_array())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(path=st.sampled_from(_NUMERIC_ARRAYS), value=_malformed_arrays())
+def test_a_malformed_numeric_array_is_a_config_error_and_nothing_else(path, value):
+    raw = _valid_with_every_numeric_array()
+    parent = raw
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    with pytest.raises(ConfigError):
+        ScenarioConfig.from_dict(raw)
+
+
+@pytest.mark.parametrize("edge", [[0.5, 1], [-0.5, 1]], ids=["half", "minus_half"])
+def test_fractional_agent_indices_are_config_errors(tmp_path, capsys, edge):
+    raw = small_config(graph={"n_agents": 4, "edges": [[1, 0], [1, 2], [0, 3], edge]})
+    message = f"graph: edge {edge!r} has an agent index that is not a whole number"
+    cfg = tmp_path / "fractional_edge.json"
+    cfg.write_text(json.dumps(raw))
+    for argv in (["run", str(cfg), "--out", str(tmp_path)], ["validate", str(cfg)]):
+        assert main(argv) == 2, argv
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "smoke.summary.json").exists()
+
+
 TWO_CYCLES = {"n_agents": 4, "edges": [[0, 1, 1.0], [1, 0, 1.0], [2, 3, 1.0], [3, 2, 1.0]]}
 
 
@@ -798,6 +888,21 @@ def test_cli_env_var_output_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("RESILIENT_CONSENSUS_OUT", str(tmp_path / "envout"))
     assert main(["run", "example1_consensus", "--format", "json"]) == 0
     assert (tmp_path / "envout" / "example1_consensus.summary.json").exists()
+
+
+def test_run_applies_its_overrides_before_it_parses(tmp_path, capsys):
+    # a horizon of 0 is invalid on its own, and valid once --horizon replaces it
+    cfg = tmp_path / "horizon_0.json"
+    cfg.write_text(json.dumps(small_config(horizon=0)))
+    assert main(["validate", str(cfg)]) == 2
+    assert "horizon: 0 is less than the minimum of 1" in capsys.readouterr().err
+    assert main(["run", str(cfg), "--horizon", "50", "--seed", "3",
+                 "--out", str(tmp_path), "--format", "csv"]) == 0
+    assert len((tmp_path / "smoke.csv").read_text().strip().split("\n")) == 51
+    # a file that holds no JSON object stays a config error under overrides
+    cfg.write_text("[1, 2]")
+    assert main(["run", str(cfg), "--horizon", "50", "--out", str(tmp_path)]) == 2
+    assert "holds no JSON object" in capsys.readouterr().err
 
 
 def test_cli_horizon_and_seed_overrides(tmp_path):
